@@ -138,9 +138,9 @@ class TestLogitPolicy:
 class TestSolverConfig:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(bh.InvalidInput):
-            bh.SolverConfig(f_tolerance=0.0)
-        with pytest.raises(bh.InvalidInput):
             bh.SolverConfig(foc_tolerance=-1.0)
+        with pytest.raises(bh.InvalidInput):
+            bh.SolverConfig(support_threshold=0)
 
     def test_rejects_unknown_init(self):
         with pytest.raises(bh.InvalidInput):
@@ -224,7 +224,8 @@ class TestSolve:
 
     def test_duplicate_actions_share_log_partition(self):
         p = bh.duplicated_action_problem(seed=7)
-        reference = None
+        base = bh.solve(p, TIGHT)
+        reference = bh.log_partition(p, base.marginal)
         for seed in range(5):
             cfg = bh.SolverConfig(
                 foc_tolerance=1e-9,
@@ -234,10 +235,63 @@ class TestSolve:
             )
             solution = bh.solve(p, cfg)
             lz = bh.log_partition(p, solution.marginal)
-            if reference is None:
-                reference = lz
-            else:
-                assert np.abs(lz - reference).max() <= 1e-7
+            assert np.abs(lz - reference).max() <= 1e-7
+            assert abs(solution.f_value - base.f_value) <= 1e-10
+
+
+def _assert_certified(solution):
+    assert solution.converged
+    sup = solution.marginal.weights > 1e-9
+    assert np.abs(solution.foc_residuals[sup]).max() <= 1e-9
+    assert solution.foc_residuals.max() <= 1e-9
+
+
+# Instances of standard_suite(300, base_seed=5000), all at lam=4, on which the
+# plain multiplicative update crawls along a flat support for over 100k steps.
+@pytest.mark.parametrize("seed", [5039, 5048, 5165, 5240])
+def test_flat_support_instances_converge(seed):
+    problem = bh.standard_suite(300, base_seed=5000)[seed - 5001]
+    _assert_certified(bh.solve(problem, TIGHT))
+
+
+@pytest.mark.parametrize(
+    "shape, lam",
+    [((6, 6), 1e4), ((50, 2000), 1.0), ((300, 300), 0.25)],
+    ids=["lam1e4", "50x2000", "300x300"],
+)
+def test_stress_instances_converge(shape, lam):
+    _assert_certified(bh.solve(bh.random_problem(3, *shape, lam), TIGHT))
+
+
+def _plain_ba_value(problem: bh.Problem, steps: int) -> float:
+    """f after ``steps`` multiplicative updates from uniform (ba_step's arithmetic,
+    on the shifted plain-domain kernel so that long runs stay cheap)."""
+    kernel = bh.gibbs_kernel(problem)
+    shift = kernel.max(axis=0)
+    gain = np.exp(kernel - shift)
+    w = np.full(problem.num_actions, 1.0 / problem.num_actions)
+    for _ in range(steps):
+        w = w * (gain @ (problem.prior / (w @ gain)))
+        w /= w.sum()
+    return bh.jensen_f(problem, bh.ActionMarginal(w))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=0.05, max_value=20.0),
+)
+def test_idle_action_elimination_is_sound(seed, m, n, lam):
+    # eliminating an action on the optimal support would cap f below what
+    # the plain update reaches; the grid brackets f* outright for m <= 3
+    p = bh.random_problem(seed, m, n, lam)
+    solution = bh.solve(p, TIGHT)
+    assert solution.f_value >= _plain_ba_value(p, 20_000) - 1e-12
+    if m <= 3:
+        oracle = bh.grid_search_f(p)
+        assert abs(solution.f_value - oracle.f_best) <= oracle.margin
 
 
 @settings(max_examples=25, deadline=None)
