@@ -12,10 +12,9 @@ system
     exp(a(alpha)) = sum_omega prior(omega) * exp(u/lam - b(omega))
     exp(b(omega)) = sum_alpha nu(alpha)    * exp(u/lam - a(alpha))
 
-Alternating the two updates is Sinkhorn matrix scaling.  In log domain each
-half-update is one weighted log-sum-exp, overflow-safe for any lam; the plain
-scaling form is kept behind a config flag for benchmarking on well-scaled
-kernels.  Convergence is measured as the worst sup-norm violation of the two
+Alternating the two updates is Sinkhorn matrix scaling.  It always runs in
+the log domain, where each half-update is one log-sum-exp, overflow-safe for
+any lam.  Convergence is measured as the worst sup-norm violation of the two
 marginal constraints by the implied coupling.
 
 Actions with nu(alpha) = 0 are excluded before iterating and reinserted as
@@ -38,6 +37,8 @@ from .core import (
     InvalidInput,
     Potentials,
     Problem,
+    action_equation,
+    check_marginal,
     gibbs_kernel,
     weighted_logsumexp,
 )
@@ -78,12 +79,10 @@ class SinkhornConfig:
 
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
-    log_domain: run updates as log-sum-exp (default) or plain scaling.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
-    log_domain: bool = True
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
@@ -115,13 +114,6 @@ class BridgeResult:
         return abs(self.value_primal - self.value_dual)
 
 
-def _check_nu(problem: Problem, nu: ActionMarginal) -> None:
-    if len(nu) != problem.num_actions:
-        raise InvalidInput(
-            f"marginal length {len(nu)} does not match {problem.num_actions} actions"
-        )
-
-
 def sinkhorn_bridge(
     problem: Problem,
     nu: ActionMarginal,
@@ -138,7 +130,7 @@ def sinkhorn_bridge(
     sweep budget runs out above tolerance.
     """
     cfg = config or SinkhornConfig()
-    _check_nu(problem, nu)
+    check_marginal(problem, nu)
 
     kernel = gibbs_kernel(problem)
     weights = nu.weights
@@ -154,16 +146,11 @@ def sinkhorn_bridge(
             raise InvalidInput("initial_action must be a finite length-m vector")
         a0 = init[sup].copy()
 
-    if cfg.log_domain:
-        a_s, b, coupling_s, mass, iterations, residual, converged = _sweep_log(
-            ks, ws, prior, a0, cfg
-        )
-    else:
-        a_s, b, coupling_s, mass, iterations, residual, converged = _sweep_plain(
-            ks, ws, prior, a0, cfg
-        )
+    a_s, b, coupling_s, mass, iterations, residual, converged = _sweep_log(
+        ks, ws, prior, a0, cfg
+    )
 
-    result = _assemble(problem, nu, sup, a_s, b, coupling_s, mass, iterations, residual)
+    result = _assemble(problem, nu, kernel, sup, a_s, b, coupling_s, mass, iterations, residual)
     if not converged:
         raise BridgeNotConverged(iterations, residual, result)
     return result
@@ -193,40 +180,13 @@ def _sweep_log(ks, ws, prior, a, cfg):
     return a, b, coupling, mass, iterations, residual, converged
 
 
-def _sweep_plain(ks, ws, prior, a, cfg):
-    """Plain scaling sweeps; faithful but overflow-prone for rough kernels."""
-    gain = np.exp(ks)
-    s = np.exp(-a)
-    converged = False
-    iterations = 0
-    residual = np.inf
-    coupling = None
-    mass = np.nan
-    t = np.ones(ks.shape[1])
-    for iterations in range(1, cfg.max_iterations + 1):
-        t = 1.0 / (gain.T @ (ws * s))
-        s = 1.0 / (gain @ (prior * t))
-        raw = (ws * s)[:, None] * gain * (prior * t)[None, :]
-        mass = float(raw.sum())
-        coupling = raw / mass
-        residual = _marginal_residual(coupling, ws, prior)
-        if residual <= cfg.tolerance:
-            converged = True
-            break
-    with np.errstate(divide="ignore"):
-        a = -np.log(s)
-        b = -np.log(t)
-    return a, b, coupling, mass, iterations, residual, converged
-
-
 def _marginal_residual(coupling, ws, prior) -> float:
     row = float(np.abs(coupling.sum(axis=1) - ws).max())
     col = float(np.abs(coupling.sum(axis=0) - prior).max())
     return max(row, col)
 
 
-def _assemble(problem, nu, sup, a_s, b, coupling_s, mass, iterations, residual):
-    kernel = gibbs_kernel(problem)
+def _assemble(problem, nu, kernel, sup, a_s, b, coupling_s, mass, iterations, residual):
     prior = problem.prior
     weights = nu.weights
 
@@ -235,9 +195,7 @@ def _assemble(problem, nu, sup, a_s, b, coupling_s, mass, iterations, residual):
     a_full[sup] = a_s
     off = ~sup
     if np.any(off):
-        a_full[off] = logsumexp(
-            kernel[off] + np.log(prior)[None, :] - b[None, :], axis=1
-        )
+        a_full[off] = action_equation(kernel[off], prior, b)
 
     # translate so that E_nu[a] = 0 (leaves a + b, hence the coupling, alone)
     shift = float(weights[sup] @ a_s)
@@ -283,11 +241,11 @@ def schrodinger_residual(
     residual over all states).  Both are ~0 at potentials returned by
     sinkhorn_bridge; perturbing either potential shows up here directly.
     """
-    _check_nu(problem, nu)
+    check_marginal(problem, nu)
     kernel = gibbs_kernel(problem)
     a = potentials.action
     b = potentials.state
-    a_eq = logsumexp(kernel + np.log(problem.prior)[None, :] - b[None, :], axis=1)
+    a_eq = action_equation(kernel, problem.prior, b)
     b_eq = weighted_logsumexp(kernel - a[:, None], nu.weights, axis=0)
     res_a = float(np.abs(a - a_eq).max())
     res_b = float(np.abs(b - b_eq).max())
@@ -303,7 +261,7 @@ def coupling_from_potentials(
     PotentialsInconsistent is raised; the tiny remaining defect is projected
     out so the result is an exact unit-mass Coupling.
     """
-    _check_nu(problem, nu)
+    check_marginal(problem, nu)
     kernel = gibbs_kernel(problem)
     with np.errstate(over="ignore"):
         density = np.exp(

@@ -41,6 +41,7 @@ __all__ = [
 SIMPLEX_ATOL = 1e-12   # construction-time tolerance on probability vectors
 MASS_ATOL = 1e-10      # coupling total-mass tolerance
 BAYES_ATOL = 1e-8      # tolerance on the state marginal in ri_objective
+SUPPORT_THRESHOLD = 1e-9  # mass above which an action counts as supported
 
 
 class BridgeheadError(Exception):
@@ -305,9 +306,30 @@ def drop_zero_prior_states(problem: Problem) -> Problem:
 # ---------------------------------------------------------------------------
 
 
+def check_marginal(problem: Problem, nu: ActionMarginal) -> None:
+    """Raise InvalidInput unless ``nu`` has one weight per action."""
+    if len(nu) != problem.num_actions:
+        raise InvalidInput(
+            f"marginal length {len(nu)} does not match {problem.num_actions} actions"
+        )
+
+
 def gibbs_kernel(problem: Problem) -> np.ndarray:
     """Log-domain kernel u/lam; entry (alpha, omega) equals utility/lam exactly."""
     return problem.utility / problem.lam
+
+
+def shifted_gain(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Plain-domain kernel exp(u/lam - shift), shift(omega) = max_alpha u/lam.
+
+    Entries lie in [0, 1] and every column holds a 1, so the partition
+    function exp(shift) * (nu @ gain) cannot overflow.  The solver's iteration
+    and the grid oracle run on this route; reported values take the
+    log-domain one (``weighted_logsumexp``), so each route checks the other.
+    """
+    kernel = gibbs_kernel(problem)
+    shift = kernel.max(axis=0)
+    return np.exp(kernel - shift[None, :]), shift
 
 
 def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
@@ -326,6 +348,20 @@ def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
     shape = [1] * v.ndim
     shape[axis] = -1
     return logsumexp(v + log_w.reshape(shape), axis=axis)
+
+
+def action_equation(kernel: np.ndarray, prior: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Action potential implied by a state potential, one entry per kernel row:
+    log sum_omega prior(omega) exp(kernel(alpha, omega) - state(omega)).
+    """
+    return logsumexp(kernel + np.log(prior)[None, :] - state[None, :], axis=1)
+
+
+def plateau_violation(residuals: np.ndarray, weights: np.ndarray, threshold: float) -> float:
+    """Worst plateau defect: |r| on the support (mass above threshold), r off it."""
+    sup = weights > threshold
+    on_support = float(np.abs(residuals[sup]).max()) if np.any(sup) else 0.0
+    return max(on_support, float(residuals.max()))
 
 
 def mutual_information(coupling: Coupling) -> float:

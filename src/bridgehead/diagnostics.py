@@ -24,12 +24,15 @@ from .bridge import (
     sinkhorn_bridge,
 )
 from .core import (
+    SUPPORT_THRESHOLD,
     ActionMarginal,
     BridgeheadError,
     InvalidInput,
     Problem,
     gibbs_kernel,
+    plateau_violation,
     ri_objective,
+    shifted_gain,
     weighted_logsumexp,
 )
 from .solver import (
@@ -123,7 +126,7 @@ def plateau_check(
     values,
     weights,
     tol: float,
-    support_threshold: float = 1e-9,
+    support_threshold: float = SUPPORT_THRESHOLD,
 ) -> PlateauResult:
     """Check that ``values`` is a plateau of the measure ``weights``.
 
@@ -156,13 +159,13 @@ def envelope_raw(problem: Problem, weights) -> float:
     """The envelope f evaluated on a raw weight vector, plain domain.
 
     Used by finite-difference oracles: differentiating f needs evaluations
-    just outside the simplex, and the shifted plain-domain sum is a second
-    arithmetic route besides the solver's weighted log-sum-exp.
+    just outside the simplex.  It runs on ``shifted_gain``, the route of the
+    solver's iteration, while ``gateaux_f`` and ``jensen_f`` take the
+    log-domain route, so the finite differences check one against the other.
     """
     w = np.asarray(weights, dtype=np.float64)
-    kernel = gibbs_kernel(problem)
-    shift = kernel.max(axis=0)
-    z = w @ np.exp(kernel - shift[None, :])
+    gain, shift = shifted_gain(problem)
+    z = w @ gain
     if np.any(z <= 0):
         raise InvalidInput("weights give a non-positive partition function")
     return float(problem.prior @ (np.log(z) + shift))
@@ -179,8 +182,43 @@ def gateaux_f(problem: Problem, nu: ActionMarginal, psi: ActionMarginal) -> floa
     return float(problem.prior @ np.expm1(lz_psi - lz_nu))
 
 
+def _difference(value_at, base: float, h: float, scheme: str) -> float:
+    """Forward or central difference quotient of value_at(t) at t = 0.
+
+    ``base`` is value_at(0), which only the forward scheme reads.  The central
+    scheme evaluates the back step first: it is the one that can leave the
+    simplex, and then fails before any solve at the forward step.
+    """
+    if scheme == "forward":
+        return (value_at(h) - base) / h
+    if scheme == "central":
+        back = value_at(-h)
+        return (value_at(h) - back) / (2.0 * h)
+    raise InvalidInput(f"unknown scheme {scheme!r}")
+
+
 def _inner_value(problem: Problem, weights: np.ndarray, cfg: SinkhornConfig) -> float:
+    if np.any(weights < 0) or np.any(problem.prior < 0):
+        raise InvalidInput("difference step leaves the simplex; reduce h")
     return sinkhorn_bridge(problem, ActionMarginal(weights), cfg).value_primal
+
+
+def _toward_action(problem, nu, action, h, scheme, cfg, base) -> tuple[float, float]:
+    """Point-mass derivative of the inner value at nu, from its solve ``base``."""
+    if not 0 <= action < problem.num_actions:
+        raise InvalidInput(f"action index {action} out of range")
+    analytic = float(base.potentials.action[action]) - float(
+        nu.weights @ base.potentials.action
+    )
+    direction = -nu.weights.copy()
+    direction[action] += 1.0
+    numeric = _difference(
+        lambda t: _inner_value(problem, nu.weights + t * direction, cfg),
+        base.value_primal,
+        h,
+        scheme,
+    )
+    return analytic, numeric
 
 
 def gateaux_value(
@@ -201,33 +239,8 @@ def gateaux_value(
     """
     if np.any(nu.weights <= 0):
         raise InvalidInput("gateaux_value requires a strictly positive marginal")
-    return _gateaux_value_any(problem, nu, action, h, scheme, config)
-
-
-def _gateaux_value_any(problem, nu, action, h, scheme, config):
-    if not 0 <= action < problem.num_actions:
-        raise InvalidInput(f"action index {action} out of range")
     cfg = config or SinkhornConfig(tolerance=1e-12)
-    base = sinkhorn_bridge(problem, nu, cfg)
-    analytic = float(base.potentials.action[action]) - float(
-        nu.weights @ base.potentials.action
-    )
-    direction = -nu.weights.copy()
-    direction[action] += 1.0
-    if scheme == "forward":
-        forward = _inner_value(problem, nu.weights + h * direction, cfg)
-        numeric = (forward - base.value_primal) / h
-    elif scheme == "central":
-        back = nu.weights - h * direction
-        if np.any(back < 0):
-            raise InvalidInput("central step leaves the simplex; reduce h")
-        numeric = (
-            _inner_value(problem, nu.weights + h * direction, cfg)
-            - _inner_value(problem, back, cfg)
-        ) / (2.0 * h)
-    else:
-        raise InvalidInput(f"unknown scheme {scheme!r}")
-    return analytic, numeric
+    return _toward_action(problem, nu, action, h, scheme, cfg, sinkhorn_bridge(problem, nu, cfg))
 
 
 def gateaux_value_direction(
@@ -250,16 +263,12 @@ def gateaux_value_direction(
     base = sinkhorn_bridge(problem, nu, cfg)
     analytic = float((psi.weights - nu.weights) @ base.potentials.action)
     direction = psi.weights - nu.weights
-    if scheme == "forward":
-        numeric = (_inner_value(problem, nu.weights + h * direction, cfg) - base.value_primal) / h
-    elif scheme == "central":
-        lo = nu.weights - h * direction
-        hi = nu.weights + h * direction
-        if np.any(lo < 0) or np.any(hi < 0):
-            raise InvalidInput("central step leaves the simplex; reduce h")
-        numeric = (_inner_value(problem, hi, cfg) - _inner_value(problem, lo, cfg)) / (2.0 * h)
-    else:
-        raise InvalidInput(f"unknown scheme {scheme!r}")
+    numeric = _difference(
+        lambda t: _inner_value(problem, nu.weights + t * direction, cfg),
+        base.value_primal,
+        h,
+        scheme,
+    )
     return analytic, numeric
 
 
@@ -275,7 +284,7 @@ def gateaux_value_state(
 
     Analytic route: b(state) - E_prior[b] at the solved potential pair;
     numeric route re-solves the inner problem with the prior tilted toward
-    the atom.
+    the atom.  The central scheme needs prior(state) >= h/(1+h).
     """
     if not 0 <= state < problem.num_states:
         raise InvalidInput(f"state index {state} out of range")
@@ -293,13 +302,7 @@ def gateaux_value_state(
         )
         return _inner_value(tilted, nu.weights, cfg)
 
-    if scheme == "forward":
-        numeric = (value_at(h) - base.value_primal) / h
-    elif scheme == "central":
-        numeric = (value_at(h) - value_at(-h)) / (2.0 * h)
-    else:
-        raise InvalidInput(f"unknown scheme {scheme!r}")
-    return analytic, numeric
+    return analytic, _difference(value_at, base.value_primal, h, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +483,13 @@ def average_free_energy(problem: Problem, conditionals, reference) -> float:
     return float(problem.prior @ (-mean_u + problem.lam * divergence))
 
 
+def _conditionals(solution: Solution) -> np.ndarray | None:
+    """P(alpha | omega) from the stored coupling; None when a state has no mass."""
+    joint = solution.coupling.joint
+    col = joint.sum(axis=0)
+    return None if np.any(col <= 0) else joint / col[None, :]
+
+
 def free_energy_check(
     problem: Problem,
     solution: Solution,
@@ -494,11 +504,9 @@ def free_energy_check(
     marginal fixed), then verifies the average free energy does not drop
     below the solved one by more than ``tol``.
     """
-    joint = solution.coupling.joint
-    col = joint.sum(axis=0)
-    if np.any(col <= 0):
+    cond = _conditionals(solution)
+    if cond is None:
         return _result("free_energy", np.inf, tol, "coupling has empty states")
-    cond = joint / col[None, :]
     reference = solution.marginal.weights
     base = average_free_energy(problem, cond, reference)
     rng = np.random.default_rng(seed)
@@ -523,21 +531,20 @@ def gibbs_plateau_check(problem: Problem, solution: Solution, tol: float = 1e-7)
     Evaluated on the stored coupling across the consideration set, so edits
     to the coupling surface here.
     """
-    joint = solution.coupling.joint
-    col = joint.sum(axis=0)
-    if np.any(col <= 0):
+    cond = _conditionals(solution)
+    if cond is None:
         return _result("gibbs_plateau", np.inf, tol, "coupling has empty states")
     sup = list(solution.consideration_set)
     if not sup:
         return _result("gibbs_plateau", np.inf, tol, "empty consideration set")
-    cond = joint[sup] / col[None, :]
+    cond = cond[sup]
     weights = solution.marginal.weights[sup]
     kernel = gibbs_kernel(problem)[sup]
     with np.errstate(divide="ignore"):
         values = kernel - np.log(cond) + np.log(weights)[:, None]
     values = np.where(np.isfinite(values), values, np.inf)
     worst = float(np.abs(values - solution.potentials.state[None, :]).max())
-    return _result("gibbs_plateau", worst, tol, f"{len(sup)} actions x {len(col)} states")
+    return _result("gibbs_plateau", worst, tol, f"{len(sup)} actions x {cond.shape[1]} states")
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +596,7 @@ def run_diagnostics(
 
     residuals = foc_residuals(problem, nu)
     candidate = action_potential(problem, nu)
-    sup = weights > 1e-9
-    kt_violation = max(
-        float(np.abs(residuals[sup]).max()) if np.any(sup) else np.inf,
-        float(np.maximum(residuals, 0.0).max()),
-    )
+    kt_violation = plateau_violation(residuals, weights, SUPPORT_THRESHOLD)
     signs_agree = bool(np.all(np.sign(candidate) == np.sign(residuals)))
     witness = plateau_check(residuals, weights, 1e-7).witness
     checks.append(
@@ -613,11 +616,10 @@ def run_diagnostics(
     for _ in range(directions):
         psi_w = rng.dirichlet(np.ones(problem.num_actions))
         analytic = gateaux_f(problem, nu, ActionMarginal(psi_w))
-        step = fd_step * (psi_w - weights)
-        numeric = (
-            envelope_raw(problem, weights + step)
-            - envelope_raw(problem, weights - step)
-        ) / (2.0 * fd_step)
+        direction = psi_w - weights
+        numeric = _difference(
+            lambda t: envelope_raw(problem, weights + t * direction), np.nan, fd_step, "central"
+        )
         worst_f = max(worst_f, abs(analytic - numeric))
     checks.append(_result("gateaux_f", worst_f, 1e-3, f"{directions} random directions"))
 
@@ -628,7 +630,7 @@ def run_diagnostics(
     ][:3]
     worst_v = 0.0
     for alpha in probe:
-        analytic, numeric = _gateaux_value_any(problem, nu, alpha, fd_step, "central", cfg)
+        analytic, numeric = _toward_action(problem, nu, alpha, fd_step, "central", cfg, fresh)
         worst_v = max(worst_v, abs(analytic - numeric))
     checks.append(
         _result("gateaux_value", worst_v, 1e-3, f"central differences at {probe}")

@@ -2,9 +2,11 @@
 
 The grid search bounds the optimal envelope value from below by brute force
 and from above through a certified Lipschitz argument, without ever running
-the fixed-point iteration it is used to audit.  The mutual-information
-routine walks the joint entry by entry in plain Python floats as a foil for
-the vectorized version.  Everything here trades speed for independence, so
+the fixed-point iteration it is used to audit.  It evaluates f on the same
+plain-domain ``shifted_gain`` the iteration climbs; the solver reports f
+through the log-domain route, so comparing the two crosses routes.  The
+mutual-information routine walks the joint entry by entry in plain Python
+floats as a foil for the vectorized version.  Everything here trades speed for independence, so
 keep instances small.
 """
 
@@ -16,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ActionMarginal, BridgeheadError, Coupling, InvalidInput, Problem, gibbs_kernel
+from .core import ActionMarginal, BridgeheadError, Coupling, InvalidInput, Problem, shifted_gain
 
 __all__ = [
     "TooManyActions",
@@ -109,8 +111,10 @@ def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchR
 
         L = lipschitz_bound = max_grid osc(exp(a)) * m / 4.
 
-    Evaluation runs in the plain domain with a per-state shift, a different
-    arithmetic route from the solver's weighted log-sum-exp.
+    exp(a) can reach exp(range(u)/lam) near the faces of the simplex, so the
+    margin L / N grows like that too and the bracket certifies nothing at
+    small lam: for random_problem(1, 3, 6, lam) the margin is 9.8e4 against
+    f = 13.8 at lam = 0.05, and 10 against 6.6 at lam = 0.1.
     """
     spec = spec or GridSpec()
     m = problem.num_actions
@@ -121,9 +125,7 @@ def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchR
     pitch = spec.pitch_for(m)
     denom = max(1, round(1.0 / pitch))
 
-    kernel = gibbs_kernel(problem)
-    shift = kernel.max(axis=0)
-    gain = np.exp(kernel - shift[None, :])  # rows: actions, columns: states
+    gain, shift = shifted_gain(problem)  # rows: actions, columns: states
     prior = problem.prior
 
     best_f = -np.inf

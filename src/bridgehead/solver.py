@@ -37,13 +37,18 @@ from scipy.special import logsumexp
 
 from .bridge import BridgeResult, SinkhornConfig, sinkhorn_bridge
 from .core import (
+    SUPPORT_THRESHOLD,
     ActionMarginal,
     BridgeheadError,
     Coupling,
     InvalidInput,
     Potentials,
     Problem,
+    action_equation,
+    check_marginal,
     gibbs_kernel,
+    plateau_violation,
+    shifted_gain,
     weighted_logsumexp,
 )
 
@@ -76,17 +81,16 @@ class SolverConfig:
     (|r| on the support, r below it off the support, support meaning mass
     above ``support_threshold``), after a few polishing steps that must each
     halve the violation.  At every iterate f* - f <= max r, so the plateau
-    also certifies the value to within ``foc_tolerance``.  ``init`` is one of
-    "uniform", "random" (seeded), or "custom" with ``initial_marginal``
-    supplied.
+    also certifies the value to within ``foc_tolerance``.  ``init`` is
+    "uniform", "random" (seeded by ``seed``), or the starting ActionMarginal
+    itself.
     """
 
     foc_tolerance: float = 1e-7
-    support_threshold: float = 1e-9
+    support_threshold: float = SUPPORT_THRESHOLD
     max_iterations: int = 100_000
-    init: str = "uniform"
+    init: str | ActionMarginal = "uniform"
     seed: int | None = None
-    initial_marginal: ActionMarginal | None = None
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
     def __post_init__(self) -> None:
@@ -96,10 +100,10 @@ class SolverConfig:
                 raise InvalidInput(f"{name} must be > 0, got {value!r}")
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
-        if self.init not in ("uniform", "random", "custom"):
+        if not isinstance(self.init, ActionMarginal) and not (
+            isinstance(self.init, str) and self.init in ("uniform", "random")
+        ):
             raise InvalidInput(f"unknown init {self.init!r}")
-        if self.init == "custom" and self.initial_marginal is None:
-            raise InvalidInput("init='custom' requires initial_marginal")
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,13 @@ class Solution:
 
 
 def log_partition(problem: Problem, nu: ActionMarginal) -> np.ndarray:
-    """log Z(omega; nu) for every state, computed as a weighted log-sum-exp."""
-    _check(problem, nu)
+    """log Z(omega; nu) for every state, computed as a weighted log-sum-exp.
+
+    This log-domain route produces every reported value (f_value, foc
+    residuals); the iteration runs on the plain-domain ``shifted_gain``, so
+    each checks the other.
+    """
+    check_marginal(problem, nu)
     lz = weighted_logsumexp(gibbs_kernel(problem), nu.weights, axis=0)
     if not np.all(np.isfinite(lz)):
         raise InvalidInput("degenerate marginal: log partition is not finite")
@@ -153,11 +162,7 @@ def action_potential(problem: Problem, nu: ActionMarginal) -> np.ndarray:
     a_nu(alpha) = log sum_omega prior(omega) exp(u/lam - log Z(omega)); equals
     log(1 + r) for the first-order residual r, so the two share signs exactly.
     """
-    lz = log_partition(problem, nu)
-    return logsumexp(
-        gibbs_kernel(problem) + np.log(problem.prior)[None, :] - lz[None, :],
-        axis=1,
-    )
+    return action_equation(gibbs_kernel(problem), problem.prior, log_partition(problem, nu))
 
 
 def foc_residuals(problem: Problem, nu: ActionMarginal) -> np.ndarray:
@@ -195,24 +200,6 @@ def logit_policy(problem: Problem, nu: ActionMarginal) -> np.ndarray:
     return np.exp(log_cond)
 
 
-def _check(problem: Problem, nu: ActionMarginal) -> None:
-    if len(nu) != problem.num_actions:
-        raise InvalidInput(
-            f"marginal length {len(nu)} does not match {problem.num_actions} actions"
-        )
-
-
-def _plateau_violation(residuals: np.ndarray, weights: np.ndarray, threshold: float) -> float:
-    """Worst plateau defect: |r| on the support (mass above threshold), r off it."""
-    sup = weights > threshold
-    on_support = float(np.abs(residuals[sup]).max()) if np.any(sup) else 0.0
-    return max(on_support, float(residuals.max()))
-
-
-def _plateau_ok(residuals: np.ndarray, weights: np.ndarray, cfg: SolverConfig) -> bool:
-    return _plateau_violation(residuals, weights, cfg.support_threshold) <= cfg.foc_tolerance
-
-
 # ---------------------------------------------------------------------------
 # Outer iteration
 # ---------------------------------------------------------------------------
@@ -223,39 +210,34 @@ _HALVINGS = 30        # backtracking budget of one projected Newton step
 
 def _initial_weights(problem: Problem, cfg: SolverConfig) -> np.ndarray:
     m = problem.num_actions
+    if isinstance(cfg.init, ActionMarginal):
+        check_marginal(problem, cfg.init)
+        return cfg.init.weights.copy()
     if cfg.init == "uniform":
         return np.full(m, 1.0 / m)
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.seed)
-        w = rng.gamma(1.0, 1.0, size=m)
-        return w / w.sum()
-    custom = cfg.initial_marginal
-    if len(custom) != m:
-        raise InvalidInput(
-            f"initial_marginal length {len(custom)} does not match {m} actions"
-        )
-    return custom.weights.copy()
+    rng = np.random.default_rng(cfg.seed)
+    w = rng.gamma(1.0, 1.0, size=m)
+    return w / w.sum()
 
 
 class _Ascent:
     """The outer iterate and one step of the loop that climbs f.
 
-    Work is done on the stabilized plain-domain kernel: exp(u/lam) with a
-    per-state shift is a shared-max log-sum-exp, exact in the same places and
-    much faster.  Each iterate w carries z = Z(.; w) up to that per-state
-    factor and ratio = exp(a_candidate) = 1 + r, computed once and read by
-    the stop test, the idle-action certificate and the step.  ``alive`` marks
+    Work is done on the plain-domain ``shifted_gain``, so the log-domain
+    values the solution reports are an independent check on it.  Each
+    iterate w carries z = Z(.; w) up to the per-state factor exp(shift) and
+    ratio = exp(a_candidate) = 1 + r, computed once and read by the stop
+    test, the idle-action certificate and the step.  ``alive`` marks
     the actions that the certificate has not yet excluded.
     """
 
     def __init__(self, problem: Problem, cfg: SolverConfig):
-        kernel = gibbs_kernel(problem)
-        self.gain = np.exp(kernel - kernel.max(axis=0)[None, :])
+        self.gain = shifted_gain(problem)[0]
         self.prior = problem.prior
         self.cfg = cfg
         self.alive = np.ones(problem.num_actions, dtype=bool)
         # rounding allowance of a computed ratio entry or f difference
-        self.slack = 8.0 * np.finfo(np.float64).eps * sum(kernel.shape)
+        self.slack = 8.0 * np.finfo(np.float64).eps * sum(self.gain.shape)
         self._move(_initial_weights(problem, cfg))
 
     def _move(self, w: np.ndarray, z: np.ndarray | None = None) -> None:
@@ -396,7 +378,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     iterations = 0
     violation = np.inf
     for iterations in range(1, cfg.max_iterations + 1):
-        violation = _plateau_violation(ascent.ratio - 1.0, ascent.w, cfg.support_threshold)
+        violation = plateau_violation(ascent.ratio - 1.0, ascent.w, cfg.support_threshold)
         if best is not None and not violation <= best[1] / 2.0:
             break
         if violation <= cfg.foc_tolerance:
@@ -414,7 +396,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     w = w / w.sum()
     nu_star = ActionMarginal(w)
     residuals = foc_residuals(problem, nu_star)
-    converged = _plateau_ok(residuals, w, cfg) and not exhausted
+    converged = (
+        plateau_violation(residuals, w, cfg.support_threshold) <= cfg.foc_tolerance
+        and not exhausted
+    )
     inner: BridgeResult = sinkhorn_bridge(problem, nu_star, cfg.sinkhorn)
     solution = Solution(
         marginal=nu_star,

@@ -86,14 +86,6 @@ class TestSinkhornBridge:
             assert np.abs(other.coupling.joint - base.coupling.joint).max() <= 1e-8
             assert np.abs(other.potentials.action - base.potentials.action).max() <= 1e-8
 
-    def test_plain_domain_matches_log_domain(self):
-        p = bh.random_problem(29, 3, 4, lam=2.0)
-        nu = bh.ActionMarginal(np.array([0.5, 0.25, 0.25]))
-        logd = bh.sinkhorn_bridge(p, nu, TIGHT)
-        plain = bh.sinkhorn_bridge(p, nu, bh.SinkhornConfig(tolerance=1e-12, log_domain=False))
-        assert np.abs(logd.coupling.joint - plain.coupling.joint).max() <= 1e-11
-        assert abs(logd.value_primal - plain.value_primal) <= 1e-10
-
     def test_monotone_residual_per_sweep(self):
         p = bh.random_problem(41, 4, 4, lam=0.3)
         nu = bh.ActionMarginal.uniform(4)

@@ -235,3 +235,26 @@ class TestRiObjective:
         coupling = random_plausible_coupling(rng, p)
         nu = bh.ActionMarginal.from_weights(coupling.action_marginal, normalize=True)
         assert bh.ri_objective(p, coupling) <= bh.jensen_f(p, nu) + 1e-10
+
+
+_ZERO_POTENTIALS = bh.Potentials(np.zeros(3), np.zeros(4))
+_MARGINAL_FUNCTIONS = {
+    "log_partition": bh.log_partition,
+    "action_potential": bh.action_potential,
+    "foc_residuals": bh.foc_residuals,
+    "ba_step": bh.ba_step,
+    "logit_policy": bh.logit_policy,
+    "sinkhorn_bridge": bh.sinkhorn_bridge,
+    "schrodinger_residual": lambda p, nu: bh.schrodinger_residual(p, nu, _ZERO_POTENTIALS),
+    "coupling_from_potentials": lambda p, nu: bh.coupling_from_potentials(
+        p, nu, _ZERO_POTENTIALS
+    ),
+}
+
+
+@pytest.mark.parametrize("function", _MARGINAL_FUNCTIONS.values(), ids=_MARGINAL_FUNCTIONS.keys())
+@pytest.mark.parametrize("length", [2, 4])
+def test_marginal_length_mismatch_rejected(function, length):
+    p = bh.random_problem(7, 3, 4)
+    with pytest.raises(bh.InvalidInput, match="does not match 3 actions"):
+        function(p, bh.ActionMarginal.uniform(length))

@@ -128,6 +128,33 @@ class TestInnerValueDerivatives:
             bh.gateaux_value_state(p, bh.ActionMarginal.uniform(3), 7)
 
 
+_DERIVATIVES = {
+    "point_mass": lambda p, nu, **kw: bh.gateaux_value(p, nu, 0, **kw),
+    "direction": lambda p, nu, **kw: bh.gateaux_value_direction(
+        p, nu, bh.ActionMarginal.dirac(3, 2), **kw
+    ),
+    "state": lambda p, nu, **kw: bh.gateaux_value_state(p, nu, 1, **kw),
+}
+
+
+class TestDifferenceScheme:
+    @pytest.mark.parametrize("derivative", _DERIVATIVES.values(), ids=_DERIVATIVES.keys())
+    def test_unknown_scheme_rejected(self, derivative):
+        p = bh.random_problem(25, 3, 4, lam=1.1)
+        nu = bh.ActionMarginal(np.array([0.3, 0.4, 0.3]))
+        with pytest.raises(bh.InvalidInput, match="unknown scheme"):
+            derivative(p, nu, scheme="backward", config=SINKHORN)
+
+    @pytest.mark.parametrize("derivative", _DERIVATIVES.values(), ids=_DERIVATIVES.keys())
+    def test_central_step_outside_simplex_rejected(self, derivative):
+        # the back step of h = 0.9 turns a target weight below 0.9 / 1.9 negative
+        p = bh.random_problem(25, 3, 4, lam=1.1)
+        assert p.prior[1] < 0.9 / 1.9
+        nu = bh.ActionMarginal(np.array([0.3, 0.4, 0.3]))
+        with pytest.raises(bh.InvalidInput, match="leaves the simplex"):
+            derivative(p, nu, h=0.9, scheme="central", config=SINKHORN)
+
+
 class TestIlrCheck:
     def test_passes_on_solved_anchors(self, symmetric_2x2, solved_symmetric):
         res = bh.ilr_check(symmetric_2x2, solved_symmetric)

@@ -145,10 +145,13 @@ class TestSolverConfig:
     def test_rejects_unknown_init(self):
         with pytest.raises(bh.InvalidInput):
             bh.SolverConfig(init="warmstart")
-
-    def test_custom_init_requires_marginal(self):
         with pytest.raises(bh.InvalidInput):
-            bh.SolverConfig(init="custom")
+            bh.SolverConfig(init=np.array([0.5, 0.5]))
+
+    def test_marginal_init_must_match_action_count(self, symmetric_2x2):
+        cfg = bh.SolverConfig(init=bh.ActionMarginal.uniform(3))
+        with pytest.raises(bh.InvalidInput):
+            bh.solve(symmetric_2x2, cfg)
 
 
 class TestSolve:
@@ -192,7 +195,7 @@ class TestSolve:
 
     def test_custom_initialization(self, symmetric_2x2):
         start = bh.ActionMarginal(np.array([0.9, 0.1]))
-        cfg = bh.SolverConfig(foc_tolerance=1e-9, init="custom", initial_marginal=start)
+        cfg = bh.SolverConfig(foc_tolerance=1e-9, init=start)
         solution = bh.solve(symmetric_2x2, cfg)
         assert_allclose(solution.marginal.weights, [0.5, 0.5], atol=1e-7)
 
