@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     ActionMarginal,
@@ -40,6 +39,7 @@ from .core import (
     action_equation,
     check_marginal,
     gibbs_kernel,
+    logsumexp,
     weighted_logsumexp,
 )
 

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "BridgeheadError",
@@ -33,6 +32,7 @@ __all__ = [
     "validate",
     "drop_zero_prior_states",
     "gibbs_kernel",
+    "logsumexp",
     "weighted_logsumexp",
     "mutual_information",
     "ri_objective",
@@ -332,12 +332,46 @@ def shifted_gain(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(kernel - shift[None, :]), shift
 
 
+def logsumexp(a, axis: int | None = None):
+    """log(sum(exp(a))) over ``axis`` (None: every entry), overflow-safe.
+
+    The arithmetic of scipy.special.logsumexp (SciPy 1.17) on float64 input,
+    bit for bit: the entries equal to the maximum are counted (m) and taken
+    out of the shifted sum s, and the result is log1p(s / m) + log(m) + max.
+    Only where that is not finite (an all -inf slice, +inf or NaN entries)
+    does the direct log(sum(exp(a))) stand in.  An empty sum is -inf.
+    Reduced axes are squeezed and a 0-d result comes back as a NumPy scalar.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    if a.size == 0:
+        out = np.full_like(a.sum(axis=axis, keepdims=True), -np.inf)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a_max = a.max(axis=axis, keepdims=True)
+            at_max = a == a_max
+            m = at_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
+            shifted = np.where(at_max, -np.inf, a)
+            np.subtract(shifted, a_max, out=shifted)
+            np.exp(shifted, out=shifted)
+            s = shifted.sum(axis=axis, keepdims=True)
+            s = np.where(s == 0, s, s / m)
+            out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
     """log sum_i w_i exp(v_i) over one axis, for nonnegative weights.
 
     Folds the weights into the exponent as v + log w (zero weight becomes
-    -inf and drops out), which stays exact for subnormal weights where the
-    separate-coefficient form of the library routine overflows internally.
+    -inf and drops out), which stays exact for subnormal weights where a
+    separate coefficient (SciPy's ``b=``) overflows internally.
     """
     v = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)

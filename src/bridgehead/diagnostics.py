@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import logsumexp
 
 from .bridge import (
+    BridgeNotConverged,
     SinkhornConfig,
     additive_separability_gap,
     coupling_from_potentials,
@@ -30,6 +29,7 @@ from .core import (
     InvalidInput,
     Problem,
     gibbs_kernel,
+    logsumexp,
     plateau_violation,
     ri_objective,
     shifted_gain,
@@ -394,6 +394,9 @@ def belief_feasibility(
             )
         images[:, k] = np.exp(log_image)
 
+    # the one SciPy dependency, imported here so that no other path pays for it
+    from scipy.optimize import nnls
+
     system = np.vstack([images, np.ones((1, len(actions)))])
     target = np.concatenate([problem.prior, [1.0]])
     weights, _ = nnls(system, target)
@@ -574,8 +577,12 @@ def run_diagnostics(
     weights = nu.weights
     checks: list[CheckResult] = []
 
-    fresh = sinkhorn_bridge(problem, nu, cfg)
-    checks.append(_result("marginal_residual", fresh.residual, 1e-10))
+    # an unconverged solve is audited at its best iterate, and fails here
+    try:
+        fresh, fresh_error = sinkhorn_bridge(problem, nu, cfg), ""
+    except BridgeNotConverged as err:
+        fresh, fresh_error = err.result, str(err)
+    checks.append(_result("marginal_residual", fresh.residual, 1e-10, fresh_error))
     checks.append(_result("duality_gap", fresh.duality_gap, 1e-8))
     checks.append(
         _result(
@@ -629,12 +636,16 @@ def run_diagnostics(
         if weights[int(i)] >= max(10.0 * fd_step, 1e-4)
     ][:3]
     worst_v = 0.0
+    details = f"central differences at {probe}"
     for alpha in probe:
-        analytic, numeric = _toward_action(problem, nu, alpha, fd_step, "central", cfg, fresh)
+        try:
+            analytic, numeric = _toward_action(problem, nu, alpha, fd_step, "central", cfg, fresh)
+        except BridgeNotConverged as err:
+            worst_v = np.inf
+            details += f"; action {alpha}: {err}"
+            continue
         worst_v = max(worst_v, abs(analytic - numeric))
-    checks.append(
-        _result("gateaux_value", worst_v, 1e-3, f"central differences at {probe}")
-    )
+    checks.append(_result("gateaux_value", worst_v, 1e-3, details))
 
     try:
         touch_gap = abs(solution.f_value - ri_objective(problem, solution.coupling))

@@ -49,6 +49,20 @@ def _matrix(values) -> list[list[float]]:
     return [[float(v) for v in row] for row in arr]
 
 
+def _potentials(potentials: Potentials) -> dict[str, Any]:
+    return {
+        "action": _floats(potentials.action),
+        "state": _floats(potentials.state),
+        "normalization": potentials.normalization,
+    }
+
+
+def _write_json(document: dict[str, Any], path: str | Path) -> Path:
+    path = Path(path)
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------
@@ -87,9 +101,7 @@ def problem_from_dict(data: dict[str, Any]) -> Problem:
 
 
 def save_problem(problem: Problem, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(problem_to_dict(problem), indent=2) + "\n")
-    return path
+    return _write_json(problem_to_dict(problem), path)
 
 
 def load_problem(path: str | Path) -> Problem:
@@ -114,11 +126,7 @@ def solution_to_dict(problem: Problem, solution: Solution) -> dict[str, Any]:
         "marginal": _floats(solution.marginal.weights),
         "foc_residuals": _floats(solution.foc_residuals),
         "coupling": _matrix(solution.coupling.joint),
-        "potentials": {
-            "action": _floats(solution.potentials.action),
-            "state": _floats(solution.potentials.state),
-            "normalization": solution.potentials.normalization,
-        },
+        "potentials": _potentials(solution.potentials),
     }
 
 
@@ -141,9 +149,7 @@ def solution_from_dict(data: dict[str, Any]) -> Solution:
 
 
 def save_solution(problem: Problem, solution: Solution, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(solution_to_dict(problem, solution), indent=2) + "\n")
-    return path
+    return _write_json(solution_to_dict(problem, solution), path)
 
 
 def load_solution(path: str | Path) -> Solution:
@@ -164,18 +170,12 @@ def bridge_to_dict(result: BridgeResult) -> dict[str, Any]:
         "iterations": int(result.iterations),
         "residual": float(result.residual),
         "coupling": _matrix(result.coupling.joint),
-        "potentials": {
-            "action": _floats(result.potentials.action),
-            "state": _floats(result.potentials.state),
-            "normalization": result.potentials.normalization,
-        },
+        "potentials": _potentials(result.potentials),
     }
 
 
 def save_bridge(result: BridgeResult, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(bridge_to_dict(result), indent=2) + "\n")
-    return path
+    return _write_json(bridge_to_dict(result), path)
 
 
 def report_to_dict(report: DiagnosticReport) -> dict[str, Any]:
@@ -195,9 +195,7 @@ def report_to_dict(report: DiagnosticReport) -> dict[str, Any]:
 
 
 def save_report(report: DiagnosticReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
-    return path
+    return _write_json(report_to_dict(report), path)
 
 
 def report_rows(report: DiagnosticReport) -> list[list[str]]:
@@ -263,6 +261,4 @@ def write_manifest(
         "outputs": {name: hashes[name] for name in sorted(hashes)},
         "wall_time_seconds": float(wall_time),
     }
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    return _write_json(manifest, directory / "manifest.json")

@@ -95,6 +95,70 @@ def simplex_lattice(num_actions: int, denominator: int) -> Iterator[tuple[int, .
     yield from rec((), denominator, num_actions)
 
 
+def _compositions(head: np.ndarray, rest: np.ndarray, parts: int) -> np.ndarray:
+    """Each row of ``head`` followed by every composition of its ``rest``
+    into ``parts`` parts, one row each, in the order of ``simplex_lattice``.
+
+    Built one coordinate at a time: each row fans out into one row per value
+    its next coordinate can take, and the last coordinate takes what is left.
+    """
+    for _ in range(parts - 1):
+        choices = rest + 1
+        value = np.arange(int(choices.sum())) - np.repeat(np.cumsum(choices) - choices, choices)
+        head = np.column_stack((np.repeat(head, choices, axis=0), value))
+        rest = np.repeat(rest, choices) - value
+    return np.column_stack((head, rest))
+
+
+def _lattice_pieces(prefix: tuple[int, ...], total: int, parts: int) -> Iterator[np.ndarray]:
+    """``prefix`` followed by the compositions of ``total`` into ``parts``
+    parts, in order, as arrays of at most ``_BATCH_ROWS`` rows.
+
+    A lattice too large for one batch is split on its leading coordinate:
+    runs of consecutive values whose sub-lattices fit in a batch together
+    make one piece, and a value whose sub-lattice alone is too large is split
+    again.
+    """
+    if math.comb(total + parts - 1, parts - 1) <= _BATCH_ROWS:
+        head = np.array([prefix], dtype=np.int64).reshape(1, len(prefix))
+        yield _compositions(head, np.array([total]), parts)
+        return
+    sizes = [math.comb(total - k + parts - 2, parts - 2) for k in range(total + 1)]
+    k = 0
+    while k <= total:
+        if sizes[k] > _BATCH_ROWS:
+            yield from _lattice_pieces(prefix + (k,), total - k, parts - 1)
+            k += 1
+            continue
+        stop, rows = k, 0
+        while stop <= total and rows + sizes[stop] <= _BATCH_ROWS:
+            rows += sizes[stop]
+            stop += 1
+        values = np.arange(k, stop)
+        head = np.column_stack((np.tile(np.array(prefix, dtype=np.int64), (len(values), 1)), values))
+        yield _compositions(head, total - values, parts - 1)
+        k = stop
+
+
+def _lattice_blocks(num_actions: int, denominator: int) -> Iterator[np.ndarray]:
+    """``simplex_lattice`` as integer arrays of ``_BATCH_ROWS`` rows (the last
+    one shorter), without ever holding more than two blocks' worth of it."""
+    if num_actions < 1 or denominator < 1:
+        raise InvalidInput("need at least one action and a positive denominator")
+    pending: list[np.ndarray] = []
+    count = 0
+    for piece in _lattice_pieces((), denominator, num_actions):
+        pending.append(piece)
+        count += len(piece)
+        if count >= _BATCH_ROWS:
+            merged = np.concatenate(pending)
+            yield merged[:_BATCH_ROWS]
+            pending = [merged[_BATCH_ROWS:]]
+            count -= _BATCH_ROWS
+    if count:
+        yield np.concatenate(pending)
+
+
 def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchResult:
     """Maximize the envelope over a simplex lattice, with an error certificate.
 
@@ -129,17 +193,11 @@ def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchR
     prior = problem.prior
 
     best_f = -np.inf
-    best_point: tuple[int, ...] | None = None
+    best_point: np.ndarray | None = None
     max_osc = 0.0
     count = 0
-
-    batch: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        nonlocal best_f, best_point, max_osc, count
-        if not batch:
-            return
-        pts = np.array(batch, dtype=np.float64) / denom
+    for block in _lattice_blocks(m, denom):
+        pts = block / denom
         z = pts @ gain
         f_vals = (np.log(z) + shift[None, :]) @ prior
         grad = gain @ (prior / z).T  # actions x batch, entries exp(a)
@@ -148,20 +206,12 @@ def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchR
         idx = int(np.argmax(f_vals))
         if f_vals[idx] > best_f:
             best_f = float(f_vals[idx])
-            best_point = batch[idx]
-        count += len(batch)
-        batch.clear()
-
-    for point in simplex_lattice(m, denom):
-        batch.append(point)
-        if len(batch) >= _BATCH_ROWS:
-            flush()
-    flush()
+            best_point = pts[idx]
+        count += len(block)
 
     assert best_point is not None
-    weights = np.array(best_point, dtype=np.float64) / denom
     return GridSearchResult(
-        marginal=ActionMarginal(weights),
+        marginal=ActionMarginal(best_point),
         f_best=best_f,
         lipschitz_bound=float(max_osc * m / 4.0),
         resolution=1.0 / denom,

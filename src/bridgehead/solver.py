@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bridge import BridgeResult, SinkhornConfig, sinkhorn_bridge
 from .core import (
@@ -47,6 +46,7 @@ from .core import (
     action_equation,
     check_marginal,
     gibbs_kernel,
+    logsumexp,
     plateau_violation,
     shifted_gain,
     weighted_logsumexp,

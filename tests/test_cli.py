@@ -154,6 +154,21 @@ class TestDiagnoseCommand:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed
 
+    def test_unconverged_probe_solves_exit_two_and_report(self, tmp_path, capsys):
+        # at lam=0.01 the probes' inner solves stall near residual 2e-6,
+        # short of the 1e-12 the audit asks for
+        code, report_dir, _ = self.solve_then(
+            tmp_path, bh.random_problem(3, 6, 6, 0.01), "--seed", "1"
+        )
+        assert code == 2
+        for name in ("report.json", "report.csv", "manifest.json"):
+            assert (report_dir / name).exists(), name
+        report = json.loads((report_dir / "report.json").read_text())
+        failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+        assert set(failed) == {"gateaux_value"}
+        assert "no convergence after 10000 sweeps" in failed["gateaux_value"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_shape_mismatch_exits_one(self, tmp_path):
         p2 = make_symmetric_2x2()
         p3 = bh.random_problem(2, 3, 3)

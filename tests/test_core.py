@@ -1,13 +1,20 @@
 """Types, validation, and the elementary functionals."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp as scipy_logsumexp
 
 import bridgehead as bh
-from bridgehead.core import weighted_logsumexp
+from bridgehead.core import logsumexp, weighted_logsumexp
 from bridgehead.oracle import exhaustive_mi
 
 from conftest import random_plausible_coupling
@@ -147,6 +154,72 @@ class TestWeightedLogsumexp:
     def test_negative_weight_rejected(self):
         with pytest.raises(bh.InvalidInput):
             weighted_logsumexp(np.zeros(2), np.array([-0.1, 1.1]), axis=0)
+
+
+def _fuzz_arrays(rng, count):
+    """1-d and 2-d arrays with ties at the max, -inf, +inf and NaN entries."""
+    for _ in range(count):
+        shape = tuple(int(k) for k in rng.integers(1, 7, size=rng.integers(1, 3)))
+        a = rng.normal(0.0, rng.choice([1e-3, 1.0, 30.0, 800.0]), size=shape)
+        if rng.random() < 0.5:
+            a.flat[rng.integers(0, a.size, size=3)] = a.max()
+        if rng.random() < 0.1:
+            a = np.round(a)
+        for special in (-np.inf, np.inf, np.nan):
+            if rng.random() < 0.15:
+                a.flat[rng.integers(0, a.size)] = special
+        if rng.random() < 0.05:
+            a[...] = -np.inf
+        yield a
+
+
+def _same_bits(ours, reference) -> bool:
+    return (
+        type(ours) is type(reference)
+        and np.shape(ours) == np.shape(reference)
+        and np.asarray(ours).tobytes() == np.asarray(reference).tobytes()
+    )
+
+
+class TestLogsumexp:
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20261018)
+        mismatches = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in _fuzz_arrays(rng, 3000):
+                for axis in (None, *range(a.ndim), -1):
+                    ours = logsumexp(a, axis=axis)
+                    if not _same_bits(ours, scipy_logsumexp(a, axis=axis)):
+                        mismatches.append((a, axis))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("value", [0.0, -3.5, 710.0, -np.inf, np.inf, np.nan])
+    def test_zero_dim_input_gives_scalar(self, value):
+        ours = logsumexp(np.float64(value))
+        assert isinstance(ours, np.float64)
+        assert _same_bits(ours, scipy_logsumexp(np.float64(value)))
+
+    @pytest.mark.parametrize("shape, axis", [((0,), None), ((0, 3), 0), ((0, 3), 1)])
+    def test_empty_input_matches_scipy(self, shape, axis):
+        a = np.empty(shape)
+        assert _same_bits(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+
+    def test_empty_matrix_sums_to_minus_inf(self):
+        # SciPy 1.17 raises IndexError on this input
+        assert _same_bits(logsumexp(np.empty((0, 3))), np.float64(-np.inf))
+
+    def test_package_import_loads_no_scipy(self):
+        code = (
+            "import sys, bridgehead, bridgehead.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(bh.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestMutualInformation:

@@ -321,3 +321,19 @@ class TestRunDiagnostics:
         assert not report.all_pass
         failed = {c.name for c in report if not c.passed}
         assert "coupling_consistency" in failed or "gibbs_plateau" in failed
+
+    def test_unconverged_inner_solves_become_failed_checks(self, solved_suite):
+        # away from the optimum 2 sweeps cannot reach 1e-12: the fresh solve
+        # and every probe's solves raise BridgeNotConverged
+        problem, solution = solved_suite[1]
+        marginal = bh.ActionMarginal(random_simplex(np.random.default_rng(3), problem.num_actions))
+        moved = dataclasses.replace(solution, marginal=marginal)
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=2)
+        report = bh.run_diagnostics(problem, moved, sinkhorn=cfg)
+        assert len(list(report)) == 15
+        residual = report.by_name("marginal_residual")
+        assert not residual.passed and "no convergence after 2 sweeps" in residual.details
+        value = report.by_name("gateaux_value")
+        assert not value.passed and value.max_violation == np.inf
+        assert "no convergence after 2 sweeps" in value.details
+

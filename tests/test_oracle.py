@@ -1,5 +1,6 @@
 """Independent checks: exhaustive grid search and direct mutual information."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
+from bridgehead.core import shifted_gain
+from bridgehead.oracle import _BATCH_ROWS, _lattice_blocks
 
 from conftest import TIGHT, random_plausible_coupling
 
@@ -31,6 +34,40 @@ class TestSimplexLattice:
     def test_no_duplicates(self):
         points = list(bh.simplex_lattice(4, 6))
         assert len(points) == len(set(points))
+
+
+class TestLatticeBlocks:
+    @pytest.mark.parametrize("m, denom", [(1, 5), (2, 1000), (3, 7), (3, 100), (4, 100), (5, 20)])
+    def test_blocks_concatenate_to_simplex_lattice(self, m, denom):
+        blocks = list(_lattice_blocks(m, denom))
+        assert all(len(block) == _BATCH_ROWS for block in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= _BATCH_ROWS
+        points = [tuple(row) for row in np.concatenate(blocks).tolist()]
+        assert points == list(bh.simplex_lattice(m, denom))
+
+    @pytest.mark.parametrize("m, denom", [(0, 5), (3, 0)])
+    def test_empty_lattice_rejected(self, m, denom):
+        with pytest.raises(bh.InvalidInput):
+            next(_lattice_blocks(m, denom))
+
+
+def _tuple_grid_search(problem):
+    """grid_search_f's scan fed from simplex_lattice tuples, _BATCH_ROWS at a time."""
+    m = problem.num_actions
+    denom = round(1.0 / bh.GridSpec().pitch_for(m))
+    gain, shift = shifted_gain(problem)
+    best_f, best_point, max_osc, count = -np.inf, None, 0.0, 0
+    points = bh.simplex_lattice(m, denom)
+    while batch := list(itertools.islice(points, _BATCH_ROWS)):
+        z = (np.array(batch, dtype=np.float64) / denom) @ gain
+        f_vals = (np.log(z) + shift[None, :]) @ problem.prior
+        grad = gain @ (problem.prior / z).T
+        max_osc = max(max_osc, float((grad.max(axis=0) - grad.min(axis=0)).max()))
+        idx = int(np.argmax(f_vals))
+        if f_vals[idx] > best_f:
+            best_f, best_point = float(f_vals[idx]), batch[idx]
+        count += len(batch)
+    return best_f, np.array(best_point, dtype=np.float64) / denom, max_osc * m / 4.0, count
 
 
 class TestGridSpec:
@@ -82,6 +119,17 @@ class TestGridSearchF:
             assert solution.f_value >= res.f_best - 1e-10
             assert solution.f_value <= res.upper_bound + 1e-10
             assert res.margin == res.lipschitz_bound * res.resolution
+
+    def test_bit_identical_to_tuple_scan(self, suite):
+        problems = [p for p in suite if p.num_actions <= 4]
+        assert problems
+        for problem in problems:
+            result = bh.grid_search_f(problem)
+            f_best, marginal, lipschitz, count = _tuple_grid_search(problem)
+            assert float.hex(result.f_best) == float.hex(f_best)
+            assert result.marginal.weights.tobytes() == marginal.tobytes()
+            assert float.hex(result.lipschitz_bound) == float.hex(lipschitz)
+            assert result.points_evaluated == count
 
     def test_margin_shrinks_with_resolution(self):
         p = bh.random_problem(8, 2, 3, lam=0.5)
