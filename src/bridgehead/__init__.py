@@ -4,149 +4,46 @@ The outer loop picks an action marginal by a multiplicative fixed-point
 update on a concave envelope; the inner loop couples that marginal to the
 state prior with log-domain Sinkhorn scaling; the diagnostics module turns
 the supporting theory into numerical certificates.
+
+The top level exports the entry points documented in README.  Individual
+certificates, functionals and reference routines live in their submodules:
+``bridgehead.core``, ``bridgehead.bridge``, ``bridgehead.solver``,
+``bridgehead.diagnostics`` and ``bridgehead.oracle``.
 """
 
-from .bridge import (
-    BridgeNotConverged,
-    BridgeResult,
-    PotentialsInconsistent,
-    SinkhornConfig,
-    additive_separability_gap,
-    coupling_from_potentials,
-    schrodinger_residual,
-    sinkhorn_bridge,
-)
-from .core import (
-    ActionMarginal,
-    BayesPlausibilityViolated,
-    BridgeheadError,
-    Coupling,
-    InvalidInput,
-    Potentials,
-    Problem,
-    ValidationIssue,
-    drop_zero_prior_states,
-    gibbs_kernel,
-    mutual_information,
-    ri_objective,
-    validate,
-)
-from .diagnostics import (
-    BeliefFeasibility,
-    CheckResult,
-    DiagnosticReport,
-    PlateauResult,
-    PosteriorNotNormalizable,
-    average_free_energy,
-    belief_feasibility,
-    cumulant_check,
-    cumulant_errors,
-    envelope_raw,
-    free_energy_check,
-    gateaux_f,
-    gateaux_value,
-    gateaux_value_direction,
-    gateaux_value_state,
-    gibbs_plateau_check,
-    ilr_check,
-    plateau_check,
-    run_diagnostics,
-)
-from .generators import (
-    duplicated_action_problem,
-    random_problem,
-    small_suite,
-    standard_suite,
-)
-from .oracle import (
-    GridSearchResult,
-    GridSpec,
-    TooManyActions,
-    exhaustive_mi,
-    grid_search_f,
-    simplex_lattice,
-)
-from .solver import (
-    Solution,
-    SolverConfig,
-    SolverNotConverged,
-    action_potential,
-    ba_step,
-    foc_residuals,
-    jensen_f,
-    log_partition,
-    logit_policy,
-    solve,
-)
+from .bridge import BridgeNotConverged, SinkhornConfig, schrodinger_residual, sinkhorn_bridge
+from .core import ActionMarginal, BridgeheadError, InvalidInput, Problem
+from .diagnostics import DiagnosticReport, belief_feasibility, run_diagnostics
+from .generators import duplicated_action_problem, random_problem, small_suite, standard_suite
+from .oracle import grid_search_f
+from .solver import Solution, SolverConfig, SolverNotConverged, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # core
+    # solve
     "Problem",
     "ActionMarginal",
-    "Coupling",
-    "Potentials",
-    "ValidationIssue",
     "BridgeheadError",
     "InvalidInput",
-    "BayesPlausibilityViolated",
-    "validate",
-    "drop_zero_prior_states",
-    "gibbs_kernel",
-    "mutual_information",
-    "ri_objective",
-    # bridge
-    "SinkhornConfig",
-    "BridgeResult",
-    "BridgeNotConverged",
-    "PotentialsInconsistent",
-    "sinkhorn_bridge",
-    "schrodinger_residual",
-    "coupling_from_potentials",
-    "additive_separability_gap",
-    # solver
     "SolverConfig",
     "Solution",
     "SolverNotConverged",
     "solve",
-    "log_partition",
-    "jensen_f",
-    "action_potential",
-    "foc_residuals",
-    "ba_step",
-    "logit_policy",
-    # diagnostics
-    "CheckResult",
+    # inner bridge
+    "SinkhornConfig",
+    "BridgeNotConverged",
+    "sinkhorn_bridge",
+    "schrodinger_residual",
+    # certificates
     "DiagnosticReport",
-    "PlateauResult",
-    "BeliefFeasibility",
-    "PosteriorNotNormalizable",
-    "plateau_check",
-    "envelope_raw",
-    "average_free_energy",
     "run_diagnostics",
-    "gateaux_f",
-    "gateaux_value",
-    "gateaux_value_direction",
-    "gateaux_value_state",
-    "ilr_check",
     "belief_feasibility",
-    "cumulant_errors",
-    "cumulant_check",
-    "free_energy_check",
-    "gibbs_plateau_check",
-    # oracle
-    "GridSpec",
-    "GridSearchResult",
-    "TooManyActions",
     "grid_search_f",
-    "simplex_lattice",
-    "exhaustive_mi",
-    # generators
+    # instances
     "random_problem",
     "standard_suite",
     "small_suite",
     "duplicated_action_problem",
+    "__version__",
 ]

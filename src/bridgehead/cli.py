@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
-from .core import ActionMarginal, InvalidInput, Problem, mutual_information
+from .core import ActionMarginal, InvalidInput, Problem, check_marginal, mutual_information, validate
 from .diagnostics import run_diagnostics
 from .io import (
     load_problem,
@@ -146,14 +146,12 @@ def cmd_bridge(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         problem = _load_problem(args.problem)
+        config = SinkhornConfig(tolerance=args.tolerance, max_iterations=args.max_iters)
         with open(args.marginal) as fh:
             doc = json.load(fh)
         weights = doc["marginal"] if isinstance(doc, dict) else doc
         nu = ActionMarginal(np.array(weights, dtype=np.float64))
-        if len(nu) != problem.num_actions:
-            raise InvalidInput(
-                f"marginal has {len(nu)} entries, problem has {problem.num_actions} actions"
-            )
+        check_marginal(problem, nu)
     except FileNotFoundError as err:
         return _fail(str(err))
     except (json.JSONDecodeError, KeyError) as err:
@@ -163,9 +161,7 @@ def cmd_bridge(args: argparse.Namespace) -> int:
 
     code = EXIT_OK
     try:
-        result = sinkhorn_bridge(
-            problem, nu, SinkhornConfig(tolerance=args.tolerance, max_iterations=args.max_iters)
-        )
+        result = sinkhorn_bridge(problem, nu, config)
     except BridgeNotConverged as err:
         result = err.result
         code = EXIT_NOT_CONVERGED
@@ -230,12 +226,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_pass else EXIT_NOT_CONVERGED
 
 
-def _sweep_one(problem: Problem, lam: float, config: SolverConfig):
-    scaled = Problem(problem.actions, problem.states, problem.utility, lam, problem.prior)
+def _sweep_one(problem: Problem, config: SolverConfig):
     try:
-        return scaled, solve(scaled, config), None
+        return solve(problem, config), None
     except SolverNotConverged as err:
-        return scaled, err.solution, str(err)
+        return err.solution, str(err)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -243,25 +238,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         problem = _load_problem(args.problem)
         config = _solver_config(args)
+        if args.jobs < 1:
+            raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
         if not lambdas:
             raise InvalidInput("no lambda values given")
-        if any(lam <= 0 for lam in lambdas):
-            raise InvalidInput("all lambda values must be positive")
+        problems = [
+            Problem(problem.actions, problem.states, problem.utility, lam, problem.prior)
+            for lam in lambdas
+        ]
+        for scaled in problems:
+            issues = validate(scaled)
+            if issues:
+                summary = "; ".join(f"{i.code}: {i.message}" for i in issues)
+                raise InvalidInput(f"lambda {scaled.lam!r} failed validation: {summary}")
     except InvalidInput as err:
         return _fail(str(err))
     except ValueError as err:
         return _fail(f"bad lambda list: {err}")
 
     out = _out_dir(args)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(lambda lam: _sweep_one(problem, lam, config), lambdas))
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(lambda scaled: _sweep_one(scaled, config), problems))
 
     files = []
     rows = []
     failures: dict[str, str] = {}
-    for k, (scaled, solution, error) in enumerate(results):
-        files.extend(_solution_files(scaled, solution, out, stem=f"solution_{k:02d}"))
+    for k, (solution, error) in enumerate(results):
+        files.extend(_solution_files(problems[k], solution, out, stem=f"solution_{k:02d}"))
         rows.append(
             [
                 lambdas[k],

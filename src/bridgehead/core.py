@@ -147,20 +147,6 @@ class ActionMarginal:
         w[index] = 1.0
         return cls(w)
 
-    @classmethod
-    def from_weights(cls, values, normalize: bool = False) -> "ActionMarginal":
-        w = np.asarray(values, dtype=np.float64)
-        if normalize:
-            total = w.sum()
-            if not np.isfinite(total) or total <= 0:
-                raise InvalidInput("cannot normalize weights with non-positive total")
-            w = w / total
-        return cls(w)
-
-    def support(self, threshold: float = 0.0) -> np.ndarray:
-        """Indices of actions with weight strictly above ``threshold``."""
-        return np.flatnonzero(self.weights > threshold)
-
     def __len__(self) -> int:
         return self.weights.shape[0]
 
@@ -391,9 +377,9 @@ def action_equation(kernel: np.ndarray, prior: np.ndarray, state: np.ndarray) ->
     return logsumexp(kernel + np.log(prior)[None, :] - state[None, :], axis=1)
 
 
-def plateau_violation(residuals: np.ndarray, weights: np.ndarray, threshold: float) -> float:
-    """Worst plateau defect: |r| on the support (mass above threshold), r off it."""
-    sup = weights > threshold
+def plateau_violation(residuals: np.ndarray, weights: np.ndarray) -> float:
+    """Worst plateau defect: |r| on the support (mass above SUPPORT_THRESHOLD), r off it."""
+    sup = weights > SUPPORT_THRESHOLD
     on_support = float(np.abs(residuals[sup]).max()) if np.any(sup) else 0.0
     return max(on_support, float(residuals.max()))
 

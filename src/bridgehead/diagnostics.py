@@ -28,6 +28,7 @@ from .core import (
     BridgeheadError,
     InvalidInput,
     Problem,
+    check_marginal,
     gibbs_kernel,
     logsumexp,
     plateau_violation,
@@ -52,7 +53,6 @@ __all__ = [
     "plateau_check",
     "envelope_raw",
     "gateaux_f",
-    "gateaux_value",
     "gateaux_value_direction",
     "gateaux_value_state",
     "ilr_check",
@@ -122,24 +122,19 @@ class PlateauResult:
     level: float
 
 
-def plateau_check(
-    values,
-    weights,
-    tol: float,
-    support_threshold: float = SUPPORT_THRESHOLD,
-) -> PlateauResult:
+def plateau_check(values, weights, tol: float) -> PlateauResult:
     """Check that ``values`` is a plateau of the measure ``weights``.
 
     Passes iff values <= level + tol everywhere and |values - level| <= tol on
     the support, where level is the maximum of values over entries whose
-    weight exceeds ``support_threshold``.  The witness indexes the worst
+    weight exceeds ``SUPPORT_THRESHOLD``.  The witness indexes the worst
     violation (the argmax of the violation profile, 0 on a clean pass).
     """
     v = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 1:
         raise InvalidInput("values and weights must be vectors of equal length")
-    sup = w > support_threshold
+    sup = w > SUPPORT_THRESHOLD
     if not np.any(sup):
         raise InvalidInput("weights carry no support above threshold")
     level = float(v[sup].max())
@@ -203,15 +198,11 @@ def _inner_value(problem: Problem, weights: np.ndarray, cfg: SinkhornConfig) -> 
     return sinkhorn_bridge(problem, ActionMarginal(weights), cfg).value_primal
 
 
-def _toward_action(problem, nu, action, h, scheme, cfg, base) -> tuple[float, float]:
-    """Point-mass derivative of the inner value at nu, from its solve ``base``."""
-    if not 0 <= action < problem.num_actions:
-        raise InvalidInput(f"action index {action} out of range")
-    analytic = float(base.potentials.action[action]) - float(
-        nu.weights @ base.potentials.action
-    )
-    direction = -nu.weights.copy()
-    direction[action] += 1.0
+def _toward(problem, nu, psi, h, scheme, cfg, base) -> tuple[float, float]:
+    """Derivative of the inner value at nu toward psi, from nu's solve ``base``."""
+    a = base.potentials.action
+    analytic = float(psi.weights @ a) - float(nu.weights @ a)
+    direction = psi.weights - nu.weights
     numeric = _difference(
         lambda t: _inner_value(problem, nu.weights + t * direction, cfg),
         base.value_primal,
@@ -219,28 +210,6 @@ def _toward_action(problem, nu, action, h, scheme, cfg, base) -> tuple[float, fl
         scheme,
     )
     return analytic, numeric
-
-
-def gateaux_value(
-    problem: Problem,
-    nu: ActionMarginal,
-    action: int,
-    h: float = 1e-5,
-    scheme: str = "forward",
-    config: SinkhornConfig | None = None,
-) -> tuple[float, float]:
-    """Derivative of the inner value toward a point mass at ``action``.
-
-    Analytic route: a(action) - E_nu[a] from the solved potential pair.
-    Numeric route: a finite difference of the inner value along
-    nu + h (delta_action - nu); "forward" uses two inner solves, "central"
-    steps both ways and needs nu(action) >= h/(1+h) to stay in the simplex.
-    Requires strictly positive nu (the identity's hypothesis).
-    """
-    if np.any(nu.weights <= 0):
-        raise InvalidInput("gateaux_value requires a strictly positive marginal")
-    cfg = config or SinkhornConfig(tolerance=1e-12)
-    return _toward_action(problem, nu, action, h, scheme, cfg, sinkhorn_bridge(problem, nu, cfg))
 
 
 def gateaux_value_direction(
@@ -254,22 +223,16 @@ def gateaux_value_direction(
     """Derivative of the inner value at nu toward another marginal psi.
 
     The inner value is linear in the action potential along marginal
-    perturbations, so the analytic route is E_psi[a] - E_nu[a]; the numeric
-    route differences the inner value along nu + h (psi - nu).  With the
-    central scheme both endpoints must stay in the simplex, which holds for
-    any interior nu once h is small.
+    perturbations, so the analytic route is E_psi[a] - E_nu[a] from the
+    solved potential pair; toward a point mass ``ActionMarginal.dirac`` that
+    is a(action) - E_nu[a].  The numeric route differences the inner value
+    along nu + h (psi - nu): "forward" uses two inner solves, "central"
+    steps both ways and needs every weight of nu + h (nu - psi) to stay
+    nonnegative (for a point mass, nu(action) >= h/(1+h)).
     """
+    check_marginal(problem, psi)
     cfg = config or SinkhornConfig(tolerance=1e-12)
-    base = sinkhorn_bridge(problem, nu, cfg)
-    analytic = float((psi.weights - nu.weights) @ base.potentials.action)
-    direction = psi.weights - nu.weights
-    numeric = _difference(
-        lambda t: _inner_value(problem, nu.weights + t * direction, cfg),
-        base.value_primal,
-        h,
-        scheme,
-    )
-    return analytic, numeric
+    return _toward(problem, nu, psi, h, scheme, cfg, sinkhorn_bridge(problem, nu, cfg))
 
 
 def gateaux_value_state(
@@ -554,15 +517,14 @@ def gibbs_plateau_check(problem: Problem, solution: Solution, tol: float = 1e-7)
 # Bundled report
 # ---------------------------------------------------------------------------
 
+_DIRECTIONS = 10  # random directions of the gateaux_f check
+_FD_STEP = 1e-5   # difference step of both Gateaux checks
+
 
 def run_diagnostics(
     problem: Problem,
     solution: Solution,
     seed: int = 20240817,
-    directions: int = 10,
-    fd_step: float = 1e-5,
-    cumulant_step: float = 1e-4,
-    free_energy_trials: int = 100,
     sinkhorn: SinkhornConfig | None = None,
 ) -> DiagnosticReport:
     """Run every certificate against a solved instance.
@@ -603,7 +565,7 @@ def run_diagnostics(
 
     residuals = foc_residuals(problem, nu)
     candidate = action_potential(problem, nu)
-    kt_violation = plateau_violation(residuals, weights, SUPPORT_THRESHOLD)
+    kt_violation = plateau_violation(residuals, weights)
     signs_agree = bool(np.all(np.sign(candidate) == np.sign(residuals)))
     witness = plateau_check(residuals, weights, 1e-7).witness
     checks.append(
@@ -616,30 +578,31 @@ def run_diagnostics(
     )
     checks.append(gibbs_plateau_check(problem, solution))
     checks.append(ilr_check(problem, solution))
-    checks.extend(cumulant_check(problem, solution, cumulant_step))
-    checks.append(free_energy_check(problem, solution, free_energy_trials, seed))
+    checks.extend(cumulant_check(problem, solution))
+    checks.append(free_energy_check(problem, solution, seed=seed))
 
     worst_f = 0.0
-    for _ in range(directions):
+    for _ in range(_DIRECTIONS):
         psi_w = rng.dirichlet(np.ones(problem.num_actions))
         analytic = gateaux_f(problem, nu, ActionMarginal(psi_w))
         direction = psi_w - weights
         numeric = _difference(
-            lambda t: envelope_raw(problem, weights + t * direction), np.nan, fd_step, "central"
+            lambda t: envelope_raw(problem, weights + t * direction), np.nan, _FD_STEP, "central"
         )
         worst_f = max(worst_f, abs(analytic - numeric))
-    checks.append(_result("gateaux_f", worst_f, 1e-3, f"{directions} random directions"))
+    checks.append(_result("gateaux_f", worst_f, 1e-3, f"{_DIRECTIONS} random directions"))
 
     probe = [
         int(i)
         for i in solution.consideration_set
-        if weights[int(i)] >= max(10.0 * fd_step, 1e-4)
+        if weights[int(i)] >= max(10.0 * _FD_STEP, 1e-4)
     ][:3]
     worst_v = 0.0
     details = f"central differences at {probe}"
     for alpha in probe:
+        psi = ActionMarginal.dirac(problem.num_actions, alpha)
         try:
-            analytic, numeric = _toward_action(problem, nu, alpha, fd_step, "central", cfg, fresh)
+            analytic, numeric = _toward(problem, nu, psi, _FD_STEP, "central", cfg, fresh)
         except BridgeNotConverged as err:
             worst_v = np.inf
             details += f"; action {alpha}: {err}"

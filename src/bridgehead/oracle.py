@@ -22,7 +22,6 @@ from .core import ActionMarginal, BridgeheadError, Coupling, InvalidInput, Probl
 
 __all__ = [
     "TooManyActions",
-    "GridSpec",
     "GridSearchResult",
     "simplex_lattice",
     "grid_search_f",
@@ -30,30 +29,11 @@ __all__ = [
 ]
 
 _BATCH_ROWS = 4096
+_MAX_ACTIONS = 4  # the lattice grows like N^(m-1); beyond this it is too large
 
 
 class TooManyActions(BridgeheadError):
     """The action set exceeds what the lattice search is willing to sweep."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Lattice parameters for the brute-force envelope search.
-
-    ``resolution`` is the lattice pitch 1/N; None picks 1e-3 for two actions
-    and 1e-2 beyond that, keeping the point count near or below a few
-    hundred thousand.  ``max_actions`` guards against combinatorial blowup.
-    """
-
-    resolution: float | None = None
-    max_actions: int = 4
-
-    def pitch_for(self, num_actions: int) -> float:
-        if self.resolution is not None:
-            if not 0.0 < self.resolution <= 0.5:
-                raise InvalidInput("resolution must lie in (0, 0.5]")
-            return self.resolution
-        return 1e-3 if num_actions == 2 else 1e-2
 
 
 @dataclass(frozen=True)
@@ -159,8 +139,12 @@ def _lattice_blocks(num_actions: int, denominator: int) -> Iterator[np.ndarray]:
         yield np.concatenate(pending)
 
 
-def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchResult:
+def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSearchResult:
     """Maximize the envelope over a simplex lattice, with an error certificate.
+
+    ``resolution`` is the lattice pitch 1/N, in (0, 0.5]; None picks 1e-3 for
+    two actions and 1e-2 beyond that, keeping the point count near or below
+    a few hundred thousand.  More than four actions raise TooManyActions.
 
     The envelope f(nu) = sum_omega prior(omega) log(sum_alpha nu(alpha)
     exp(u(alpha, omega)/lam)) is concave with gradient exp(a_nu); along
@@ -180,14 +164,14 @@ def grid_search_f(problem: Problem, spec: GridSpec | None = None) -> GridSearchR
     small lam: for random_problem(1, 3, 6, lam) the margin is 9.8e4 against
     f = 13.8 at lam = 0.05, and 10 against 6.6 at lam = 0.1.
     """
-    spec = spec or GridSpec()
     m = problem.num_actions
-    if m > spec.max_actions:
-        raise TooManyActions(
-            f"{m} actions exceeds the lattice cap of {spec.max_actions}"
-        )
-    pitch = spec.pitch_for(m)
-    denom = max(1, round(1.0 / pitch))
+    if m > _MAX_ACTIONS:
+        raise TooManyActions(f"{m} actions exceeds the lattice cap of {_MAX_ACTIONS}")
+    if resolution is None:
+        resolution = 1e-3 if m == 2 else 1e-2
+    elif not 0.0 < resolution <= 0.5:
+        raise InvalidInput("resolution must lie in (0, 0.5]")
+    denom = max(1, round(1.0 / resolution))
 
     gain, shift = shifted_gain(problem)  # rows: actions, columns: states
     prior = problem.prior

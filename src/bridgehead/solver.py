@@ -79,7 +79,7 @@ class SolverConfig:
 
     The loop stops once the optimality plateau holds at ``foc_tolerance``
     (|r| on the support, r below it off the support, support meaning mass
-    above ``support_threshold``), after a few polishing steps that must each
+    above ``SUPPORT_THRESHOLD``), after a few polishing steps that must each
     halve the violation.  At every iterate f* - f <= max r, so the plateau
     also certifies the value to within ``foc_tolerance``.  ``init`` is
     "uniform", "random" (seeded by ``seed``), or the starting ActionMarginal
@@ -87,17 +87,14 @@ class SolverConfig:
     """
 
     foc_tolerance: float = 1e-7
-    support_threshold: float = SUPPORT_THRESHOLD
     max_iterations: int = 100_000
     init: str | ActionMarginal = "uniform"
     seed: int | None = None
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
     def __post_init__(self) -> None:
-        for name in ("foc_tolerance", "support_threshold"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidInput(f"{name} must be > 0, got {value!r}")
+        if not (np.isfinite(self.foc_tolerance) and self.foc_tolerance > 0):
+            raise InvalidInput(f"foc_tolerance must be > 0, got {self.foc_tolerance!r}")
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
         if not isinstance(self.init, ActionMarginal) and not (
@@ -254,7 +251,7 @@ class _Ascent:
         """Exclude certified-idle actions, then climb f by one step.
 
         The step is projected Newton on the free set F = alive and
-        (w > support_threshold or r > foc_tolerance) when |F| <= num_states,
+        (w > SUPPORT_THRESHOLD or r > foc_tolerance) when |F| <= num_states,
         else (or when its line search fails) the multiplicative update
         w <- w * ratio.  The actions left out of F hold no more than the
         support threshold and ask for no more mass; a Newton candidate sets
@@ -266,7 +263,7 @@ class _Ascent:
         self._eliminate_idle()
         cfg = self.cfg
         free = self.alive & (
-            (self.w > cfg.support_threshold) | (self.ratio - 1.0 > cfg.foc_tolerance)
+            (self.w > SUPPORT_THRESHOLD) | (self.ratio - 1.0 > cfg.foc_tolerance)
         )
         if np.count_nonzero(free) > self.gain.shape[1] or not self._newton(
             np.flatnonzero(free)
@@ -334,7 +331,7 @@ class _Ascent:
             kkt[k, k] = 0.0
             rhs = np.append(self.ratio[free], 0.0)
             d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-            blocked = (w[free] <= self.cfg.support_threshold) & (d <= 0.0)
+            blocked = (w[free] <= SUPPORT_THRESHOLD) & (d <= 0.0)
             if not np.any(blocked):
                 break
             free = free[~blocked]
@@ -378,7 +375,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     iterations = 0
     violation = np.inf
     for iterations in range(1, cfg.max_iterations + 1):
-        violation = plateau_violation(ascent.ratio - 1.0, ascent.w, cfg.support_threshold)
+        violation = plateau_violation(ascent.ratio - 1.0, ascent.w)
         if best is not None and not violation <= best[1] / 2.0:
             break
         if violation <= cfg.foc_tolerance:
@@ -397,7 +394,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     nu_star = ActionMarginal(w)
     residuals = foc_residuals(problem, nu_star)
     converged = (
-        plateau_violation(residuals, w, cfg.support_threshold) <= cfg.foc_tolerance
+        plateau_violation(residuals, w) <= cfg.foc_tolerance
         and not exhausted
     )
     inner: BridgeResult = sinkhorn_bridge(problem, nu_star, cfg.sinkhorn)
@@ -407,7 +404,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         potentials=inner.potentials,
         f_value=jensen_f(problem, nu_star),
         foc_residuals=residuals,
-        consideration_set=tuple(int(i) for i in np.flatnonzero(w > cfg.support_threshold)),
+        consideration_set=tuple(int(i) for i in np.flatnonzero(w > SUPPORT_THRESHOLD)),
         iterations=iterations,
         converged=converged,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bridgehead as bh
+from bridgehead.core import Coupling
 
 # Certificate-grade settings: the marginal-residual and plateau targets the
 # diagnostics tolerances are calibrated for.
@@ -69,8 +70,8 @@ def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.dirichlet(np.ones(size))
 
 
-def random_plausible_coupling(rng: np.random.Generator, problem: bh.Problem) -> bh.Coupling:
+def random_plausible_coupling(rng: np.random.Generator, problem: bh.Problem) -> Coupling:
     """A Bayes-plausible joint: random column-stochastic conditionals times the prior."""
     cond = rng.uniform(0.1, 1.0, size=(problem.num_actions, problem.num_states))
     cond /= cond.sum(axis=0, keepdims=True)
-    return bh.Coupling(cond * problem.prior[None, :])
+    return Coupling(cond * problem.prior[None, :])

@@ -10,7 +10,24 @@ import time
 import numpy as np
 
 import bridgehead as bh
-from bridgehead.solver import _Ascent
+from bridgehead.bridge import additive_separability_gap
+from bridgehead.core import mutual_information
+from bridgehead.diagnostics import (
+    cumulant_errors,
+    envelope_raw,
+    free_energy_check,
+    gateaux_f,
+    gateaux_value_direction,
+    ilr_check,
+)
+from bridgehead.solver import (
+    _Ascent,
+    action_potential,
+    ba_step,
+    foc_residuals,
+    jensen_f,
+    log_partition,
+)
 
 from conftest import TIGHT, make_state_independent, make_symmetric_2x2, random_simplex
 
@@ -47,7 +64,7 @@ def test_criterion_02_state_independent_anchor():
     solution = bh.solve(problem, TIGHT)
 
     top_mass = float(solution.marginal.weights[0])
-    info = bh.mutual_information(solution.coupling)
+    info = mutual_information(solution.coupling)
     f_err = abs(solution.f_value - 2.0)
     off_err = abs(float(solution.foc_residuals[1]) - np.expm1(-1.0))
     ok = top_mass >= 1.0 - 1e-8 and info <= 1e-10 and f_err <= 1e-10 and off_err <= 1e-8
@@ -72,7 +89,7 @@ def test_criterion_03_monotone_outer_iteration():
         f_prev = -np.inf
         f_best = -np.inf
         for _ in range(solution.iterations + 5):
-            f = bh.jensen_f(problem, bh.ActionMarginal(ascent.w))
+            f = jensen_f(problem, bh.ActionMarginal(ascent.w))
             worst_drop = max(worst_drop, f_prev - f)
             f_best = max(f_best, f)
             f_prev = f
@@ -80,10 +97,10 @@ def test_criterion_03_monotone_outer_iteration():
         shortfall = max(shortfall, solution.f_value - f_best)
         # the plain multiplicative update is monotone on its own
         nu = bh.ActionMarginal.uniform(problem.num_actions)
-        f_prev = bh.jensen_f(problem, nu)
+        f_prev = jensen_f(problem, nu)
         for _ in range(50):
-            nu = bh.ba_step(problem, nu)
-            f = bh.jensen_f(problem, nu)
+            nu = ba_step(problem, nu)
+            f = jensen_f(problem, nu)
             worst_ba_drop = max(worst_ba_drop, f_prev - f)
             f_prev = f
     elapsed = time.perf_counter() - start
@@ -134,7 +151,7 @@ def test_criterion_05_transport_certificates(solved_suite):
         worst["gap"] = max(worst["gap"], fresh.duality_gap)
         worst["separability"] = max(
             worst["separability"],
-            bh.additive_separability_gap(fresh, solution.marginal, problem.prior),
+            additive_separability_gap(fresh, solution.marginal, problem.prior),
         )
         res_a, res_b = bh.schrodinger_residual(problem, solution.marginal, fresh.potentials)
         worst["schrodinger"] = max(worst["schrodinger"], res_a, res_b)
@@ -162,8 +179,8 @@ def test_criterion_06_plateau_certification(solved_suite):
         worst_on = max(worst_on, float(np.abs(r[sup]).max()))
         if np.any(~sup):
             worst_off = max(worst_off, float(r[~sup].max()))
-        a = bh.action_potential(problem, solution.marginal)
-        r_fresh = bh.foc_residuals(problem, solution.marginal)
+        a = action_potential(problem, solution.marginal)
+        r_fresh = foc_residuals(problem, solution.marginal)
         signs_agree = signs_agree and bool(np.all(np.sign(a) == np.sign(r_fresh)))
     ok = worst_on <= 1e-7 and worst_off <= 1e-7 and signs_agree
     _certify(
@@ -188,15 +205,15 @@ def test_criterion_07_directional_derivative_identities(solved_suite):
         interior = bh.ActionMarginal(0.9 * nu_star + 0.1 / m)
         for _ in range(10):
             psi = bh.ActionMarginal(rng.dirichlet(np.ones(m)))
-            analytic = bh.gateaux_f(problem, solution.marginal, psi)
+            analytic = gateaux_f(problem, solution.marginal, psi)
             step = h * (psi.weights - nu_star)
             numeric = (
-                bh.envelope_raw(problem, nu_star + step)
-                - bh.envelope_raw(problem, nu_star - step)
+                envelope_raw(problem, nu_star + step)
+                - envelope_raw(problem, nu_star - step)
             ) / (2.0 * h)
             worst_f = max(worst_f, abs(analytic - numeric))
 
-            a_dir, n_dir = bh.gateaux_value_direction(problem, interior, psi, h=h, config=cfg)
+            a_dir, n_dir = gateaux_value_direction(problem, interior, psi, h=h, config=cfg)
             worst_v = max(worst_v, abs(a_dir - n_dir))
     ok = worst_f <= 1e-3 and worst_v <= 1e-3
     _certify(
@@ -210,7 +227,7 @@ def test_criterion_07_directional_derivative_identities(solved_suite):
 def test_criterion_08_likelihood_ratio_structure(solved_suite):
     worst = 0.0
     for problem, solution in solved_suite:
-        check = bh.ilr_check(problem, solution, tol=1e-7)
+        check = ilr_check(problem, solution, tol=1e-7)
         worst = max(worst, check.max_violation)
     ok = worst <= 1e-7
     _certify(
@@ -226,7 +243,7 @@ def test_criterion_09_cumulant_identities(solved_suite):
     worst_var = 0.0
     worst_gain = 0.0
     for problem, solution in solved_suite:
-        mean_err, var_err, gain_err = bh.cumulant_errors(problem, solution, h=1e-4)
+        mean_err, var_err, gain_err = cumulant_errors(problem, solution, h=1e-4)
         worst_mean = max(worst_mean, mean_err)
         worst_var = max(worst_var, var_err)
         worst_gain = max(worst_gain, gain_err)
@@ -251,7 +268,7 @@ def test_criterion_10_partition_function_invariance():
             sinkhorn=bh.SinkhornConfig(tolerance=1e-12),
         )
         solution = bh.solve(problem, cfg)
-        partitions.append(np.exp(bh.log_partition(problem, solution.marginal)))
+        partitions.append(np.exp(log_partition(problem, solution.marginal)))
         spreads.append(solution.marginal.weights)
     worst = 0.0
     for za, zb in itertools.combinations(partitions, 2):
@@ -271,7 +288,7 @@ def test_criterion_10_partition_function_invariance():
 def test_criterion_11_free_energy_minimality(solved_suite):
     worst = 0.0
     for problem, solution in solved_suite:
-        check = bh.free_energy_check(problem, solution, trials=100, seed=0)
+        check = free_energy_check(problem, solution, trials=100, seed=0)
         worst = max(worst, check.max_violation)
     ok = worst <= 1e-9
     _certify(

@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
-from bridgehead.bridge import BridgeNotConverged
+from bridgehead.bridge import (
+    BridgeNotConverged,
+    PotentialsInconsistent,
+    additive_separability_gap,
+    coupling_from_potentials,
+)
+from bridgehead.core import Potentials
 
 TIGHT = bh.SinkhornConfig(tolerance=1e-12)
 
@@ -140,7 +146,7 @@ class TestSchrodingerResidual:
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
         bumped = np.array(res.potentials.action, copy=True)
         bumped[0] += 0.1
-        perturbed = bh.Potentials(bumped, res.potentials.state)
+        perturbed = Potentials(bumped, res.potentials.state)
         ra, rb = bh.schrodinger_residual(p, nu, perturbed)
         assert_allclose(ra, 0.1, atol=1e-9)
         assert rb > 1e-10
@@ -148,7 +154,7 @@ class TestSchrodingerResidual:
     def test_zero_case(self):
         p = zero_utility_problem()
         nu = bh.ActionMarginal(np.array([0.3, 0.7]))
-        pot = bh.Potentials(np.zeros(2), np.zeros(3))
+        pot = Potentials(np.zeros(2), np.zeros(3))
         ra, rb = bh.schrodinger_residual(p, nu, pot)
         assert ra <= 1e-15
         assert rb <= 1e-15
@@ -158,13 +164,13 @@ class TestCouplingFromPotentials:
     def test_zero_case_recovers_product(self):
         p = zero_utility_problem()
         nu = bh.ActionMarginal(np.array([0.3, 0.7]))
-        coupling = bh.coupling_from_potentials(p, nu, bh.Potentials(np.zeros(2), np.zeros(3)))
+        coupling = coupling_from_potentials(p, nu, Potentials(np.zeros(2), np.zeros(3)))
         assert_allclose(coupling.joint, np.outer(nu.weights, p.prior), atol=1e-15)
 
     def test_symmetric_posterior_closed_form(self, symmetric_2x2):
         nu = bh.ActionMarginal.uniform(2)
         res = bh.sinkhorn_bridge(symmetric_2x2, nu, TIGHT)
-        coupling = bh.coupling_from_potentials(symmetric_2x2, nu, res.potentials)
+        coupling = coupling_from_potentials(symmetric_2x2, nu, res.potentials)
         posterior = coupling.joint[0, 0] / coupling.joint[:, 0].sum()
         assert_allclose(posterior, np.e / (1.0 + np.e), atol=1e-12)
 
@@ -172,27 +178,27 @@ class TestCouplingFromPotentials:
         p = bh.random_problem(19, 4, 3, lam=0.9)
         nu = bh.ActionMarginal(np.array([0.25, 0.25, 0.3, 0.2]))
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        rebuilt = bh.coupling_from_potentials(p, nu, res.potentials)
+        rebuilt = coupling_from_potentials(p, nu, res.potentials)
         assert np.abs(rebuilt.joint - res.coupling.joint).max() <= 1e-12
 
     def test_inconsistent_potentials_rejected(self):
         p = bh.random_problem(19, 3, 3, lam=1.0)
         nu = bh.ActionMarginal.uniform(3)
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        broken = bh.Potentials(res.potentials.action - 2.0, res.potentials.state)
-        with pytest.raises(bh.PotentialsInconsistent):
-            bh.coupling_from_potentials(p, nu, broken)
+        broken = Potentials(res.potentials.action - 2.0, res.potentials.state)
+        with pytest.raises(PotentialsInconsistent):
+            coupling_from_potentials(p, nu, broken)
 
     def test_translation_invariance(self):
         p = bh.random_problem(37, 3, 4, lam=0.5)
         nu = bh.ActionMarginal(np.array([0.5, 0.2, 0.3]))
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        base = bh.coupling_from_potentials(p, nu, res.potentials)
+        base = coupling_from_potentials(p, nu, res.potentials)
         for shift in (-0.7, 0.4):
-            shifted = bh.Potentials(
+            shifted = Potentials(
                 res.potentials.action + shift, res.potentials.state - shift
             )
-            moved = bh.coupling_from_potentials(p, nu, shifted)
+            moved = coupling_from_potentials(p, nu, shifted)
             assert np.abs(moved.joint - base.joint).max() <= 1e-12
 
 
@@ -201,12 +207,12 @@ class TestAdditiveSeparability:
         p = zero_utility_problem()
         nu = bh.ActionMarginal(np.array([0.3, 0.7]))
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        assert bh.additive_separability_gap(res, nu, p.prior) <= 1e-14
+        assert additive_separability_gap(res, nu, p.prior) <= 1e-14
 
     def test_symmetric_split(self, symmetric_2x2):
         nu = bh.ActionMarginal.uniform(2)
         res = bh.sinkhorn_bridge(symmetric_2x2, nu, TIGHT)
-        assert bh.additive_separability_gap(res, nu, symmetric_2x2.prior) <= 1e-10
+        assert additive_separability_gap(res, nu, symmetric_2x2.prior) <= 1e-10
         assert abs(float(nu.weights @ res.potentials.action)) <= 1e-12
         assert_allclose(
             float(symmetric_2x2.prior @ res.potentials.state),
@@ -218,4 +224,4 @@ class TestAdditiveSeparability:
         p = bh.random_problem(53, 5, 5, lam=0.6)
         nu = bh.ActionMarginal(np.full(5, 0.2))
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        assert bh.additive_separability_gap(res, nu, p.prior) <= 1e-8
+        assert additive_separability_gap(res, nu, p.prior) <= 1e-8

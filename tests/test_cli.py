@@ -110,7 +110,20 @@ class TestBridgeCommand:
         marginal = tmp_path / "nu.json"
         marginal.write_text("[0.2, 0.3, 0.5]")
         assert main(["bridge", problem_file, str(marginal)]) == 1
-        assert "entries" in capsys.readouterr().err
+        assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--tolerance", "-1", "tolerance must be > 0"), ("--max-iters", "0", "max_iterations")],
+    )
+    def test_bad_config_flag_exits_one(self, tmp_path, problem_file, capsys, flag, value, message):
+        marginal = tmp_path / "nu.json"
+        marginal.write_text("[0.5, 0.5]")
+        out = tmp_path / "run"
+        code = main(["bridge", problem_file, str(marginal), flag, value, "--output-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnoseCommand:
@@ -227,6 +240,19 @@ class TestSweepCommand:
         problem_path = write_problem(tmp_path / "p.json", make_symmetric_2x2())
         assert main(["sweep", problem_path, "--lambdas", "1.0,zero"]) == 1
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1", "0"])
+    def test_invalid_lambda_exits_one(self, tmp_path, capsys, lam):
+        problem_path = write_problem(tmp_path / "p.json", make_symmetric_2x2())
+        out = tmp_path / "sweep"
+        assert main(["sweep", problem_path, "--lambdas", f"1.0,{lam}", "--output-dir", str(out)]) == 1
+        assert "NonPositiveLambda" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys):
+        problem_path = write_problem(tmp_path / "p.json", make_symmetric_2x2())
+        assert main(["sweep", problem_path, "--lambdas", "1.0", "--jobs", "0"]) == 1
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestParser:

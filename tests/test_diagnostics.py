@@ -7,7 +7,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
-from bridgehead.diagnostics import PosteriorNotNormalizable
+from bridgehead.core import Coupling
+from bridgehead.diagnostics import (
+    PosteriorNotNormalizable,
+    average_free_energy,
+    cumulant_check,
+    cumulant_errors,
+    envelope_raw,
+    free_energy_check,
+    gateaux_f,
+    gateaux_value_direction,
+    gateaux_value_state,
+    gibbs_plateau_check,
+    ilr_check,
+    plateau_check,
+)
+from bridgehead.solver import jensen_f, logit_policy
 
 from conftest import TIGHT, random_simplex
 
@@ -16,39 +31,39 @@ SINKHORN = bh.SinkhornConfig(tolerance=1e-12)
 
 class TestPlateauCheck:
     def test_constant_vector_passes(self):
-        res = bh.plateau_check(np.full(4, 2.5), np.full(4, 0.25), tol=1e-7)
+        res = plateau_check(np.full(4, 2.5), np.full(4, 0.25), tol=1e-7)
         assert res.passed
         assert res.max_violation == 0.0
         assert res.level == 2.5
 
     def test_off_support_dip_allowed(self):
-        res = bh.plateau_check([0.0, -1.0], [1.0, 0.0], tol=1e-7)
+        res = plateau_check([0.0, -1.0], [1.0, 0.0], tol=1e-7)
         assert res.passed
         assert res.level == 0.0
 
     def test_off_support_exceedance_fails_with_witness(self):
-        res = bh.plateau_check([0.0, 0.1], [1.0, 0.0], tol=1e-7)
+        res = plateau_check([0.0, 0.1], [1.0, 0.0], tol=1e-7)
         assert not res.passed
         assert res.witness == 1
         assert_allclose(res.max_violation, 0.1)
 
     def test_support_deviation_fails_both_directions(self):
-        res = bh.plateau_check([0.0, -5e-7, -1.0], [0.5, 0.5, 0.0], tol=1e-7)
+        res = plateau_check([0.0, -5e-7, -1.0], [0.5, 0.5, 0.0], tol=1e-7)
         assert not res.passed
         assert res.witness == 1
         assert_allclose(res.max_violation, 5e-7)
 
     def test_tolerance_is_inclusive_boundary(self):
-        res = bh.plateau_check([0.0, 1e-7], [1.0, 0.0], tol=1e-7)
+        res = plateau_check([0.0, 1e-7], [1.0, 0.0], tol=1e-7)
         assert res.passed
 
     def test_empty_support_rejected(self):
         with pytest.raises(bh.InvalidInput):
-            bh.plateau_check([0.0, 0.0], [0.0, 0.0], tol=1e-7)
+            plateau_check([0.0, 0.0], [0.0, 0.0], tol=1e-7)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(bh.InvalidInput):
-            bh.plateau_check([0.0, 0.0, 0.0], [1.0, 0.0], tol=1e-7)
+            plateau_check([0.0, 0.0, 0.0], [1.0, 0.0], tol=1e-7)
 
 
 class TestEnvelopeDerivatives:
@@ -58,10 +73,10 @@ class TestEnvelopeDerivatives:
             p = bh.random_problem(int(rng.integers(1, 10_000)), 4, 3, lam=0.9)
             nu = bh.ActionMarginal(random_simplex(rng, 4) * 0.8 + 0.05)
             psi = bh.ActionMarginal(random_simplex(rng, 4))
-            analytic = bh.gateaux_f(p, nu, psi)
+            analytic = gateaux_f(p, nu, psi)
             h = 1e-6
-            hi = bh.envelope_raw(p, nu.weights + h * (psi.weights - nu.weights))
-            lo = bh.envelope_raw(p, nu.weights - h * (psi.weights - nu.weights))
+            hi = envelope_raw(p, nu.weights + h * (psi.weights - nu.weights))
+            lo = envelope_raw(p, nu.weights - h * (psi.weights - nu.weights))
             assert abs(analytic - (hi - lo) / (2.0 * h)) <= 1e-8
 
     def test_gateaux_f_nonpositive_at_optimum(self, solved_suite):
@@ -69,13 +84,13 @@ class TestEnvelopeDerivatives:
         for problem, solution in solved_suite[:4]:
             for _ in range(10):
                 psi = bh.ActionMarginal(random_simplex(rng, problem.num_actions))
-                assert bh.gateaux_f(problem, solution.marginal, psi) <= 1e-8
+                assert gateaux_f(problem, solution.marginal, psi) <= 1e-8
 
     def test_envelope_raw_agrees_with_jensen_f_on_simplex(self):
         p = bh.random_problem(42, 3, 3, lam=0.5)
         w = np.array([0.2, 0.5, 0.3])
         assert_allclose(
-            bh.envelope_raw(p, w), bh.jensen_f(p, bh.ActionMarginal(w)), atol=1e-15
+            envelope_raw(p, w), jensen_f(p, bh.ActionMarginal(w)), atol=1e-15
         )
 
 
@@ -85,7 +100,9 @@ class TestInnerValueDerivatives:
         nu = bh.ActionMarginal(np.array([0.5, 0.3, 0.2]))
         errors = []
         for h in (1e-2, 1e-3, 1e-4):
-            analytic, numeric = bh.gateaux_value(p, nu, 0, h=h, scheme="forward", config=SINKHORN)
+            analytic, numeric = gateaux_value_direction(
+                p, nu, bh.ActionMarginal.dirac(3, 0), h=h, scheme="forward", config=SINKHORN
+            )
             errors.append(abs(analytic - numeric))
         assert errors[0] > 3.0 * errors[1] > 3.0 * errors[2]
 
@@ -93,31 +110,41 @@ class TestInnerValueDerivatives:
         p = bh.random_problem(6, 3, 3, lam=0.8)
         nu = bh.ActionMarginal(np.array([0.5, 0.3, 0.2]))
         h = 1e-4
-        _, fwd = bh.gateaux_value(p, nu, 1, h=h, scheme="forward", config=SINKHORN)
-        analytic, cen = bh.gateaux_value(p, nu, 1, h=h, scheme="central", config=SINKHORN)
+        psi = bh.ActionMarginal.dirac(3, 1)
+        _, fwd = gateaux_value_direction(p, nu, psi, h=h, scheme="forward", config=SINKHORN)
+        analytic, cen = gateaux_value_direction(p, nu, psi, h=h, scheme="central", config=SINKHORN)
         assert abs(analytic - cen) < abs(analytic - fwd)
         assert abs(analytic - cen) <= 1e-7
 
-    def test_requires_strictly_positive_marginal(self):
-        p = bh.random_problem(6, 3, 3)
-        with pytest.raises(bh.InvalidInput):
-            bh.gateaux_value(p, bh.ActionMarginal(np.array([0.5, 0.5, 0.0])), 0)
+    def test_marginal_with_exact_zero(self):
+        # run_diagnostics differentiates at solved marginals, which carry
+        # exact zeros off the consideration set
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p = bh.random_problem(int(rng.integers(1, 10_000)), 4, 4, lam=0.8)
+            weights = random_simplex(rng, 4) * 0.8 + 0.05
+            weights[rng.integers(4)] = 0.0
+            nu = bh.ActionMarginal(weights / weights.sum())
+            for action in np.flatnonzero(nu.weights):
+                psi = bh.ActionMarginal.dirac(4, action)
+                analytic, numeric = gateaux_value_direction(p, nu, psi, config=SINKHORN)
+                assert abs(analytic - numeric) <= 1e-6
 
     def test_direction_form_matches_point_mass_form(self):
         p = bh.random_problem(14, 3, 4, lam=0.7)
         nu = bh.ActionMarginal(np.array([0.4, 0.35, 0.25]))
         psi = bh.ActionMarginal.dirac(3, 2)
-        a_dir, n_dir = bh.gateaux_value_direction(p, nu, psi, h=1e-5, config=SINKHORN)
-        a_pt, n_pt = bh.gateaux_value(p, nu, 2, h=1e-5, scheme="central", config=SINKHORN)
+        a_dir, n_dir = gateaux_value_direction(p, nu, psi, h=1e-5, config=SINKHORN)
+        potential = bh.sinkhorn_bridge(p, nu, SINKHORN).potentials.action
+        a_pt = potential[2] - nu.weights @ potential
         assert_allclose(a_dir, a_pt, atol=1e-12)
         assert abs(a_dir - n_dir) <= 1e-4
-        assert abs(n_dir - n_pt) <= 1e-4
 
     def test_state_side_identity(self):
         p = bh.random_problem(25, 3, 4, lam=1.1)
         nu = bh.ActionMarginal(np.array([0.3, 0.4, 0.3]))
         for state in range(4):
-            analytic, numeric = bh.gateaux_value_state(
+            analytic, numeric = gateaux_value_state(
                 p, nu, state, h=1e-6, scheme="central", config=SINKHORN
             )
             assert abs(analytic - numeric) <= 1e-6
@@ -125,15 +152,17 @@ class TestInnerValueDerivatives:
     def test_state_index_validated(self):
         p = bh.random_problem(25, 3, 4)
         with pytest.raises(bh.InvalidInput):
-            bh.gateaux_value_state(p, bh.ActionMarginal.uniform(3), 7)
+            gateaux_value_state(p, bh.ActionMarginal.uniform(3), 7)
 
 
 _DERIVATIVES = {
-    "point_mass": lambda p, nu, **kw: bh.gateaux_value(p, nu, 0, **kw),
-    "direction": lambda p, nu, **kw: bh.gateaux_value_direction(
+    "point_mass": lambda p, nu, **kw: gateaux_value_direction(
+        p, nu, bh.ActionMarginal.dirac(3, 0), **kw
+    ),
+    "direction": lambda p, nu, **kw: gateaux_value_direction(
         p, nu, bh.ActionMarginal.dirac(3, 2), **kw
     ),
-    "state": lambda p, nu, **kw: bh.gateaux_value_state(p, nu, 1, **kw),
+    "state": lambda p, nu, **kw: gateaux_value_state(p, nu, 1, **kw),
 }
 
 
@@ -157,13 +186,13 @@ class TestDifferenceScheme:
 
 class TestIlrCheck:
     def test_passes_on_solved_anchors(self, symmetric_2x2, solved_symmetric):
-        res = bh.ilr_check(symmetric_2x2, solved_symmetric)
+        res = ilr_check(symmetric_2x2, solved_symmetric)
         assert res.passed
         assert res.max_violation <= 1e-9
 
     def test_passes_across_suite(self, solved_suite):
         for problem, solution in solved_suite[:5]:
-            assert bh.ilr_check(problem, solution).passed
+            assert ilr_check(problem, solution).passed
 
 
 class TestBeliefFeasibility:
@@ -209,27 +238,27 @@ class TestBeliefFeasibility:
 
 class TestCumulants:
     def test_symmetric_closed_form_moments(self, symmetric_2x2, solved_symmetric):
-        cond = bh.logit_policy(symmetric_2x2, solved_symmetric.marginal)
+        cond = logit_policy(symmetric_2x2, solved_symmetric.marginal)
         mean = (cond * symmetric_2x2.utility).sum(axis=0)
         var = (cond * symmetric_2x2.utility**2).sum(axis=0) - mean**2
         assert_allclose(mean, np.e / (1 + np.e), atol=1e-9)
         assert_allclose(var, np.e / (1 + np.e) ** 2, atol=1e-9)
 
     def test_errors_small_at_default_step(self, symmetric_2x2, solved_symmetric):
-        mean_err, var_err, gain_err = bh.cumulant_errors(symmetric_2x2, solved_symmetric)
+        mean_err, var_err, gain_err = cumulant_errors(symmetric_2x2, solved_symmetric)
         assert mean_err <= 1e-6
         assert var_err <= 1e-4
         assert gain_err <= 1e-5
 
     def test_check_triple_names_and_tolerances(self, symmetric_2x2, solved_symmetric):
-        triple = bh.cumulant_check(symmetric_2x2, solved_symmetric)
+        triple = cumulant_check(symmetric_2x2, solved_symmetric)
         names = [c.name for c in triple]
         assert names == ["cumulant_mean", "cumulant_variance", "cumulant_gain"]
         assert all(c.passed for c in triple)
 
     def test_passes_across_suite(self, solved_suite):
         for problem, solution in solved_suite[:5]:
-            for check in bh.cumulant_check(problem, solution):
+            for check in cumulant_check(problem, solution):
                 assert check.passed, check
 
 
@@ -238,7 +267,7 @@ class TestFreeEnergy:
         for problem, solution in solved_suite[:5]:
             joint = solution.coupling.joint
             cond = joint / joint.sum(axis=0, keepdims=True)
-            value = bh.average_free_energy(problem, cond, solution.marginal.weights)
+            value = average_free_energy(problem, cond, solution.marginal.weights)
             assert abs(value + problem.lam * solution.f_value) <= 1e-8
 
     def test_product_gap_identity(self, solved_suite):
@@ -248,19 +277,19 @@ class TestFreeEnergy:
             joint = solution.coupling.joint
             cond = joint / joint.sum(axis=0, keepdims=True)
             w = solution.marginal.weights
-            base = bh.average_free_energy(problem, cond, w)
-            prod = bh.average_free_energy(problem, np.tile(w[:, None], problem.num_states), w)
+            base = average_free_energy(problem, cond, w)
+            prod = average_free_energy(problem, np.tile(w[:, None], problem.num_states), w)
             e_prod = float(w @ problem.utility @ problem.prior)
             assert abs((prod - base) - (problem.lam * solution.f_value - e_prod)) <= 1e-8
 
     def test_escaping_support_scores_infinite(self, state_independent):
         cond = np.array([[0.0, 0.0], [1.0, 1.0]])
-        value = bh.average_free_energy(state_independent, cond, np.array([1.0, 0.0]))
+        value = average_free_energy(state_independent, cond, np.array([1.0, 0.0]))
         assert value == np.inf
 
     def test_check_passes_on_suite(self, solved_suite):
         for problem, solution in solved_suite[:5]:
-            res = bh.free_energy_check(problem, solution)
+            res = free_energy_check(problem, solution)
             assert res.passed
             assert res.max_violation <= 1e-9
 
@@ -268,7 +297,7 @@ class TestFreeEnergy:
 class TestGibbsPlateau:
     def test_passes_on_solved_suite(self, solved_suite):
         for problem, solution in solved_suite[:5]:
-            assert bh.gibbs_plateau_check(problem, solution).passed
+            assert gibbs_plateau_check(problem, solution).passed
 
     def test_detects_coupling_edits(self, symmetric_2x2, solved_symmetric):
         # a singleton consideration set would be scale-invariant, so tamper a
@@ -276,8 +305,8 @@ class TestGibbsPlateau:
         joint = solved_symmetric.coupling.joint.copy()
         joint[0, 0] *= 1.5
         joint /= joint.sum()
-        tampered = dataclasses.replace(solved_symmetric, coupling=bh.Coupling(joint))
-        assert not bh.gibbs_plateau_check(symmetric_2x2, tampered).passed
+        tampered = dataclasses.replace(solved_symmetric, coupling=Coupling(joint))
+        assert not gibbs_plateau_check(symmetric_2x2, tampered).passed
 
 
 class TestRunDiagnostics:
@@ -316,7 +345,7 @@ class TestRunDiagnostics:
             0.7, 1.3, solved_symmetric.coupling.joint.shape
         )
         joint /= joint.sum()
-        tampered = dataclasses.replace(solved_symmetric, coupling=bh.Coupling(joint))
+        tampered = dataclasses.replace(solved_symmetric, coupling=Coupling(joint))
         report = bh.run_diagnostics(symmetric_2x2, tampered)
         assert not report.all_pass
         failed = {c.name for c in report if not c.passed}

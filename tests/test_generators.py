@@ -4,6 +4,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
+from bridgehead.core import validate
 
 
 class TestRandomProblem:
@@ -22,7 +23,7 @@ class TestRandomProblem:
 
     def test_valid_by_construction(self):
         p = bh.random_problem(55, 6, 4, lam=0.3)
-        assert bh.validate(p) == []
+        assert validate(p) == []
         assert p.actions == ("a0", "a1", "a2", "a3", "a4", "a5")
         assert p.states == ("s0", "s1", "s2", "s3")
         assert_allclose(p.prior.sum(), 1.0, atol=1e-15)
@@ -58,4 +59,4 @@ class TestDuplicatedActionProblem:
         assert p.num_actions == 4
         assert np.array_equal(p.utility[3], p.utility[0])
         assert p.actions[3] == "a0_twin"
-        assert bh.validate(p) == []
+        assert validate(p) == []

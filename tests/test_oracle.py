@@ -8,8 +8,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
-from bridgehead.core import shifted_gain
-from bridgehead.oracle import _BATCH_ROWS, _lattice_blocks
+from bridgehead.core import Coupling, mutual_information, shifted_gain
+from bridgehead.oracle import (
+    _BATCH_ROWS,
+    TooManyActions,
+    _lattice_blocks,
+    exhaustive_mi,
+    simplex_lattice,
+)
 
 from conftest import TIGHT, random_plausible_coupling
 
@@ -17,22 +23,22 @@ from conftest import TIGHT, random_plausible_coupling
 class TestSimplexLattice:
     def test_count_is_stars_and_bars(self):
         for m, denom in [(2, 10), (3, 7), (4, 5)]:
-            points = list(bh.simplex_lattice(m, denom))
+            points = list(simplex_lattice(m, denom))
             assert len(points) == math.comb(denom + m - 1, m - 1)
 
     def test_points_sum_to_denominator(self):
-        for point in bh.simplex_lattice(3, 6):
+        for point in simplex_lattice(3, 6):
             assert sum(point) == 6
             assert all(c >= 0 for c in point)
 
     def test_ascending_lexicographic_order(self):
-        points = list(bh.simplex_lattice(3, 4))
+        points = list(simplex_lattice(3, 4))
         assert points == sorted(points)
         assert points[0] == (0, 0, 4)
         assert points[-1] == (4, 0, 0)
 
     def test_no_duplicates(self):
-        points = list(bh.simplex_lattice(4, 6))
+        points = list(simplex_lattice(4, 6))
         assert len(points) == len(set(points))
 
 
@@ -43,7 +49,7 @@ class TestLatticeBlocks:
         assert all(len(block) == _BATCH_ROWS for block in blocks[:-1])
         assert 0 < len(blocks[-1]) <= _BATCH_ROWS
         points = [tuple(row) for row in np.concatenate(blocks).tolist()]
-        assert points == list(bh.simplex_lattice(m, denom))
+        assert points == list(simplex_lattice(m, denom))
 
     @pytest.mark.parametrize("m, denom", [(0, 5), (3, 0)])
     def test_empty_lattice_rejected(self, m, denom):
@@ -54,10 +60,10 @@ class TestLatticeBlocks:
 def _tuple_grid_search(problem):
     """grid_search_f's scan fed from simplex_lattice tuples, _BATCH_ROWS at a time."""
     m = problem.num_actions
-    denom = round(1.0 / bh.GridSpec().pitch_for(m))
+    denom = 1000 if m == 2 else 100
     gain, shift = shifted_gain(problem)
     best_f, best_point, max_osc, count = -np.inf, None, 0.0, 0
-    points = bh.simplex_lattice(m, denom)
+    points = simplex_lattice(m, denom)
     while batch := list(itertools.islice(points, _BATCH_ROWS)):
         z = (np.array(batch, dtype=np.float64) / denom) @ gain
         f_vals = (np.log(z) + shift[None, :]) @ problem.prior
@@ -72,14 +78,16 @@ def _tuple_grid_search(problem):
 
 class TestGridSpec:
     def test_default_pitch_by_size(self):
-        spec = bh.GridSpec()
-        assert spec.pitch_for(2) == 1e-3
-        assert spec.pitch_for(3) == 1e-2
-        assert spec.pitch_for(4) == 1e-2
+        for m, pitch in ((2, 1e-3), (3, 1e-2), (4, 1e-2)):
+            assert bh.grid_search_f(bh.random_problem(1, m, 2)).resolution == pitch
 
     def test_explicit_resolution_wins(self):
-        spec = bh.GridSpec(resolution=0.05)
-        assert spec.pitch_for(2) == 0.05
+        assert bh.grid_search_f(bh.random_problem(1, 2, 2), resolution=0.05).resolution == 0.05
+
+    @pytest.mark.parametrize("resolution", [0, 0.7])
+    def test_resolution_outside_range_rejected(self, resolution):
+        with pytest.raises(bh.InvalidInput, match="resolution"):
+            bh.grid_search_f(bh.random_problem(1, 2, 2), resolution=resolution)
 
 
 class TestGridSearchF:
@@ -96,18 +104,18 @@ class TestGridSearchF:
 
     def test_too_many_actions_rejected(self):
         p = bh.random_problem(1, 5, 3)
-        with pytest.raises(bh.TooManyActions):
+        with pytest.raises(TooManyActions):
             bh.grid_search_f(p)
 
     def test_points_evaluated_matches_lattice(self):
         p = bh.random_problem(2, 3, 3)
-        res = bh.grid_search_f(p, bh.GridSpec(resolution=0.1))
+        res = bh.grid_search_f(p, resolution=0.1)
         assert res.points_evaluated == math.comb(10 + 2, 2)
 
     def test_flat_objective_breaks_ties_lexicographically(self):
         prior = np.full(3, 1.0 / 3.0)
         p = bh.Problem(("a", "b", "c"), ("x", "y", "z"), np.zeros((3, 3)), 1.0, prior)
-        res = bh.grid_search_f(p, bh.GridSpec(resolution=0.25))
+        res = bh.grid_search_f(p, resolution=0.25)
         assert_allclose(res.marginal.weights, [0.0, 0.0, 1.0], atol=0)
         assert res.f_best == 0.0
 
@@ -115,7 +123,7 @@ class TestGridSearchF:
         for seed in (5, 6, 7):
             p = bh.random_problem(seed, 3, 4, lam=0.8)
             solution = bh.solve(p, TIGHT)
-            res = bh.grid_search_f(p, bh.GridSpec(resolution=0.02))
+            res = bh.grid_search_f(p, resolution=0.02)
             assert solution.f_value >= res.f_best - 1e-10
             assert solution.f_value <= res.upper_bound + 1e-10
             assert res.margin == res.lipschitz_bound * res.resolution
@@ -133,8 +141,8 @@ class TestGridSearchF:
 
     def test_margin_shrinks_with_resolution(self):
         p = bh.random_problem(8, 2, 3, lam=0.5)
-        coarse = bh.grid_search_f(p, bh.GridSpec(resolution=0.1))
-        fine = bh.grid_search_f(p, bh.GridSpec(resolution=0.01))
+        coarse = bh.grid_search_f(p, resolution=0.1)
+        fine = bh.grid_search_f(p, resolution=0.01)
         assert fine.f_best >= coarse.f_best - 1e-12
         assert fine.margin < coarse.margin
 
@@ -142,14 +150,14 @@ class TestGridSearchF:
 class TestExhaustiveMi:
     def test_product_coupling_is_zero(self):
         joint = np.outer([0.3, 0.7], [0.2, 0.5, 0.3])
-        assert 0.0 <= bh.exhaustive_mi(bh.Coupling(joint)) <= 1e-15
+        assert 0.0 <= exhaustive_mi(Coupling(joint)) <= 1e-15
 
     def test_diagonal_coupling_is_log_two(self):
-        assert_allclose(bh.exhaustive_mi(bh.Coupling(np.eye(2) / 2.0)), math.log(2.0))
+        assert_allclose(exhaustive_mi(Coupling(np.eye(2) / 2.0)), math.log(2.0))
 
     def test_handles_zero_cells(self):
         joint = np.array([[0.5, 0.0], [0.25, 0.25]])
-        value = bh.exhaustive_mi(bh.Coupling(joint))
+        value = exhaustive_mi(Coupling(joint))
         assert np.isfinite(value)
         assert value > 0
 
@@ -159,7 +167,7 @@ class TestExhaustiveMi:
         for _ in range(20):
             coupling = random_plausible_coupling(rng, problem)
             assert_allclose(
-                bh.exhaustive_mi(coupling),
-                bh.mutual_information(coupling),
+                exhaustive_mi(coupling),
+                mutual_information(coupling),
                 atol=1e-13,
             )
