@@ -1,9 +1,13 @@
 """Rational-inattention problems solved as nested entropic optimal transport.
 
-The outer loop picks an action marginal by a multiplicative fixed-point
-update on a concave envelope; the inner loop couples that marginal to the
-state prior with log-domain Sinkhorn scaling; the diagnostics module turns
-the supporting theory into numerical certificates.
+The outer loop picks an action marginal by climbing a concave envelope:
+each step removes the actions a certificate proves idle, then takes a
+projected Newton step on the rest, with the multiplicative fixed-point
+update as the fallback.  The inner loop couples that marginal to the state
+prior with log-domain Sinkhorn scaling.  The diagnostics module turns the
+supporting theory into numerical certificates, and a lattice search
+brackets the optimum from below by its best point and from above by
+concavity.
 
 The top level exports the entry points documented in README.  Individual
 certificates, functionals and reference routines live in their submodules:

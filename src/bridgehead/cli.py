@@ -152,12 +152,10 @@ def cmd_bridge(args: argparse.Namespace) -> int:
         weights = doc["marginal"] if isinstance(doc, dict) else doc
         nu = ActionMarginal(np.array(weights, dtype=np.float64))
         check_marginal(problem, nu)
-    except FileNotFoundError as err:
+    except (FileNotFoundError, InvalidInput) as err:
         return _fail(str(err))
-    except (json.JSONDecodeError, KeyError) as err:
+    except (KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
         return _fail(f"bad marginal file: {err}")
-    except InvalidInput as err:
-        return _fail(str(err))
 
     code = EXIT_OK
     try:
@@ -194,12 +192,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 f"solution coupling is {solution.coupling.joint.shape}, problem is "
                 f"({problem.num_actions}, {problem.num_states})"
             )
-    except FileNotFoundError as err:
+    except (FileNotFoundError, InvalidInput) as err:
         return _fail(str(err))
-    except (json.JSONDecodeError, KeyError) as err:
+    except json.JSONDecodeError as err:
         return _fail(f"bad solution file: {err}")
-    except InvalidInput as err:
-        return _fail(str(err))
 
     report = run_diagnostics(problem, solution, seed=args.seed)
     out = _out_dir(args)

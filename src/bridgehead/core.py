@@ -221,8 +221,8 @@ def validate(problem: Problem) -> list[ValidationIssue]:
     """Collect every violated domain condition of ``problem``.
 
     Returns an empty list when the instance is solvable.  Codes:
-    ``EmptyActionSet``, ``NonPositiveLambda``, ``PriorNotSimplex``,
-    ``NonFiniteUtility``.
+    ``EmptyActionSet``, ``NonPositiveLambda``, ``LambdaTooSmall`` (u/lam
+    overflows), ``PriorNotSimplex``, ``NonFiniteUtility``.
     """
     issues: list[ValidationIssue] = []
     if problem.num_actions == 0:
@@ -259,6 +259,16 @@ def validate(problem: Problem) -> list[ValidationIssue]:
         issues.append(ValidationIssue("PriorNotSimplex", "problem has no states"))
     if not np.all(np.isfinite(problem.utility)):
         issues.append(ValidationIssue("NonFiniteUtility", "utility has non-finite entries"))
+    elif np.isfinite(problem.lam) and problem.lam > 0:
+        with np.errstate(over="ignore"):
+            kernel_finite = np.all(np.isfinite(problem.utility / problem.lam))
+        if not kernel_finite:
+            issues.append(
+                ValidationIssue(
+                    "LambdaTooSmall",
+                    f"utility / lambda overflows at lambda {problem.lam!r}",
+                )
+            )
     return issues
 
 

@@ -66,6 +66,14 @@ __all__ = [
 ]
 
 
+_PLATEAU_TOL = 1e-7        # plateau_check, kt_plateau and gibbs_plateau
+_ILR_TOL = 1e-7            # ilr_check
+_FEASIBILITY_TOL = 1e-8    # sup-norm residual of belief_feasibility
+_CUMULANT_STEP = 1e-4      # beta-step of the cumulant differences
+_FREE_ENERGY_TRIALS = 100  # tilted rivals of free_energy_check
+_FREE_ENERGY_TOL = 1e-9    # free-energy drop a rival may show
+
+
 class PosteriorNotNormalizable(BridgeheadError):
     """A likelihood-ratio image has zero or non-finite total mass."""
 
@@ -122,11 +130,11 @@ class PlateauResult:
     level: float
 
 
-def plateau_check(values, weights, tol: float) -> PlateauResult:
+def plateau_check(values, weights) -> PlateauResult:
     """Check that ``values`` is a plateau of the measure ``weights``.
 
-    Passes iff values <= level + tol everywhere and |values - level| <= tol on
-    the support, where level is the maximum of values over entries whose
+    Passes iff values <= level + 1e-7 everywhere and |values - level| <= 1e-7
+    on the support, where level is the maximum of values over entries whose
     weight exceeds ``SUPPORT_THRESHOLD``.  The witness indexes the worst
     violation (the argmax of the violation profile, 0 on a clean pass).
     """
@@ -142,7 +150,7 @@ def plateau_check(values, weights, tol: float) -> PlateauResult:
     violation[sup] = np.abs(v[sup] - level)
     witness = int(np.argmax(violation))
     worst = float(violation[witness])
-    return PlateauResult(worst <= tol, witness, worst, level)
+    return PlateauResult(worst <= _PLATEAU_TOL, witness, worst, level)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +281,7 @@ def gateaux_value_state(
 # ---------------------------------------------------------------------------
 
 
-def ilr_check(problem: Problem, solution: Solution, tol: float = 1e-7) -> CheckResult:
+def ilr_check(problem: Problem, solution: Solution) -> CheckResult:
     """Invariant-likelihood-ratio structure of the solved posteriors.
 
     Checks (i) the posterior over states after each supported action matches
@@ -281,7 +289,7 @@ def ilr_check(problem: Problem, solution: Solution, tol: float = 1e-7) -> CheckR
     sum_omega exp((u(alpha,.) - u(alpha',.))/lam) P(omega|alpha') stay at or
     below one, exactly one when alpha is itself supported, for each supported
     alpha'.  Posteriors come from the stored coupling, so corrupted couplings
-    fail here.
+    fail here.  The worst violation is held to 1e-7.
     """
     kernel = gibbs_kernel(problem)
     lz = log_partition(problem, solution.marginal)
@@ -289,12 +297,12 @@ def ilr_check(problem: Problem, solution: Solution, tol: float = 1e-7) -> CheckR
     joint = solution.coupling.joint
     supported = list(solution.consideration_set)
     if not supported:
-        return _result("ilr", np.inf, tol, "empty consideration set")
+        return _result("ilr", np.inf, _ILR_TOL, "empty consideration set")
     worst = 0.0
     for alpha in supported:
         row_mass = joint[alpha].sum()
         if row_mass <= 0:
-            return _result("ilr", np.inf, tol, f"supported action {alpha} has empty row")
+            return _result("ilr", np.inf, _ILR_TOL, f"supported action {alpha} has empty row")
         posterior = joint[alpha] / row_mass
         worst = max(worst, float(np.abs(posterior - formula[alpha]).max()))
         with np.errstate(divide="ignore"):
@@ -304,7 +312,7 @@ def ilr_check(problem: Problem, solution: Solution, tol: float = 1e-7) -> CheckR
         )
         worst = max(worst, float(np.maximum(ratio_sums - 1.0, 0.0).max()))
         worst = max(worst, float(np.abs(ratio_sums[supported] - 1.0).max()))
-    return _result("ilr", worst, tol, f"{len(supported)} supported actions")
+    return _result("ilr", worst, _ILR_TOL, f"{len(supported)} supported actions")
 
 
 @dataclass(frozen=True)
@@ -321,7 +329,6 @@ def belief_feasibility(
     candidate_set,
     anchor: int,
     posterior_anchor,
-    residual_tol: float = 1e-8,
 ) -> BeliefFeasibility:
     """Can ``candidate_set`` support the prior through ratio-mapped beliefs?
 
@@ -329,7 +336,8 @@ def belief_feasibility(
     likelihood ratios exp((u(alpha,.) - u(anchor,.))/lam); feasibility asks
     for nonnegative weights on the candidate set, summing to one, that mix
     these images back to the prior.  Solved as nonnegative least squares; the
-    reported residual is the sup norm of the constraint violation.
+    reported residual is the sup norm of the constraint violation, and the
+    set is feasible when it is at most 1e-8.
 
     Raises PosteriorNotNormalizable when an image has zero, non-finite, or
     overflowing total mass.
@@ -364,7 +372,7 @@ def belief_feasibility(
     target = np.concatenate([problem.prior, [1.0]])
     weights, _ = nnls(system, target)
     residual = float(np.abs(system @ weights - target).max())
-    feasible = residual <= residual_tol
+    feasible = residual <= _FEASIBILITY_TOL
     return BeliefFeasibility(
         feasible=feasible,
         weights=weights if feasible else None,
@@ -381,21 +389,20 @@ def _log_partition_at_beta(problem: Problem, weights: np.ndarray, beta: float) -
     return weighted_logsumexp(beta * problem.utility, weights, axis=0)
 
 
-def cumulant_errors(
-    problem: Problem, solution: Solution, h: float = 1e-4
-) -> tuple[float, float, float]:
+def cumulant_errors(problem: Problem, solution: Solution) -> tuple[float, float, float]:
     """Worst-state errors of the three cumulant identities at the optimum.
 
     With the marginal held fixed, b(omega) = log Z(omega) is analytic in
     beta = 1/lam: its first beta-derivative is the conditional mean of u, its
     second the conditional variance, and beta * b'(beta) - b(omega) equals
     the information gain KL(P(.|omega) || nu) (equivalently minus the
-    derivative of lam * b in lam).  Central differences in beta at step ``h``
-    are compared against direct evaluations under the logit policy.  Returns
-    (mean error, variance error, information-gain error).
+    derivative of lam * b in lam).  Central differences in beta at step
+    h = 1e-4 are compared against direct evaluations under the logit policy.
+    Returns (mean error, variance error, information-gain error).
     """
     weights = solution.marginal.weights
     beta = 1.0 / problem.lam
+    h = _CUMULANT_STEP
     b0 = _log_partition_at_beta(problem, weights, beta)
     b_plus = _log_partition_at_beta(problem, weights, beta + h)
     b_minus = _log_partition_at_beta(problem, weights, beta - h)
@@ -414,17 +421,15 @@ def cumulant_errors(
     return mean_err, var_err, gain_err
 
 
-def cumulant_check(
-    problem: Problem, solution: Solution, h: float = 1e-4
-) -> tuple[CheckResult, CheckResult, CheckResult]:
+def cumulant_check(problem: Problem, solution: Solution) -> tuple[CheckResult, CheckResult, CheckResult]:
     """The three cumulant identities, each against its own tolerance.
 
     The mean is first-order exact up to O(h^2) curvature, so it gets 1e-6 at
-    the default step; the variance estimate loses two orders to cancellation
-    in the second difference (1e-4); the information-gain identity sits in
-    between (1e-5).
+    the step of ``cumulant_errors``; the variance estimate loses two orders
+    to cancellation in the second difference (1e-4); the information-gain
+    identity sits in between (1e-5).
     """
-    mean_err, var_err, gain_err = cumulant_errors(problem, solution, h)
+    mean_err, var_err, gain_err = cumulant_errors(problem, solution)
     return (
         _result("cumulant_mean", mean_err, 1e-6),
         _result("cumulant_variance", var_err, 1e-4),
@@ -456,34 +461,29 @@ def _conditionals(solution: Solution) -> np.ndarray | None:
     return None if np.any(col <= 0) else joint / col[None, :]
 
 
-def free_energy_check(
-    problem: Problem,
-    solution: Solution,
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> CheckResult:
+def free_energy_check(problem: Problem, solution: Solution, seed: int = 0) -> CheckResult:
     """Solved conditionals minimize average free energy among plausible rivals.
 
-    Each trial exponentially tilts the solved conditional policy with
+    Each of 100 trials exponentially tilts the solved conditional policy with
     state-by-state Gaussian noise and renormalizes columns (keeping the prior
     marginal fixed), then verifies the average free energy does not drop
-    below the solved one by more than ``tol``.
+    below the solved one by more than 1e-9.
     """
     cond = _conditionals(solution)
     if cond is None:
-        return _result("free_energy", np.inf, tol, "coupling has empty states")
+        return _result("free_energy", np.inf, _FREE_ENERGY_TOL, "coupling has empty states")
     reference = solution.marginal.weights
     base = average_free_energy(problem, cond, reference)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_FREE_ENERGY_TRIALS):
         scale = rng.uniform(0.05, 0.8)
         tilt = cond * np.exp(rng.normal(0.0, scale, size=cond.shape))
         tilt /= tilt.sum(axis=0, keepdims=True)
         rival = average_free_energy(problem, tilt, reference)
         worst = max(worst, base - rival)
-    return _result("free_energy", worst, tol, f"{trials} tilted rivals, base {base:.6f}")
+    details = f"{_FREE_ENERGY_TRIALS} tilted rivals, base {base:.6f}"
+    return _result("free_energy", worst, _FREE_ENERGY_TOL, details)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +491,18 @@ def free_energy_check(
 # ---------------------------------------------------------------------------
 
 
-def gibbs_plateau_check(problem: Problem, solution: Solution, tol: float = 1e-7) -> CheckResult:
+def gibbs_plateau_check(problem: Problem, solution: Solution) -> CheckResult:
     """State by state, u/lam - log(P(alpha|omega)/nu(alpha)) sits at b(omega).
 
     Evaluated on the stored coupling across the consideration set, so edits
-    to the coupling surface here.
+    to the coupling surface here.  The worst deviation is held to 1e-7.
     """
     cond = _conditionals(solution)
     if cond is None:
-        return _result("gibbs_plateau", np.inf, tol, "coupling has empty states")
+        return _result("gibbs_plateau", np.inf, _PLATEAU_TOL, "coupling has empty states")
     sup = list(solution.consideration_set)
     if not sup:
-        return _result("gibbs_plateau", np.inf, tol, "empty consideration set")
+        return _result("gibbs_plateau", np.inf, _PLATEAU_TOL, "empty consideration set")
     cond = cond[sup]
     weights = solution.marginal.weights[sup]
     kernel = gibbs_kernel(problem)[sup]
@@ -510,7 +510,8 @@ def gibbs_plateau_check(problem: Problem, solution: Solution, tol: float = 1e-7)
         values = kernel - np.log(cond) + np.log(weights)[:, None]
     values = np.where(np.isfinite(values), values, np.inf)
     worst = float(np.abs(values - solution.potentials.state[None, :]).max())
-    return _result("gibbs_plateau", worst, tol, f"{len(sup)} actions x {cond.shape[1]} states")
+    details = f"{len(sup)} actions x {cond.shape[1]} states"
+    return _result("gibbs_plateau", worst, _PLATEAU_TOL, details)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +568,12 @@ def run_diagnostics(
     candidate = action_potential(problem, nu)
     kt_violation = plateau_violation(residuals, weights)
     signs_agree = bool(np.all(np.sign(candidate) == np.sign(residuals)))
-    witness = plateau_check(residuals, weights, 1e-7).witness
+    witness = plateau_check(residuals, weights).witness
     checks.append(
         _result(
             "kt_plateau",
             kt_violation,
-            1e-7,
+            _PLATEAU_TOL,
             f"signs_agree={signs_agree}, worst_index={witness}",
         )
     )

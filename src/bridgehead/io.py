@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +58,19 @@ def _potentials(potentials: Potentials) -> dict[str, Any]:
     }
 
 
+@contextmanager
+def _reading(kind: str) -> Iterator[None]:
+    """Turn a missing key or a value of the wrong kind into InvalidInput."""
+    try:
+        yield
+    except KeyError as missing:
+        raise InvalidInput(f"{kind} document is missing key {missing}") from None
+    except InvalidInput:
+        raise
+    except (TypeError, ValueError) as err:
+        raise InvalidInput(f"{kind} document is malformed: {err}") from None
+
+
 def _write_json(document: dict[str, Any], path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(document, indent=2) + "\n")
@@ -79,7 +93,7 @@ def problem_to_dict(problem: Problem) -> dict[str, Any]:
 
 
 def problem_from_dict(data: dict[str, Any]) -> Problem:
-    try:
+    with _reading("problem"):
         problem = Problem(
             actions=tuple(str(a) for a in data["actions"]),
             states=tuple(str(s) for s in data["states"]),
@@ -87,8 +101,6 @@ def problem_from_dict(data: dict[str, Any]) -> Problem:
             lam=float(data["lambda"]),
             prior=np.array(data["prior"], dtype=np.float64),
         )
-    except KeyError as missing:
-        raise InvalidInput(f"problem document is missing key {missing}") from None
     # exact zeros in the prior are dropped (with a warning) before
     # validation, which requires strict positivity on what remains
     if problem.prior.ndim == 1 and np.any(problem.prior == 0.0):
@@ -131,21 +143,22 @@ def solution_to_dict(problem: Problem, solution: Solution) -> dict[str, Any]:
 
 
 def solution_from_dict(data: dict[str, Any]) -> Solution:
-    potentials = Potentials(
-        action=np.array(data["potentials"]["action"], dtype=np.float64),
-        state=np.array(data["potentials"]["state"], dtype=np.float64),
-        normalization=str(data["potentials"]["normalization"]),
-    )
-    return Solution(
-        marginal=ActionMarginal(np.array(data["marginal"], dtype=np.float64)),
-        coupling=Coupling(np.array(data["coupling"], dtype=np.float64)),
-        potentials=potentials,
-        f_value=float(data["f_value"]),
-        foc_residuals=np.array(data["foc_residuals"], dtype=np.float64),
-        consideration_set=tuple(int(i) for i in data["consideration_set"]),
-        iterations=int(data["iterations"]),
-        converged=bool(data["converged"]),
-    )
+    with _reading("solution"):
+        potentials = Potentials(
+            action=np.array(data["potentials"]["action"], dtype=np.float64),
+            state=np.array(data["potentials"]["state"], dtype=np.float64),
+            normalization=str(data["potentials"]["normalization"]),
+        )
+        return Solution(
+            marginal=ActionMarginal(np.array(data["marginal"], dtype=np.float64)),
+            coupling=Coupling(np.array(data["coupling"], dtype=np.float64)),
+            potentials=potentials,
+            f_value=float(data["f_value"]),
+            foc_residuals=np.array(data["foc_residuals"], dtype=np.float64),
+            consideration_set=tuple(int(i) for i in data["consideration_set"]),
+            iterations=int(data["iterations"]),
+            converged=bool(data["converged"]),
+        )
 
 
 def save_solution(problem: Problem, solution: Solution, path: str | Path) -> Path:

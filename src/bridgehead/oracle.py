@@ -1,13 +1,13 @@
 """Slow, solver-independent reference computations.
 
-The grid search bounds the optimal envelope value from below by brute force
-and from above through a certified Lipschitz argument, without ever running
-the fixed-point iteration it is used to audit.  It evaluates f on the same
-plain-domain ``shifted_gain`` the iteration climbs; the solver reports f
-through the log-domain route, so comparing the two crosses routes.  The
-mutual-information routine walks the joint entry by entry in plain Python
-floats as a foil for the vectorized version.  Everything here trades speed for independence, so
-keep instances small.
+The grid search brackets the optimal envelope value by brute force, without
+ever running the fixed-point iteration it is used to audit: from below by the
+best lattice value, from above by concavity at the lattice points.  It
+evaluates f on the same plain-domain ``shifted_gain`` the iteration climbs;
+the solver reports f through the log-domain route, so comparing the two
+crosses routes.  The mutual-information routine walks the joint entry by
+entry in plain Python floats as a foil for the vectorized version.
+Everything here trades speed for independence, so keep instances small.
 """
 
 from __future__ import annotations
@@ -38,22 +38,18 @@ class TooManyActions(BridgeheadError):
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    """Best lattice point plus a certified bound on what the grid missed."""
+    """Best lattice point plus a certified upper bound on the optimum."""
 
     marginal: ActionMarginal
     f_best: float
-    lipschitz_bound: float
+    upper_bound: float
     resolution: float
     points_evaluated: int
 
     @property
     def margin(self) -> float:
         """Certified gap: no simplex point beats f_best by more than this."""
-        return self.lipschitz_bound * self.resolution
-
-    @property
-    def upper_bound(self) -> float:
-        return self.f_best + self.margin
+        return self.upper_bound - self.f_best
 
 
 def simplex_lattice(num_actions: int, denominator: int) -> Iterator[tuple[int, ...]]:
@@ -146,23 +142,20 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     two actions and 1e-2 beyond that, keeping the point count near or below
     a few hundred thousand.  More than four actions raise TooManyActions.
 
-    The envelope f(nu) = sum_omega prior(omega) log(sum_alpha nu(alpha)
-    exp(u(alpha, omega)/lam)) is concave with gradient exp(a_nu); along
-    sum-zero directions only the gradient's oscillation matters, so for any
-    nu and its nearest lattice point g,
+    f_best, the best lattice value of the envelope f(nu) =
+    sum_omega prior(omega) log(sum_alpha nu(alpha) exp(u(alpha, omega)/lam)),
+    bounds the optimum f* from below.  The upper bound is the concavity
+    argument of the solver's ``_Ascent.gap_bound``, evaluated here in the
+    oracle's own plain-domain arithmetic and calling no solver code: f is
+    concave with gradient exp(a_g) at any lattice point g where every
+    Z(omega; g) > 0, and sum_alpha g(alpha) exp(a_g(alpha)) = 1, so
 
-        f(nu) <= f(g) + osc(exp(a_g)) / 2 * |nu - g|_1.
+        f* <= f(g) + max_alpha exp(a_g(alpha)) - 1.
 
-    Largest-remainder rounding places a lattice point within l1 distance
-    m / (2 N) of any simplex point, so with pitch 1/N the true optimum
-    exceeds f_best by at most L / N where
-
-        L = lipschitz_bound = max_grid osc(exp(a)) * m / 4.
-
-    exp(a) can reach exp(range(u)/lam) near the faces of the simplex, so the
-    margin L / N grows like that too and the bracket certifies nothing at
-    small lam: for random_problem(1, 3, 6, lam) the margin is 9.8e4 against
-    f = 13.8 at lam = 0.05, and 10 against 6.6 at lam = 0.1.
+    upper_bound is the least of these over the lattice plus a rounding
+    allowance that depends on the problem alone, 8 eps (m + n) (1 + max|u/lam|).
+    Points where the bound is not finite (Z underflows at tiny lam) are
+    skipped; if none is left, upper_bound is +inf.
     """
     m = problem.num_actions
     if m > _MAX_ACTIONS:
@@ -175,18 +168,23 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
 
     gain, shift = shifted_gain(problem)  # rows: actions, columns: states
     prior = problem.prior
+    # rounding allowance of one bound, from the problem alone
+    scale = 1.0 + float(np.abs(problem.utility / problem.lam).max())
+    allowance = float(8.0 * np.finfo(np.float64).eps * sum(gain.shape) * scale)
 
     best_f = -np.inf
     best_point: np.ndarray | None = None
-    max_osc = 0.0
+    least_bound = np.inf
     count = 0
     for block in _lattice_blocks(m, denom):
         pts = block / denom
         z = pts @ gain
-        f_vals = (np.log(z) + shift[None, :]) @ prior
-        grad = gain @ (prior / z).T  # actions x batch, entries exp(a)
-        osc = grad.max(axis=0) - grad.min(axis=0)
-        max_osc = max(max_osc, float(osc.max()))
+        # where z underflows (tiny lam) f is -inf and the bound inf or nan
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f_vals = (np.log(z) + shift[None, :]) @ prior
+            grad = gain @ (prior / z).T  # actions x batch, entries exp(a)
+            bounds = f_vals + grad.max(axis=0) - 1.0
+        least_bound = min(least_bound, float(bounds[np.isfinite(bounds)].min(initial=np.inf)))
         idx = int(np.argmax(f_vals))
         if f_vals[idx] > best_f:
             best_f = float(f_vals[idx])
@@ -197,7 +195,7 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     return GridSearchResult(
         marginal=ActionMarginal(best_point),
         f_best=best_f,
-        lipschitz_bound=float(max_osc * m / 4.0),
+        upper_bound=least_bound + allowance,
         resolution=1.0 / denom,
         points_evaluated=count,
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import BridgeResult, SinkhornConfig, sinkhorn_bridge
+from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
 from .core import (
     SUPPORT_THRESHOLD,
     ActionMarginal,
@@ -360,7 +360,8 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     violation.  The inner problem is then re-solved at the final marginal to
     produce the coupling and the certified potential pair.  Raises
     SolverNotConverged, carrying the best solution found, when
-    max_iterations is exhausted first.
+    max_iterations is exhausted first or that inner solve runs out of
+    sweeps; the attached solution then has converged=False.
 
     Actions with identical utility rows get identical Newton directions and
     identical multiplicative factors, so their split of mass is set by the
@@ -397,7 +398,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         plateau_violation(residuals, w) <= cfg.foc_tolerance
         and not exhausted
     )
-    inner: BridgeResult = sinkhorn_bridge(problem, nu_star, cfg.sinkhorn)
+    try:
+        inner, inner_error = sinkhorn_bridge(problem, nu_star, cfg.sinkhorn), None
+    except BridgeNotConverged as err:
+        inner, inner_error = err.result, err
     solution = Solution(
         marginal=nu_star,
         coupling=inner.coupling,
@@ -406,7 +410,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         foc_residuals=residuals,
         consideration_set=tuple(int(i) for i in np.flatnonzero(w > SUPPORT_THRESHOLD)),
         iterations=iterations,
-        converged=converged,
+        converged=converged and inner_error is None,
     )
     if exhausted:
         raise SolverNotConverged(
@@ -414,4 +418,6 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
             f"(gap bound {ascent.gap_bound:.3e}, plateau violation {violation:.3e})",
             solution,
         )
+    if inner_error is not None:
+        raise SolverNotConverged(f"final inner solve failed: {inner_error}", solution)
     return solution

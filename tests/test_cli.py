@@ -75,6 +75,16 @@ class TestSolveCommand:
         assert data["converged"] is False
         assert "warning" in capsys.readouterr().err
 
+    def test_failed_final_inner_solve_exits_two_but_writes(self, tmp_path, capsys):
+        # no 6x6 bridge reaches a residual of 1e-17 within its sweep budget
+        path = write_problem(tmp_path / "p.json", bh.random_problem(3, 6, 6, 1.0))
+        out = tmp_path / "run"
+        assert main(["solve", path, "--tolerance", "1e-17", "--output-dir", str(out)]) == 2
+        for name in ("solution.json", "solution_actions.csv", "solution_states.csv", "manifest.json"):
+            assert (out / name).exists(), name
+        assert json.loads((out / "solution.json").read_text())["converged"] is False
+        assert "final inner solve" in capsys.readouterr().err
+
     def test_random_init_flag(self, tmp_path, problem_file):
         out = tmp_path / "run"
         code = main(
@@ -249,10 +259,74 @@ class TestSweepCommand:
         assert "NonPositiveLambda" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_final_inner_solve_exits_two_but_writes(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", bh.random_problem(3, 6, 6, 1.0))
+        out = tmp_path / "sweep"
+        argv = ["sweep", path, "--lambdas", "1,2", "--tolerance", "1e-17", "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert len((out / "summary.csv").read_text().splitlines()) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["arguments"]["failures"]
+        assert "final inner solve" in capsys.readouterr().err
+
     def test_jobs_below_one_exits_one(self, tmp_path, capsys):
         problem_path = write_problem(tmp_path / "p.json", make_symmetric_2x2())
         assert main(["sweep", problem_path, "--lambdas", "1.0", "--jobs", "0"]) == 1
         assert "--jobs" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Documents holding the wrong kind of value exit 1 with one error line."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, problem_file):
+        solved = tmp_path / "solved"
+        assert main(["solve", problem_file, "--output-dir", str(solved)]) == 0
+        problem = problem_to_dict(make_symmetric_2x2())
+        solution = json.loads((solved / "solution.json").read_text())
+        documents = {
+            "utility_x": dict(problem, utility=[["x", 0.0], [0.0, 1.0]]),
+            "lambda_cheap": dict(problem, **{"lambda": "cheap"}),
+            "lambda_subnormal": dict(problem, **{"lambda": 1e-310}),
+            "bare_list": [problem],
+            "marginal_strings": dict(solution, marginal=["a", "b"]),
+            "potentials_list": dict(solution, potentials=[0.0, 0.0]),
+            "nu_strings": ["a", "b"],
+            "nu_dict": {"marginal": {"x": 1}},
+        }
+        paths = {"problem": problem_file, "solution": str(solved / "solution.json")}
+        for name, document in documents.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            paths[name] = str(path)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "utility_x"],
+            ["solve", "lambda_cheap"],
+            ["solve", "lambda_subnormal"],
+            ["solve", "bare_list"],
+            ["sweep", "lambda_cheap", "--lambdas", "1"],
+            ["sweep", "bare_list", "--lambdas", "1"],
+            ["sweep", "problem", "--lambdas", "1,1e-320"],
+            ["diagnose", "utility_x", "solution"],
+            ["diagnose", "problem", "marginal_strings"],
+            ["diagnose", "problem", "potentials_list"],
+            ["bridge", "bare_list", "nu_strings"],
+            ["bridge", "problem", "nu_strings"],
+            ["bridge", "problem", "nu_dict"],
+        ],
+    )
+    def test_exits_one_without_traceback(self, tmp_path, paths, capsys, argv):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([paths.get(arg, arg) for arg in argv] + ["--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestParser:

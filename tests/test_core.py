@@ -69,6 +69,16 @@ class TestValidate:
         p = bh.Problem(("a",), ("s", "t"), u, 1.0, np.array([0.5, 0.5]))
         assert "NonFiniteUtility" in _issue_codes(p)
 
+    @pytest.mark.parametrize("lam", [1e-310, 1e-320])
+    def test_lambda_too_small_for_utility(self, lam):
+        # finite and positive, but u / lam overflows
+        p = bh.Problem(("a",), ("s", "t"), np.array([[1.0, 0.0]]), lam, np.array([0.5, 0.5]))
+        assert _issue_codes(p) == {"LambdaTooSmall"}
+
+    def test_tiny_lambda_with_finite_kernel_is_ok(self):
+        p = bh.Problem(("a",), ("s", "t"), np.array([[1e-300, 0.0]]), 1e-300, np.array([0.5, 0.5]))
+        assert validate(p) == []
+
     def test_empty_action_set(self):
         p = bh.Problem((), ("s",), np.zeros((0, 1)), 1.0, np.array([1.0]))
         assert "EmptyActionSet" in _issue_codes(p)

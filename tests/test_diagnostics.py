@@ -31,39 +31,39 @@ SINKHORN = bh.SinkhornConfig(tolerance=1e-12)
 
 class TestPlateauCheck:
     def test_constant_vector_passes(self):
-        res = plateau_check(np.full(4, 2.5), np.full(4, 0.25), tol=1e-7)
+        res = plateau_check(np.full(4, 2.5), np.full(4, 0.25))
         assert res.passed
         assert res.max_violation == 0.0
         assert res.level == 2.5
 
     def test_off_support_dip_allowed(self):
-        res = plateau_check([0.0, -1.0], [1.0, 0.0], tol=1e-7)
+        res = plateau_check([0.0, -1.0], [1.0, 0.0])
         assert res.passed
         assert res.level == 0.0
 
     def test_off_support_exceedance_fails_with_witness(self):
-        res = plateau_check([0.0, 0.1], [1.0, 0.0], tol=1e-7)
+        res = plateau_check([0.0, 0.1], [1.0, 0.0])
         assert not res.passed
         assert res.witness == 1
         assert_allclose(res.max_violation, 0.1)
 
     def test_support_deviation_fails_both_directions(self):
-        res = plateau_check([0.0, -5e-7, -1.0], [0.5, 0.5, 0.0], tol=1e-7)
+        res = plateau_check([0.0, -5e-7, -1.0], [0.5, 0.5, 0.0])
         assert not res.passed
         assert res.witness == 1
         assert_allclose(res.max_violation, 5e-7)
 
     def test_tolerance_is_inclusive_boundary(self):
-        res = plateau_check([0.0, 1e-7], [1.0, 0.0], tol=1e-7)
+        res = plateau_check([0.0, 1e-7], [1.0, 0.0])
         assert res.passed
 
     def test_empty_support_rejected(self):
         with pytest.raises(bh.InvalidInput):
-            plateau_check([0.0, 0.0], [0.0, 0.0], tol=1e-7)
+            plateau_check([0.0, 0.0], [0.0, 0.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(bh.InvalidInput):
-            plateau_check([0.0, 0.0, 0.0], [1.0, 0.0], tol=1e-7)
+            plateau_check([0.0, 0.0, 0.0], [1.0, 0.0])
 
 
 class TestEnvelopeDerivatives:

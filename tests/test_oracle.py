@@ -58,22 +58,23 @@ class TestLatticeBlocks:
 
 
 def _tuple_grid_search(problem):
-    """grid_search_f's scan fed from simplex_lattice tuples, _BATCH_ROWS at a time."""
+    """grid_search_f's scan fed from simplex_lattice tuples, _BATCH_ROWS at a time,
+    returning the least concavity bound without its rounding allowance."""
     m = problem.num_actions
     denom = 1000 if m == 2 else 100
     gain, shift = shifted_gain(problem)
-    best_f, best_point, max_osc, count = -np.inf, None, 0.0, 0
+    best_f, best_point, least_bound, count = -np.inf, None, np.inf, 0
     points = simplex_lattice(m, denom)
     while batch := list(itertools.islice(points, _BATCH_ROWS)):
         z = (np.array(batch, dtype=np.float64) / denom) @ gain
         f_vals = (np.log(z) + shift[None, :]) @ problem.prior
-        grad = gain @ (problem.prior / z).T
-        max_osc = max(max_osc, float((grad.max(axis=0) - grad.min(axis=0)).max()))
+        bounds = f_vals + (gain @ (problem.prior / z).T).max(axis=0) - 1.0
+        least_bound = min(least_bound, float(bounds[np.isfinite(bounds)].min(initial=np.inf)))
         idx = int(np.argmax(f_vals))
         if f_vals[idx] > best_f:
             best_f, best_point = float(f_vals[idx]), batch[idx]
         count += len(batch)
-    return best_f, np.array(best_point, dtype=np.float64) / denom, max_osc * m / 4.0, count
+    return best_f, np.array(best_point, dtype=np.float64) / denom, least_bound, count
 
 
 class TestGridSpec:
@@ -126,25 +127,74 @@ class TestGridSearchF:
             res = bh.grid_search_f(p, resolution=0.02)
             assert solution.f_value >= res.f_best - 1e-10
             assert solution.f_value <= res.upper_bound + 1e-10
-            assert res.margin == res.lipschitz_bound * res.resolution
+            # the Lipschitz margin these instances used to get was 5.9e-3 to 9.2e-3
+            assert res.margin <= 2e-4
 
     def test_bit_identical_to_tuple_scan(self, suite):
         problems = [p for p in suite if p.num_actions <= 4]
         assert problems
         for problem in problems:
             result = bh.grid_search_f(problem)
-            f_best, marginal, lipschitz, count = _tuple_grid_search(problem)
+            f_best, marginal, least_bound, count = _tuple_grid_search(problem)
             assert float.hex(result.f_best) == float.hex(f_best)
             assert result.marginal.weights.tobytes() == marginal.tobytes()
-            assert float.hex(result.lipschitz_bound) == float.hex(lipschitz)
+            scale = 1.0 + float(np.abs(problem.utility / problem.lam).max())
+            allowance = float(8.0 * np.finfo(np.float64).eps * sum(problem.utility.shape) * scale)
+            assert float.hex(result.upper_bound) == float.hex(least_bound + allowance)
             assert result.points_evaluated == count
 
-    def test_margin_shrinks_with_resolution(self):
+    def test_nested_lattice_never_loosens_the_bracket(self):
+        # the optimum is a vertex, so at every pitch the margin is the
+        # rounding allowance alone
         p = bh.random_problem(8, 2, 3, lam=0.5)
         coarse = bh.grid_search_f(p, resolution=0.1)
         fine = bh.grid_search_f(p, resolution=0.01)
-        assert fine.f_best >= coarse.f_best - 1e-12
-        assert fine.margin < coarse.margin
+        assert fine.f_best >= coarse.f_best
+        assert fine.upper_bound <= coarse.upper_bound
+        assert fine.margin <= coarse.margin < 1e-12
+
+    def test_margin_shrinks_with_resolution(self):
+        p = bh.random_problem(1, 3, 6, lam=1.0)
+        coarse = bh.grid_search_f(p, resolution=0.1)
+        fine = bh.grid_search_f(p, resolution=0.01)
+        assert fine.f_best >= coarse.f_best
+        assert fine.margin < coarse.margin / 10.0
+
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.1])
+    def test_bracket_stays_tight_at_small_lambda(self, lam):
+        p = bh.random_problem(1, 3, 6, lam)
+        res = bh.grid_search_f(p)
+        assert res.margin <= 2e-3
+        assert res.f_best <= bh.solve(p, TIGHT).f_value <= res.upper_bound
+
+    def test_bound_skips_points_where_z_underflows(self):
+        # at lam = 1e-3 the vertices' partition functions underflow to zero
+        p = bh.random_problem(1, 3, 6, lam=1e-3)
+        res = bh.grid_search_f(p, resolution=0.1)
+        assert np.isfinite(res.upper_bound)
+        assert res.f_best <= bh.solve(p, TIGHT).f_value <= res.upper_bound
+
+    def test_no_finite_bound_gives_infinity(self):
+        # pitch 0.5 with three actions leaves no interior lattice point, and
+        # off the diagonal the gain is exp(-740), subnormal: every point has
+        # a state whose z is so small that prior / z overflows
+        u = np.eye(3) * 0.74 - 0.74
+        p = bh.Problem(("a", "b", "c"), ("x", "y", "z"), u, 1e-3, np.full(3, 1.0 / 3.0))
+        res = bh.grid_search_f(p, resolution=0.5)
+        assert res.points_evaluated == 6
+        assert np.isfinite(res.f_best)
+        assert res.upper_bound == np.inf
+
+
+def test_suite_check_holds_on_every_small_instance(solved_suite):
+    """The benchmark's suite check: |f - f_best| <= margin for m <= 4."""
+    checked = 0
+    for problem, solution in solved_suite:
+        if problem.num_actions <= 4:
+            grid = bh.grid_search_f(problem)
+            assert abs(solution.f_value - grid.f_best) <= grid.margin
+            checked += 1
+    assert checked == 6
 
 
 class TestExhaustiveMi:

@@ -225,6 +225,22 @@ class TestSolve:
         assert len(partial.marginal) == 6
         assert np.isfinite(partial.f_value)
 
+    def test_failed_final_inner_solve_raises_with_solution(self):
+        # the bridge at a solved marginal settles in one sweep, near 5e-17
+        p = bh.random_problem(3, 6, 6, lam=1.0)
+        cfg = bh.SolverConfig(
+            foc_tolerance=1e-9,
+            sinkhorn=bh.SinkhornConfig(tolerance=1e-17, max_iterations=2),
+        )
+        with pytest.raises(bh.SolverNotConverged, match="final inner solve") as exc:
+            bh.solve(p, cfg)
+        partial = exc.value.solution
+        assert not partial.converged
+        # the outer loop itself reached the plateau; only the bridge fell short
+        assert partial.foc_residuals.max() <= 1e-9
+        assert partial.coupling.joint.shape == (6, 6)
+        assert partial.f_value == bh.solve(p, TIGHT).f_value
+
     def test_plateau_holds_at_reported_solution(self, solved_suite):
         for problem, solution in solved_suite:
             r = solution.foc_residuals
