@@ -15,7 +15,10 @@ system
 Alternating the two updates is Sinkhorn matrix scaling.  It always runs in
 the log domain, where each half-update is one log-sum-exp, overflow-safe for
 any lam.  Convergence is measured as the worst sup-norm violation of the two
-marginal constraints by the implied coupling.
+marginal constraints by the implied unit-mass coupling.  Past the first
+sweep, that coupling is built only when a cheap bound read off the next
+b-update says it can pass, or on the last sweep; the bound never stops a
+sweep, so every output equals that of measuring each sweep.
 
 Actions with nu(alpha) = 0 are excluded before iterating and reinserted as
 zero coupling rows afterwards; their action potential is defined by reading
@@ -36,10 +39,10 @@ from .core import (
     InvalidInput,
     Potentials,
     Problem,
+    _logsumexp_kernel,
     action_equation,
     check_marginal,
     gibbs_kernel,
-    logsumexp,
     weighted_logsumexp,
 )
 
@@ -157,27 +160,45 @@ def sinkhorn_bridge(
 
 
 def _sweep_log(ks, ws, prior, a, cfg):
-    """Log-domain sweeps; returns support-sized pieces plus loop telemetry."""
+    """Log-domain sweeps; returns support-sized pieces plus loop telemetry.
+
+    Sweep k updates b, then a, and stops at the first ``_marginal_residual``
+    within tolerance or at the budget's end.  After the a-update the
+    coupling's rows are nu and its mass 1 up to rounding, so its residual is
+    max|prior * expm1(b_next - b)|, b_next being the next b-update.  After
+    sweep 1 (where warm starts at a solved nu stop), the coupling is built
+    only when that cheap value is within ``gate``, or on the last sweep; it
+    never stops a sweep, and the gate's slack keeps it from delaying one.
+    """
+    log_prior = np.log(prior)
     row_part = ks + np.log(ws)[:, None]       # log nu + u/lam
-    col_part = ks + np.log(prior)[None, :]    # log prior + u/lam
-    b = np.zeros(ks.shape[1])
-    converged = False
-    iterations = 0
-    residual = np.inf
-    coupling = None
-    mass = np.nan
-    for iterations in range(1, cfg.max_iterations + 1):
-        b = logsumexp(row_part - a[:, None], axis=0)
-        a = logsumexp(col_part - b[None, :], axis=1)
-        log_coupling = row_part - a[:, None] + (np.log(prior) - b)[None, :]
-        raw = np.exp(log_coupling)
-        mass = float(raw.sum())
-        coupling = raw / mass
-        residual = _marginal_residual(coupling, ws, prior)
-        if residual <= cfg.tolerance:
-            converged = True
-            break
-    return a, b, coupling, mass, iterations, residual, converged
+    col_part = ks + log_prior[None, :]        # log prior + u/lam
+    a = a[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = _logsumexp_kernel(row_part - a, axis=0)
+        for iterations in range(1, cfg.max_iterations + 1):
+            a = _logsumexp_kernel(col_part - b, axis=1)
+            rows = row_part - a
+            if 1 < iterations < cfg.max_iterations:
+                if iterations == 2:
+                    # Cheap and exact residuals round differently, on exponents
+                    # up to |b| + osc(u/lam) and sums of m + n terms; on 600
+                    # random instances (lam 1e-4 to 1e4) they differed by under
+                    # eps/4 times that.  4 tol costs a few exact residuals.
+                    scale = sum(ks.shape) + float(np.abs(b).max()) + float(ks.max() - ks.min())
+                    gate = 4.0 * cfg.tolerance + 8.0 * np.finfo(float).eps * scale
+                b_next = _logsumexp_kernel(rows, axis=0)
+                if np.abs(prior * np.expm1(b_next - b)).max() > gate:  # NaN: measure
+                    b = b_next
+                    continue
+            raw = np.exp(rows + (log_prior - b))
+            mass = float(raw.sum())
+            coupling = raw / mass
+            residual = _marginal_residual(coupling, ws, prior)
+            if residual <= cfg.tolerance or iterations == cfg.max_iterations:
+                break
+            b = b_next if iterations > 1 else _logsumexp_kernel(rows, axis=0)
+    return a[:, 0], b[0], coupling, mass, iterations, residual, residual <= cfg.tolerance
 
 
 def _marginal_residual(coupling, ws, prior) -> float:

@@ -71,6 +71,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _solution_files(problem: Problem, solution, out: Path, stem: str = "solution") -> list[Path]:
     files = [save_solution(problem, solution, out / f"{stem}.json")]
+    with np.errstate(divide="ignore"):  # a dead action (residual -1) has potential -inf
+        action_potentials = [float(np.log1p(r)) for r in solution.foc_residuals]
     files.append(
         write_csv(
             out / f"{stem}_actions.csv",
@@ -80,7 +82,7 @@ def _solution_files(problem: Problem, solution, out: Path, stem: str = "solution
                     i,
                     problem.actions[i],
                     solution.marginal.weights[i],
-                    float(np.log1p(solution.foc_residuals[i])),
+                    action_potentials[i],
                     solution.foc_residuals[i],
                     i in solution.consideration_set,
                 ]

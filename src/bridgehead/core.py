@@ -332,11 +332,8 @@ def logsumexp(a, axis: int | None = None):
     """log(sum(exp(a))) over ``axis`` (None: every entry), overflow-safe.
 
     The arithmetic of scipy.special.logsumexp (SciPy 1.17) on float64 input,
-    bit for bit: the entries equal to the maximum are counted (m) and taken
-    out of the shifted sum s, and the result is log1p(s / m) + log(m) + max.
-    Only where that is not finite (an all -inf slice, +inf or NaN entries)
-    does the direct log(sum(exp(a))) stand in.  An empty sum is -inf.
-    Reduced axes are squeezed and a 0-d result comes back as a NumPy scalar.
+    bit for bit; see ``_logsumexp_kernel``.  An empty sum is -inf.  Reduced
+    axes are squeezed and a 0-d result comes back as a NumPy scalar.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axis = tuple(range(a.ndim)) if axis is None else axis
@@ -344,22 +341,34 @@ def logsumexp(a, axis: int | None = None):
         out = np.full_like(a.sum(axis=axis, keepdims=True), -np.inf)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            a_max = a.max(axis=axis, keepdims=True)
-            at_max = a == a_max
-            m = at_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
-            shifted = np.where(at_max, -np.inf, a)
-            np.subtract(shifted, a_max, out=shifted)
-            np.exp(shifted, out=shifted)
-            s = shifted.sum(axis=axis, keepdims=True)
-            s = np.where(s == 0, s, s / m)
-            out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
-            out = np.where(finite, out, direct)
+            out = _logsumexp_kernel(a, axis)
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def _logsumexp_kernel(a: np.ndarray, axis) -> np.ndarray:
+    """``logsumexp`` of a nonempty float64 array, reduced axes kept.
+
+    log1p(s / m) + log(m) + max, where m counts the entries at the max and s
+    sums exp(a - max) over the others (SciPy's s == 0 guard is moot: m = 0
+    only at a NaN max, where s is NaN).  The direct log(sum(exp(a))) stands
+    in where that is not finite.  The caller holds np.errstate(divide=
+    "ignore", invalid="ignore"), so a hot loop enters it once.
+    """
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = np.add.reduce(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+    shifted = np.where(at_max, -np.inf, a)
+    np.subtract(shifted, a_max, out=shifted)
+    np.exp(shifted, out=shifted)
+    s = np.add.reduce(shifted, axis=axis, keepdims=True)
+    out = np.log1p(s / m) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        with np.errstate(over="ignore"):
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+        out = np.where(finite, out, direct)
+    return out
 
 
 def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:

@@ -155,7 +155,8 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     upper_bound is the least of these over the lattice plus a rounding
     allowance that depends on the problem alone, 8 eps (m + n) (1 + max|u/lam|).
     Points where the bound is not finite (Z underflows at tiny lam) are
-    skipped; if none is left, upper_bound is +inf.
+    skipped; if none is left, upper_bound is +inf.  If f itself is -inf at
+    every lattice point, InvalidInput is raised.
     """
     m = problem.num_actions
     if m > _MAX_ACTIONS:
@@ -191,7 +192,11 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
             best_point = pts[idx]
         count += len(block)
 
-    assert best_point is not None
+    if best_point is None:
+        raise InvalidInput(
+            "the envelope f is -inf at every lattice point: each point leaves a state "
+            "whose partition function underflows to 0; use a finer resolution or a larger lam"
+        )
     return GridSearchResult(
         marginal=ActionMarginal(best_point),
         f_best=best_f,

@@ -1,17 +1,24 @@
 """Inner problem: Sinkhorn scaling, potentials, duality, certificates."""
 
+import hashlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
+from bridgehead import bridge
 from bridgehead.bridge import (
     BridgeNotConverged,
     PotentialsInconsistent,
     additive_separability_gap,
     coupling_from_potentials,
 )
-from bridgehead.core import Potentials
+from bridgehead.core import Potentials, logsumexp
 
 TIGHT = bh.SinkhornConfig(tolerance=1e-12)
 
@@ -225,3 +232,130 @@ class TestAdditiveSeparability:
         nu = bh.ActionMarginal(np.full(5, 0.2))
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
         assert additive_separability_gap(res, nu, p.prior) <= 1e-8
+
+
+def reference_sweep_log(ks, ws, prior, a, cfg):
+    """The plain per-sweep loop: every sweep builds the coupling and measures
+    the exact residual.  ``bridge._sweep_log`` must return the same bytes."""
+    row_part = ks + np.log(ws)[:, None]
+    col_part = ks + np.log(prior)[None, :]
+    for iterations in range(1, cfg.max_iterations + 1):
+        b = logsumexp(row_part - a[:, None], axis=0)
+        a = logsumexp(col_part - b[None, :], axis=1)
+        raw = np.exp(row_part - a[:, None] + (np.log(prior) - b)[None, :])
+        mass = float(raw.sum())
+        coupling = raw / mass
+        residual = max(
+            float(np.abs(coupling.sum(axis=1) - ws).max()),
+            float(np.abs(coupling.sum(axis=0) - prior).max()),
+        )
+        if residual <= cfg.tolerance:
+            break
+    return a, b, coupling, mass, iterations, residual, residual <= cfg.tolerance
+
+
+def _bridge(problem, nu, cfg):
+    """(result, converged), the result of an exhausted budget included."""
+    try:
+        return bh.sinkhorn_bridge(problem, nu, cfg), True
+    except BridgeNotConverged as err:
+        return err.result, False
+
+
+def _bridge_bytes(problem, nu, cfg):
+    """Every returned field of sinkhorn_bridge, floats by float.hex."""
+    res, converged = _bridge(problem, nu, cfg)
+    arrays = (res.coupling.joint, res.potentials.action, res.potentials.state)
+    return (
+        converged,
+        res.iterations,
+        *(float(x).hex() for x in (res.residual, res.value_primal, res.value_dual)),
+        *(tuple(float(v).hex() for v in arr.ravel()) for arr in arrays),
+    )
+
+
+@st.composite
+def bridge_instances(draw):
+    m = draw(st.integers(1, 29))
+    n = draw(st.integers(1, 29))
+    lam = math.exp(draw(st.floats(math.log(5e-3), math.log(1e4))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    weights = np.array(
+        draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    )
+    if not weights.any():
+        weights[draw(st.integers(0, m - 1))] = 1.0
+    return bh.random_problem(seed, m, n, lam=lam), bh.ActionMarginal(weights / weights.sum())
+
+
+class TestLeanSweep:
+    """The sweep loop skips the coupling while the residual cannot pass;
+    that must change no returned byte against the plain loop."""
+
+    def _assert_matches_reference(self, instance, cfg):
+        problem, nu = instance
+        lean = _bridge_bytes(problem, nu, cfg)
+        with mock.patch.object(bridge, "_sweep_log", reference_sweep_log):
+            plain = _bridge_bytes(problem, nu, cfg)
+        assert lean == plain
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        bridge_instances(),
+        st.sampled_from([1, 2, 7]),
+        st.sampled_from([1e-16, 1e-15, 1e-14, 1e-12]),
+    )
+    def test_short_budgets_match_plain_loop(self, instance, budget, tolerance):
+        cfg = bh.SinkhornConfig(tolerance=tolerance, max_iterations=budget)
+        self._assert_matches_reference(instance, cfg)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bridge_instances())
+    def test_converged_runs_match_plain_loop(self, instance):
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
+        self._assert_matches_reference(instance, cfg)
+
+
+def _golden_problem(case):
+    if case == "zeros":
+        nu = bh.ActionMarginal(np.array([0.4, 0.0, 0.35, 0.0, 0.25]))
+        return bh.random_problem(5, 5, 4, lam=0.3), nu, TIGHT
+    if case == "exhausted":
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=7)
+        return bh.random_problem(8, 6, 6, lam=0.01), bh.ActionMarginal.uniform(6), cfg
+    if case == "200x50":
+        return bh.random_problem(200, 200, 50, lam=1.0), bh.ActionMarginal.uniform(200), TIGHT
+    lam = float(case.split("=")[1])
+    return bh.random_problem(6, 6, 6, lam=lam), bh.ActionMarginal.uniform(6), TIGHT
+
+
+# Recorded from the plain per-sweep loop (NumPy 2.4, x86-64): iterations,
+# float.hex of residual, value_primal and value_dual, sha256 of the coupling.
+GOLDEN = {
+    "6x6 lam=0.01": (483, "0x1.0dd0000000000p-40", "0x1.41b316b242db7p+6", "0x1.41b316b242913p+6",
+                     "9af211f30428a3958a84983b4c2bf06028f7b9f7676c2240657f583d9315563f"),
+    "6x6 lam=1": (7, "0x1.0d44000000000p-41", "0x1.124450e86e098p-1", "0x1.124450e86df70p-1",
+                  "819b69e2084ff20c82d92388235d0cf31dd5042b9ab5c218155d1d8af7ef229f"),
+    "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",
+                    "367606b7bf05be452714322fa059aebd1cba77c30749028be28c6f21ebf04666"),
+    "200x50": (4, "0x1.d620800000000p-41", "0x1.133c14a5b6009p-1", "0x1.133c14a5b61b4p-1",
+               "ebc923afcc8c09fa2dd4d5f953346a836743ea15185f5bbf66867f1e2a1073da"),
+    "zeros": (17, "0x1.aad0000000000p-42", "0x1.f865302b7fa0bp+0", "0x1.f865302b7f68ep+0",
+              "f7d4fd75906f9eec741d8bf30384e80d90a630102c5210c618715defa82dc27a"),
+    "exhausted": (7, "0x1.6f0d6a704103ap-3", "0x1.00c1bedd48bd3p+6", "0x1.18b089adb94c8p+6",
+                  "a1ebf1d6bad64506cd4425117fb1440a06f2cf9bf83ffb46644f683ec6a09e9e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_pins(case):
+    res, converged = _bridge(*_golden_problem(case))
+    assert converged == (case != "exhausted")
+    got = (
+        res.iterations,
+        float(res.residual).hex(),
+        float(res.value_primal).hex(),
+        float(res.value_dual).hex(),
+        hashlib.sha256(res.coupling.joint.tobytes()).hexdigest(),
+    )
+    assert got == GOLDEN[case]

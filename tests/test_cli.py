@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, output files, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestSolveCommand:
             assert (out / name).exists(), name
         assert json.loads((out / "solution.json").read_text())["converged"] is False
         assert "final inner solve" in capsys.readouterr().err
+
+    def test_dead_action_writes_minus_inf_without_warning(self, tmp_path, capsys):
+        # at lam = 1e-300 the sixth action dies: its residual is exactly -1
+        path = write_problem(tmp_path / "p.json", bh.random_problem(3, 6, 6, 1e-300))
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", path, "--output-dir", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        last = (out / "solution_actions.csv").read_text().splitlines()[-1]
+        assert last.split(",")[3:5] == ["-inf", "-1.0"]
 
     def test_random_init_flag(self, tmp_path, problem_file):
         out = tmp_path / "run"

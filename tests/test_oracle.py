@@ -185,6 +185,13 @@ class TestGridSearchF:
         assert np.isfinite(res.f_best)
         assert res.upper_bound == np.inf
 
+    def test_minus_inf_everywhere_rejected(self):
+        # off the diagonal the gain is exp(-1000) = 0, and every pitch-0.5
+        # point gives some state no weight on the action that pays in it
+        p = bh.Problem(("a", "b", "c"), ("x", "y", "z"), np.eye(3) - 1, 1e-3, np.full(3, 1.0 / 3.0))
+        with pytest.raises(bh.InvalidInput, match="-inf at every lattice point"):
+            bh.grid_search_f(p, resolution=0.5)
+
 
 def test_suite_check_holds_on_every_small_instance(solved_suite):
     """The benchmark's suite check: |f - f_best| <= margin for m <= 4."""
