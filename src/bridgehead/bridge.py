@@ -15,10 +15,9 @@ system
 Alternating the two updates is Sinkhorn matrix scaling.  It always runs in
 the log domain, where each half-update is one log-sum-exp, overflow-safe for
 any lam.  Convergence is measured as the worst sup-norm violation of the two
-marginal constraints by the implied unit-mass coupling.  Past the first
-sweep, that coupling is built only when a cheap bound read off the next
-b-update says it can pass, or on the last sweep; the bound never stops a
-sweep, so every output equals that of measuring each sweep.
+marginal constraints by the implied unit-mass coupling, which past the first
+sweep is built only when a cheap bound says the residual can pass (see
+``_sweep_log``), so no output depends on the bound.
 
 Actions with nu(alpha) = 0 are excluded before iterating and reinserted as
 zero coupling rows afterwards; their action potential is defined by reading
@@ -163,12 +162,13 @@ def _sweep_log(ks, ws, prior, a, cfg):
     """Log-domain sweeps; returns support-sized pieces plus loop telemetry.
 
     Sweep k updates b, then a, and stops at the first ``_marginal_residual``
-    within tolerance or at the budget's end.  After the a-update the
-    coupling's rows are nu and its mass 1 up to rounding, so its residual is
-    max|prior * expm1(b_next - b)|, b_next being the next b-update.  After
-    sweep 1 (where warm starts at a solved nu stop), the coupling is built
-    only when that cheap value is within ``gate``, or on the last sweep; it
-    never stops a sweep, and the gate's slack keeps it from delaying one.
+    within tolerance or at the budget's end.  After the a-update the raw
+    coupling has rows nu, mass W = sum(nu) and columns prior * exp(b_next - b),
+    b_next being the next b-update.  So each column of the unit-mass coupling
+    misses prior by at least c - |1 - W|, c = max|prior * expm1(b_next - b)|.
+    After sweep 1 (where warm starts at a solved nu stop), the coupling is
+    built only when c is within ``gate`` (4 tol plus |1 - W| and rounding) or
+    on the last sweep, so c neither stops a sweep nor delays a stop.
     """
     log_prior = np.log(prior)
     row_part = ks + np.log(ws)[:, None]       # log nu + u/lam
@@ -181,12 +181,12 @@ def _sweep_log(ks, ws, prior, a, cfg):
             rows = row_part - a
             if 1 < iterations < cfg.max_iterations:
                 if iterations == 2:
-                    # Cheap and exact residuals round differently, on exponents
-                    # up to |b| + osc(u/lam) and sums of m + n terms; on 600
-                    # random instances (lam 1e-4 to 1e4) they differed by under
-                    # eps/4 times that.  4 tol costs a few exact residuals.
+                    # Cheap and exact residuals round apart on exponents up to
+                    # |b| + osc(u/lam) and sums of m + n terms, by under eps/4 times
+                    # that on 600 instances, lam 1e-4 to 1e4.  4 tol costs a few exact residuals.
                     scale = sum(ks.shape) + float(np.abs(b).max()) + float(ks.max() - ks.min())
-                    gate = 4.0 * cfg.tolerance + 8.0 * np.finfo(float).eps * scale
+                    gate = 4.0 * cfg.tolerance + abs(1.0 - float(ws.sum()))
+                    gate += 8.0 * np.finfo(float).eps * scale
                 b_next = _logsumexp_kernel(rows, axis=0)
                 if np.abs(prior * np.expm1(b_next - b)).max() > gate:  # NaN: measure
                     b = b_next
