@@ -63,6 +63,17 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     )
 
 
+def _manifest(
+    args: argparse.Namespace, out: Path, files: list[Path], start: float, **extra
+) -> None:
+    """Write the run's manifest, recording every subcommand flag plus ``extra``."""
+    skip = ("command", "problem", "output_dir", "func")
+    arguments = {k: v for k, v in vars(args).items() if k not in skip}
+    arguments.update(extra)
+    elapsed = time.perf_counter() - start
+    write_manifest(out, args.command, args.problem, arguments, files, elapsed)
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,20 +132,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     files = _solution_files(problem, solution, out)
-    write_manifest(
-        out,
-        "solve",
-        args.problem,
-        {
-            "tolerance": args.tolerance,
-            "max_iters": args.max_iters,
-            "foc_tolerance": args.foc_tolerance,
-            "seed": args.seed,
-            "init": args.init,
-        },
-        files,
-        time.perf_counter() - start,
-    )
+    _manifest(args, out, files, start)
     labels = ", ".join(problem.actions[i] for i in solution.consideration_set)
     print(f"f_value: {solution.f_value!r}")
     print(f"iterations: {solution.iterations}")
@@ -169,14 +167,7 @@ def cmd_bridge(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     files = [save_bridge(result, out / "bridge.json")]
-    write_manifest(
-        out,
-        "bridge",
-        args.problem,
-        {"marginal": args.marginal, "tolerance": args.tolerance, "max_iters": args.max_iters},
-        files,
-        time.perf_counter() - start,
-    )
+    _manifest(args, out, files, start)
     print(f"value_primal: {result.value_primal!r}")
     print(f"value_dual: {result.value_dual!r}")
     print(f"duality_gap: {result.duality_gap!r}")
@@ -209,14 +200,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             report_rows(report),
         )
     )
-    write_manifest(
-        out,
-        "diagnose",
-        args.problem,
-        {"solution": args.solution, "seed": args.seed},
-        files,
-        time.perf_counter() - start,
-    )
+    _manifest(args, out, files, start)
     for check in report:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.max_violation:.3e} (tolerance {check.tolerance:.0e})")
@@ -282,23 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    write_manifest(
-        out,
-        "sweep",
-        args.problem,
-        {
-            "lambdas": args.lambdas,
-            "jobs": args.jobs,
-            "tolerance": args.tolerance,
-            "max_iters": args.max_iters,
-            "foc_tolerance": args.foc_tolerance,
-            "seed": args.seed,
-            "init": args.init,
-            "failures": failures,
-        },
-        files,
-        time.perf_counter() - start,
-    )
+    _manifest(args, out, files, start, failures=failures)
     print(f"swept {len(lambdas)} lambda values, {len(failures)} failures")
     print(f"wrote: {out / 'summary.csv'}")
     return EXIT_OK if not failures else EXIT_NOT_CONVERGED

@@ -396,11 +396,14 @@ def action_equation(kernel: np.ndarray, prior: np.ndarray, state: np.ndarray) ->
     return logsumexp(kernel + np.log(prior)[None, :] - state[None, :], axis=1)
 
 
-def plateau_violation(residuals: np.ndarray, weights: np.ndarray) -> float:
-    """Worst plateau defect: |r| on the support (mass above SUPPORT_THRESHOLD), r off it."""
-    sup = weights > SUPPORT_THRESHOLD
-    on_support = float(np.abs(residuals[sup]).max()) if np.any(sup) else 0.0
-    return max(on_support, float(residuals.max()))
+def plateau_defect(residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-action plateau defect: |r| on the support (mass above SUPPORT_THRESHOLD), r off it.
+
+    Its max is the violation that ``solve`` stops on and ``kt_plateau``
+    reports, and its argmax names the worst action.  Weights that sum to 1
+    always leave the support nonempty.
+    """
+    return np.where(weights > SUPPORT_THRESHOLD, np.abs(residuals), residuals)
 
 
 def mutual_information(coupling: Coupling) -> float:

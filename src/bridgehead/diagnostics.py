@@ -23,7 +23,6 @@ from .bridge import (
     sinkhorn_bridge,
 )
 from .core import (
-    SUPPORT_THRESHOLD,
     ActionMarginal,
     BridgeheadError,
     InvalidInput,
@@ -31,14 +30,13 @@ from .core import (
     check_marginal,
     gibbs_kernel,
     logsumexp,
-    plateau_violation,
+    plateau_defect,
     ri_objective,
     shifted_gain,
     weighted_logsumexp,
 )
 from .solver import (
     Solution,
-    action_potential,
     foc_residuals,
     log_partition,
     logit_policy,
@@ -47,10 +45,8 @@ from .solver import (
 __all__ = [
     "CheckResult",
     "DiagnosticReport",
-    "PlateauResult",
     "BeliefFeasibility",
     "PosteriorNotNormalizable",
-    "plateau_check",
     "envelope_raw",
     "gateaux_f",
     "gateaux_value_direction",
@@ -66,7 +62,7 @@ __all__ = [
 ]
 
 
-_PLATEAU_TOL = 1e-7        # plateau_check, kt_plateau and gibbs_plateau
+_PLATEAU_TOL = 1e-7        # kt_plateau and gibbs_plateau
 _ILR_TOL = 1e-7            # ilr_check
 _FEASIBILITY_TOL = 1e-8    # sup-norm residual of belief_feasibility
 _CUMULANT_STEP = 1e-4      # beta-step of the cumulant differences
@@ -113,44 +109,6 @@ def _result(name: str, violation: float, tolerance: float, details: str = "") ->
     violation = float(violation)
     ok = bool(np.isfinite(violation) and violation <= tolerance)
     return CheckResult(name, violation, float(tolerance), ok, details)
-
-
-# ---------------------------------------------------------------------------
-# Plateau primitive
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlateauResult:
-    """Outcome of a weighted plateau test with the worst offender named."""
-
-    passed: bool
-    witness: int
-    max_violation: float
-    level: float
-
-
-def plateau_check(values, weights) -> PlateauResult:
-    """Check that ``values`` is a plateau of the measure ``weights``.
-
-    Passes iff values <= level + 1e-7 everywhere and |values - level| <= 1e-7
-    on the support, where level is the maximum of values over entries whose
-    weight exceeds ``SUPPORT_THRESHOLD``.  The witness indexes the worst
-    violation (the argmax of the violation profile, 0 on a clean pass).
-    """
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if v.shape != w.shape or v.ndim != 1:
-        raise InvalidInput("values and weights must be vectors of equal length")
-    sup = w > SUPPORT_THRESHOLD
-    if not np.any(sup):
-        raise InvalidInput("weights carry no support above threshold")
-    level = float(v[sup].max())
-    violation = np.maximum(v - level, 0.0)
-    violation[sup] = np.abs(v[sup] - level)
-    witness = int(np.argmax(violation))
-    worst = float(violation[witness])
-    return PlateauResult(worst <= _PLATEAU_TOL, witness, worst, level)
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +522,9 @@ def run_diagnostics(
     except BridgeheadError as err:
         checks.append(CheckResult("coupling_consistency", np.inf, 1e-8, False, str(err)))
 
-    residuals = foc_residuals(problem, nu)
-    candidate = action_potential(problem, nu)
-    kt_violation = plateau_violation(residuals, weights)
-    signs_agree = bool(np.all(np.sign(candidate) == np.sign(residuals)))
-    witness = plateau_check(residuals, weights).witness
-    checks.append(
-        _result(
-            "kt_plateau",
-            kt_violation,
-            _PLATEAU_TOL,
-            f"signs_agree={signs_agree}, worst_index={witness}",
-        )
-    )
+    defect = plateau_defect(foc_residuals(problem, nu), weights)
+    witness = int(np.argmax(defect))
+    checks.append(_result("kt_plateau", defect[witness], _PLATEAU_TOL, f"worst_index={witness}"))
     checks.append(gibbs_plateau_check(problem, solution))
     checks.append(ilr_check(problem, solution))
     checks.extend(cumulant_check(problem, solution))

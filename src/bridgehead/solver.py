@@ -47,7 +47,7 @@ from .core import (
     check_marginal,
     gibbs_kernel,
     logsumexp,
-    plateau_violation,
+    plateau_defect,
     shifted_gain,
     weighted_logsumexp,
 )
@@ -376,7 +376,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     iterations = 0
     violation = np.inf
     for iterations in range(1, cfg.max_iterations + 1):
-        violation = plateau_violation(ascent.ratio - 1.0, ascent.w)
+        violation = float(plateau_defect(ascent.ratio - 1.0, ascent.w).max())
         if best is not None and not violation <= best[1] / 2.0:
             break
         if violation <= cfg.foc_tolerance:
@@ -395,7 +395,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     nu_star = ActionMarginal(w)
     residuals = foc_residuals(problem, nu_star)
     converged = (
-        plateau_violation(residuals, w) <= cfg.foc_tolerance
+        float(plateau_defect(residuals, w).max()) <= cfg.foc_tolerance
         and not exhausted
     )
     try:

@@ -1,5 +1,7 @@
 """The top-level surface: what ``import bridgehead`` exports and documents."""
 
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -52,3 +54,13 @@ def test_readme_names_every_export():
     readme = (ROOT / "README.md").read_text()
     missing = [n for n in bh.__all__ if not re.search(rf"`{re.escape(n)}(?!\w)", readme)]
     assert missing == []
+
+
+def test_submodule_exports_resolve():
+    # __main__ is the one module without an export list
+    names = [m.name for m in pkgutil.iter_modules(bh.__path__) if m.name != "__main__"]
+    assert "diagnostics" in names
+    for name in names:
+        module = importlib.import_module(f"bridgehead.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], name

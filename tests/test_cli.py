@@ -342,6 +342,35 @@ class TestMalformedInput:
         assert not out.exists()
 
 
+class TestManifest:
+    def test_arguments_record_every_flag(self, tmp_path, problem_file):
+        marginal = tmp_path / "nu.json"
+        marginal.write_text("[0.5, 0.5]")
+        solved = tmp_path / "solve" / "solution.json"
+        runs = {
+            "solve": ["solve", problem_file],
+            "bridge": ["bridge", problem_file, str(marginal)],
+            "diagnose": ["diagnose", problem_file, str(solved)],
+            "sweep": ["sweep", problem_file, "--lambdas", "1.0"],
+        }
+        expected = {
+            "solve": {"tolerance", "max_iters", "foc_tolerance", "seed", "init"},
+            "bridge": {"marginal", "tolerance", "max_iters"},
+            "diagnose": {"solution", "seed"},
+            "sweep": {
+                "lambdas", "jobs", "tolerance", "max_iters", "foc_tolerance", "seed", "init",
+                "failures",
+            },
+        }
+        for command, argv in runs.items():
+            out = tmp_path / command
+            assert main(argv + ["--output-dir", str(out)]) == 0, command
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["input"] == problem_file
+            assert set(manifest["arguments"]) == expected[command], command
+
+
 class TestParser:
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Certificates: plateaus, derivative identities, posteriors, free energy."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,50 +21,12 @@ from bridgehead.diagnostics import (
     gateaux_value_state,
     gibbs_plateau_check,
     ilr_check,
-    plateau_check,
 )
 from bridgehead.solver import jensen_f, logit_policy
 
 from conftest import TIGHT, random_simplex
 
 SINKHORN = bh.SinkhornConfig(tolerance=1e-12)
-
-
-class TestPlateauCheck:
-    def test_constant_vector_passes(self):
-        res = plateau_check(np.full(4, 2.5), np.full(4, 0.25))
-        assert res.passed
-        assert res.max_violation == 0.0
-        assert res.level == 2.5
-
-    def test_off_support_dip_allowed(self):
-        res = plateau_check([0.0, -1.0], [1.0, 0.0])
-        assert res.passed
-        assert res.level == 0.0
-
-    def test_off_support_exceedance_fails_with_witness(self):
-        res = plateau_check([0.0, 0.1], [1.0, 0.0])
-        assert not res.passed
-        assert res.witness == 1
-        assert_allclose(res.max_violation, 0.1)
-
-    def test_support_deviation_fails_both_directions(self):
-        res = plateau_check([0.0, -5e-7, -1.0], [0.5, 0.5, 0.0])
-        assert not res.passed
-        assert res.witness == 1
-        assert_allclose(res.max_violation, 5e-7)
-
-    def test_tolerance_is_inclusive_boundary(self):
-        res = plateau_check([0.0, 1e-7], [1.0, 0.0])
-        assert res.passed
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(bh.InvalidInput):
-            plateau_check([0.0, 0.0], [0.0, 0.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(bh.InvalidInput):
-            plateau_check([0.0, 0.0, 0.0], [1.0, 0.0])
 
 
 class TestEnvelopeDerivatives:
@@ -338,6 +301,15 @@ class TestRunDiagnostics:
             "envelope_touch",
         } == names
         assert report.by_name("kt_plateau").passed
+
+    def test_kt_plateau_names_the_worst_action(self, solved_suite):
+        # the plateau defect is |r| on the support (mass above 1e-9), r off it
+        for i, (problem, solution) in enumerate(solved_suite):
+            check = bh.run_diagnostics(problem, solution).by_name("kt_plateau")
+            k = int(re.search(r"worst_index=(\d+)", check.details).group(1))
+            r = solution.foc_residuals
+            defect = np.where(solution.marginal.weights > 1e-9, np.abs(r), r)
+            assert defect[k] == check.max_violation == defect.max(), (i, k)
 
     def test_corrupted_coupling_fails_consistency_checks(self, symmetric_2x2, solved_symmetric):
         rng = np.random.default_rng(0)
