@@ -1,15 +1,15 @@
 """Command-line front end: solve, bridge, diagnose, sweep.
 
 Exit codes follow one contract everywhere: 0 for a clean run, 1 for invalid
-input (unreadable files, failed validation, dimension mismatches), 2 for a
-run that finished but did not certify (non-convergence, failed checks).
-Partial results are still written on exit 2 so pipelines can inspect them.
+input, 2 for a run that finished but did not certify (non-convergence, failed
+checks).  Commands raise InvalidInput before they write; ``main`` alone turns
+it into exit 1.  Partial results are still written on exit 2 so pipelines can
+inspect them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
-from .core import ActionMarginal, InvalidInput, Problem, check_marginal, mutual_information, validate
+from .core import InvalidInput, Problem, check_problem, mutual_information
 from .diagnostics import run_diagnostics
 from .io import (
+    load_marginal,
     load_problem,
     load_solution,
     report_rows,
@@ -37,20 +38,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NOT_CONVERGED = 2
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
-
-
-def _load_problem(path: str) -> Problem:
-    try:
-        return load_problem(path)
-    except FileNotFoundError:
-        raise InvalidInput(f"no such file: {path}") from None
-    except json.JSONDecodeError as err:
-        raise InvalidInput(f"{path} is not valid JSON: {err}") from None
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -116,12 +103,8 @@ def _solution_files(problem: Problem, solution, out: Path, stem: str = "solution
 
 def cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    try:
-        problem = _load_problem(args.problem)
-        config = _solver_config(args)
-    except InvalidInput as err:
-        return _fail(str(err))
-
+    problem = load_problem(args.problem)
+    config = _solver_config(args)
     code = EXIT_OK
     try:
         solution = solve(problem, config)
@@ -144,19 +127,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bridge(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    try:
-        problem = _load_problem(args.problem)
-        config = SinkhornConfig(tolerance=args.tolerance, max_iterations=args.max_iters)
-        with open(args.marginal) as fh:
-            doc = json.load(fh)
-        weights = doc["marginal"] if isinstance(doc, dict) else doc
-        nu = ActionMarginal(np.array(weights, dtype=np.float64))
-        check_marginal(problem, nu)
-    except (FileNotFoundError, InvalidInput) as err:
-        return _fail(str(err))
-    except (KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
-        return _fail(f"bad marginal file: {err}")
-
+    problem = load_problem(args.problem)
+    config = SinkhornConfig(tolerance=args.tolerance, max_iterations=args.max_iters)
+    nu = load_marginal(args.marginal)
     code = EXIT_OK
     try:
         result = sinkhorn_bridge(problem, nu, config)
@@ -177,19 +150,8 @@ def cmd_bridge(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    try:
-        problem = _load_problem(args.problem)
-        solution = load_solution(args.solution)
-        if solution.coupling.joint.shape != (problem.num_actions, problem.num_states):
-            raise InvalidInput(
-                f"solution coupling is {solution.coupling.joint.shape}, problem is "
-                f"({problem.num_actions}, {problem.num_states})"
-            )
-    except (FileNotFoundError, InvalidInput) as err:
-        return _fail(str(err))
-    except json.JSONDecodeError as err:
-        return _fail(f"bad solution file: {err}")
-
+    problem = load_problem(args.problem)
+    solution = load_solution(args.solution)
     report = run_diagnostics(problem, solution, seed=args.seed)
     out = _out_dir(args)
     files = [save_report(report, out / "report.json")]
@@ -217,28 +179,22 @@ def _sweep_one(problem: Problem, config: SolverConfig):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     start = time.perf_counter()
+    problem = load_problem(args.problem)
+    config = _solver_config(args)
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
     try:
-        problem = _load_problem(args.problem)
-        config = _solver_config(args)
-        if args.jobs < 1:
-            raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
-        if not lambdas:
-            raise InvalidInput("no lambda values given")
-        problems = [
-            Problem(problem.actions, problem.states, problem.utility, lam, problem.prior)
-            for lam in lambdas
-        ]
-        for scaled in problems:
-            issues = validate(scaled)
-            if issues:
-                summary = "; ".join(f"{i.code}: {i.message}" for i in issues)
-                raise InvalidInput(f"lambda {scaled.lam!r} failed validation: {summary}")
-    except InvalidInput as err:
-        return _fail(str(err))
     except ValueError as err:
-        return _fail(f"bad lambda list: {err}")
-
+        raise InvalidInput(f"bad lambda list: {err}") from None
+    if not lambdas:
+        raise InvalidInput("no lambda values given")
+    problems = [
+        Problem(problem.actions, problem.states, problem.utility, lam, problem.prior)
+        for lam in lambdas
+    ]
+    for scaled in problems:
+        check_problem(scaled, f"lambda {scaled.lam!r}")
     out = _out_dir(args)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(lambda scaled: _sweep_one(scaled, config), problems))
@@ -319,7 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidInput as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -272,6 +272,14 @@ def validate(problem: Problem) -> list[ValidationIssue]:
     return issues
 
 
+def check_problem(problem: Problem, subject: str) -> None:
+    """Raise InvalidInput, led by ``subject``, naming every issue ``validate`` finds."""
+    issues = validate(problem)
+    if issues:
+        summary = "; ".join(f"{i.code}: {i.message}" for i in issues)
+        raise InvalidInput(f"{subject} failed validation: {summary}")
+
+
 def drop_zero_prior_states(problem: Problem) -> Problem:
     """Remove states carrying exactly zero prior mass.
 

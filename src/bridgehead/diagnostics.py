@@ -490,8 +490,14 @@ def run_diagnostics(
 
     Assumes the solution was produced at (or re-solved to) tight tolerances;
     the fixed entry tolerances are calibrated for a first-order plateau near
-    1e-9 and marginal residuals near 1e-12.
+    1e-9 and marginal residuals near 1e-12.  Raises InvalidInput for a
+    negative seed or a solution whose coupling is not the problem's m x n.
     """
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
+    if coupling != shape:
+        raise InvalidInput(f"solution coupling is {coupling}, problem is {shape}")
     cfg = sinkhorn or SinkhornConfig(tolerance=1e-12)
     rng = np.random.default_rng(seed)
     nu = solution.marginal

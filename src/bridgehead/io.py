@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .bridge import BridgeResult
-from .core import ActionMarginal, Coupling, InvalidInput, Potentials, Problem, drop_zero_prior_states, validate
+from .core import ActionMarginal, Coupling, InvalidInput, Potentials, Problem, check_problem, drop_zero_prior_states
 from .diagnostics import CheckResult, DiagnosticReport
 from .solver import Solution
 
@@ -30,6 +30,7 @@ __all__ = [
     "solution_from_dict",
     "save_solution",
     "load_solution",
+    "load_marginal",
     "bridge_to_dict",
     "save_bridge",
     "report_to_dict",
@@ -71,6 +72,19 @@ def _reading(kind: str) -> Iterator[None]:
         raise InvalidInput(f"{kind} document is malformed: {err}") from None
 
 
+def _read_json(path: str | Path) -> Any:
+    """Parse the JSON file at ``path``; a file that cannot be read or parsed is InvalidInput."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InvalidInput(f"no such file: {path}") from None
+    except OSError as err:
+        raise InvalidInput(f"cannot read {path}: {err.strerror}") from None
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError, too deep
+        raise InvalidInput(f"{path} is not valid JSON: {err}") from None
+
+
 def _write_json(document: dict[str, Any], path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(document, indent=2) + "\n")
@@ -105,10 +119,7 @@ def problem_from_dict(data: dict[str, Any]) -> Problem:
     # validation, which requires strict positivity on what remains
     if problem.prior.ndim == 1 and np.any(problem.prior == 0.0):
         problem = drop_zero_prior_states(problem)
-    issues = validate(problem)
-    if issues:
-        summary = "; ".join(f"{i.code}: {i.message}" for i in issues)
-        raise InvalidInput(f"problem document failed validation: {summary}")
+    check_problem(problem, "problem document")
     return problem
 
 
@@ -117,8 +128,7 @@ def save_problem(problem: Problem, path: str | Path) -> Path:
 
 
 def load_problem(path: str | Path) -> Problem:
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+    return problem_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +165,7 @@ def solution_from_dict(data: dict[str, Any]) -> Solution:
             potentials=potentials,
             f_value=float(data["f_value"]),
             foc_residuals=np.array(data["foc_residuals"], dtype=np.float64),
-            consideration_set=tuple(int(i) for i in data["consideration_set"]),
+            consideration_set=data["consideration_set"],
             iterations=int(data["iterations"]),
             converged=bool(data["converged"]),
         )
@@ -166,8 +176,15 @@ def save_solution(problem: Problem, solution: Solution, path: str | Path) -> Pat
 
 
 def load_solution(path: str | Path) -> Solution:
-    with open(path) as fh:
-        return solution_from_dict(json.load(fh))
+    return solution_from_dict(_read_json(path))
+
+
+def load_marginal(path: str | Path) -> ActionMarginal:
+    """Read an action marginal: a bare JSON array or a document with a ``marginal`` key."""
+    document = _read_json(path)
+    with _reading("marginal"):
+        weights = document["marginal"] if isinstance(document, dict) else document
+        return ActionMarginal(np.array(weights, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

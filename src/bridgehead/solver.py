@@ -101,6 +101,8 @@ class SolverConfig:
             isinstance(self.init, str) and self.init in ("uniform", "random")
         ):
             raise InvalidInput(f"unknown init {self.init!r}")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,16 @@ class Solution:
         object.__setattr__(
             self, "consideration_set", tuple(int(i) for i in self.consideration_set)
         )
+        m, n = self.coupling.joint.shape
+        a, b = self.potentials.action, self.potentials.state
+        shapes = (self.marginal.weights.shape, r.shape, a.shape, b.shape)
+        if shapes != ((m,), (m,), (m,), (n,)):
+            raise InvalidInput(
+                f"marginal, foc_residuals, action and state potentials have shapes "
+                f"{shapes}, coupling is {m}x{n}"
+            )
+        if not all(0 <= i < m for i in self.consideration_set):
+            raise InvalidInput(f"consideration set {self.consideration_set} is not in range({m})")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +420,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         potentials=inner.potentials,
         f_value=jensen_f(problem, nu_star),
         foc_residuals=residuals,
-        consideration_set=tuple(int(i) for i in np.flatnonzero(w > SUPPORT_THRESHOLD)),
+        consideration_set=np.flatnonzero(w > SUPPORT_THRESHOLD),
         iterations=iterations,
         converged=converged and inner_error is None,
     )

@@ -7,6 +7,8 @@ import types
 from pathlib import Path
 
 import bridgehead as bh
+import bridgehead.cli  # noqa: F401  (perfbench reads bh.cli and bh.io as modules)
+import bridgehead.io  # noqa: F401
 
 ROOT = Path(__file__).resolve().parent.parent
 

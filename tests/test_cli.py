@@ -306,12 +306,23 @@ class TestMalformedInput:
             "potentials_list": dict(solution, potentials=[0.0, 0.0]),
             "nu_strings": ["a", "b"],
             "nu_dict": {"marginal": {"x": 1}},
+            "marginal_3": dict(solution, marginal=[0.2, 0.3, 0.5]),
+            "state_potentials_3": dict(
+                solution, potentials=dict(solution["potentials"], state=[0.0, 0.0, 0.0])
+            ),
+            "set_0_7": dict(solution, consideration_set=[0, 7]),
         }
         paths = {"problem": problem_file, "solution": str(solved / "solution.json")}
         for name, document in documents.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(document))
             paths[name] = str(path)
+        (tmp_path / "folder").mkdir()
+        paths["folder"] = str(tmp_path / "folder")
+        (tmp_path / "binary.json").write_bytes(b'{"actions": ["\xff\xfe"]}')
+        paths["binary"] = str(tmp_path / "binary.json")
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        paths["deep"] = str(tmp_path / "deep.json")
         return paths
 
     @pytest.mark.parametrize(
@@ -330,6 +341,19 @@ class TestMalformedInput:
             ["bridge", "bare_list", "nu_strings"],
             ["bridge", "problem", "nu_strings"],
             ["bridge", "problem", "nu_dict"],
+            ["solve", "folder"],
+            ["sweep", "folder", "--lambdas", "1"],
+            ["diagnose", "problem", "folder"],
+            ["bridge", "problem", "folder"],
+            ["solve", "binary"],
+            ["solve", "deep"],
+            ["diagnose", "problem", "binary"],
+            ["diagnose", "problem", "marginal_3"],
+            ["diagnose", "problem", "state_potentials_3"],
+            ["diagnose", "problem", "set_0_7"],
+            ["solve", "problem", "--init", "random", "--seed", "-1"],
+            ["sweep", "problem", "--lambdas", "1", "--init", "random", "--seed", "-1"],
+            ["diagnose", "problem", "solution", "--seed", "-1"],
         ],
     )
     def test_exits_one_without_traceback(self, tmp_path, paths, capsys, argv):

@@ -273,6 +273,11 @@ class TestGibbsPlateau:
 
 
 class TestRunDiagnostics:
+    def test_rejects_another_problems_solution(self, solved_suite, symmetric_2x2):
+        _, solution = solved_suite[1]
+        with pytest.raises(bh.InvalidInput, match="solution coupling"):
+            bh.run_diagnostics(symmetric_2x2, solution)
+
     def test_full_report_passes(self, solved_suite):
         problem, solution = solved_suite[1]
         report = bh.run_diagnostics(problem, solution)

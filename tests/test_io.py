@@ -83,6 +83,10 @@ class TestProblemRoundTrip:
         assert p.states == ("x", "y")
         assert p.utility.shape == (2, 2)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(bh.InvalidInput, match="no such file"):
+            load_problem(tmp_path / "absent.json")
+
     def test_missing_key_rejected(self):
         with pytest.raises(bh.InvalidInput):
             problem_from_dict({"actions": ["a"], "states": ["x"]})

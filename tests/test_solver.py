@@ -1,12 +1,14 @@
 """Outer problem: envelope functionals, multiplicative updates, solve loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
-from bridgehead.core import gibbs_kernel, mutual_information, ri_objective
+from bridgehead.core import Potentials, gibbs_kernel, mutual_information, ri_objective
 from bridgehead.solver import (
     action_potential,
     ba_step,
@@ -155,6 +157,10 @@ class TestSolverConfig:
         with pytest.raises(bh.InvalidInput):
             bh.SolverConfig(init=np.array([0.5, 0.5]))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(bh.InvalidInput, match="seed"):
+            bh.SolverConfig(init="random", seed=-1)
+
     def test_marginal_init_must_match_action_count(self, symmetric_2x2):
         cfg = bh.SolverConfig(init=bh.ActionMarginal.uniform(3))
         with pytest.raises(bh.InvalidInput):
@@ -162,6 +168,19 @@ class TestSolverConfig:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "part, value",
+        [
+            ("marginal", bh.ActionMarginal.uniform(3)),
+            ("foc_residuals", np.zeros(3)),
+            ("potentials", Potentials(np.zeros(2), np.zeros(3))),
+            ("consideration_set", (0, 7)),
+        ],
+    )
+    def test_parts_must_fit_the_coupling(self, solved_symmetric, part, value):
+        with pytest.raises(bh.InvalidInput):
+            dataclasses.replace(solved_symmetric, **{part: value})
+
     def test_symmetric_anchor(self, solved_symmetric):
         solution = solved_symmetric
         assert solution.converged
