@@ -24,7 +24,6 @@ from .io import (
     load_marginal,
     load_problem,
     load_solution,
-    report_rows,
     save_bridge,
     save_report,
     save_solution,
@@ -159,7 +158,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         write_csv(
             out / "report.csv",
             ["check", "max_violation", "tolerance", "passed"],
-            report_rows(report),
+            [[c.name, c.max_violation, c.tolerance, c.passed] for c in report],
         )
     )
     _manifest(args, out, files, start)

@@ -10,7 +10,7 @@ entries carry the worst violation found and the tolerance it was held to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "ilr_check",
     "belief_feasibility",
     "cumulant_errors",
-    "cumulant_check",
     "average_free_energy",
     "free_energy_check",
     "gibbs_plateau_check",
@@ -68,6 +67,7 @@ _FEASIBILITY_TOL = 1e-8    # sup-norm residual of belief_feasibility
 _CUMULANT_STEP = 1e-4      # beta-step of the cumulant differences
 _FREE_ENERGY_TRIALS = 100  # tilted rivals of free_energy_check
 _FREE_ENERGY_TOL = 1e-9    # free-energy drop a rival may show
+_INNER = SinkhornConfig(tolerance=1e-12)  # inner solves of the audit and the Gateaux probes
 
 
 class PosteriorNotNormalizable(BridgeheadError):
@@ -143,19 +143,14 @@ def gateaux_f(problem: Problem, nu: ActionMarginal, psi: ActionMarginal) -> floa
     return float(problem.prior @ np.expm1(lz_psi - lz_nu))
 
 
-def _difference(value_at, base: float, h: float, scheme: str) -> float:
-    """Forward or central difference quotient of value_at(t) at t = 0.
+def _central(value_at, h: float) -> float:
+    """Central difference quotient of value_at(t) at t = 0.
 
-    ``base`` is value_at(0), which only the forward scheme reads.  The central
-    scheme evaluates the back step first: it is the one that can leave the
+    The back step is evaluated first: it is the one that can leave the
     simplex, and then fails before any solve at the forward step.
     """
-    if scheme == "forward":
-        return (value_at(h) - base) / h
-    if scheme == "central":
-        back = value_at(-h)
-        return (value_at(h) - back) / (2.0 * h)
-    raise InvalidInput(f"unknown scheme {scheme!r}")
+    back = value_at(-h)
+    return (value_at(h) - back) / (2.0 * h)
 
 
 def _inner_value(problem: Problem, weights: np.ndarray, cfg: SinkhornConfig) -> float:
@@ -164,74 +159,54 @@ def _inner_value(problem: Problem, weights: np.ndarray, cfg: SinkhornConfig) -> 
     return sinkhorn_bridge(problem, ActionMarginal(weights), cfg).value_primal
 
 
-def _toward(problem, nu, psi, h, scheme, cfg, base) -> tuple[float, float]:
+def _toward(problem, nu, psi, h, cfg, base) -> tuple[float, float]:
     """Derivative of the inner value at nu toward psi, from nu's solve ``base``."""
     a = base.potentials.action
     analytic = float(psi.weights @ a) - float(nu.weights @ a)
     direction = psi.weights - nu.weights
-    numeric = _difference(
-        lambda t: _inner_value(problem, nu.weights + t * direction, cfg),
-        base.value_primal,
-        h,
-        scheme,
-    )
+    numeric = _central(lambda t: _inner_value(problem, nu.weights + t * direction, cfg), h)
     return analytic, numeric
 
 
 def gateaux_value_direction(
-    problem: Problem,
-    nu: ActionMarginal,
-    psi: ActionMarginal,
-    h: float = 1e-5,
-    scheme: str = "central",
-    config: SinkhornConfig | None = None,
+    problem: Problem, nu: ActionMarginal, psi: ActionMarginal, h: float = 1e-5
 ) -> tuple[float, float]:
     """Derivative of the inner value at nu toward another marginal psi.
 
     The inner value is linear in the action potential along marginal
     perturbations, so the analytic route is E_psi[a] - E_nu[a] from the
     solved potential pair; toward a point mass ``ActionMarginal.dirac`` that
-    is a(action) - E_nu[a].  The numeric route differences the inner value
-    along nu + h (psi - nu): "forward" uses two inner solves, "central"
-    steps both ways and needs every weight of nu + h (nu - psi) to stay
-    nonnegative (for a point mass, nu(action) >= h/(1+h)).
+    is a(action) - E_nu[a].  The numeric route takes central differences of
+    the inner value along nu + t (psi - nu), t = +-h, solved to 1e-12; every
+    weight of nu + h (nu - psi) must stay nonnegative (for a point mass,
+    nu(action) >= h/(1+h)).
     """
     check_marginal(problem, psi)
-    cfg = config or SinkhornConfig(tolerance=1e-12)
-    return _toward(problem, nu, psi, h, scheme, cfg, sinkhorn_bridge(problem, nu, cfg))
+    return _toward(problem, nu, psi, h, _INNER, sinkhorn_bridge(problem, nu, _INNER))
 
 
 def gateaux_value_state(
-    problem: Problem,
-    nu: ActionMarginal,
-    state: int,
-    h: float = 1e-5,
-    scheme: str = "forward",
-    config: SinkhornConfig | None = None,
+    problem: Problem, nu: ActionMarginal, state: int, h: float = 1e-5
 ) -> tuple[float, float]:
     """Same identity on the prior side: derivative toward a state atom.
 
     Analytic route: b(state) - E_prior[b] at the solved potential pair;
-    numeric route re-solves the inner problem with the prior tilted toward
-    the atom.  The central scheme needs prior(state) >= h/(1+h).
+    numeric route takes central differences of the inner value with the
+    prior tilted toward the atom and away from it, which needs
+    prior(state) >= h/(1+h).
     """
     if not 0 <= state < problem.num_states:
         raise InvalidInput(f"state index {state} out of range")
-    cfg = config or SinkhornConfig(tolerance=1e-12)
-    base = sinkhorn_bridge(problem, nu, cfg)
-    analytic = float(base.potentials.state[state]) - float(
-        problem.prior @ base.potentials.state
-    )
+    base = sinkhorn_bridge(problem, nu, _INNER)
+    b = base.potentials.state
+    analytic = float(b[state]) - float(problem.prior @ b)
 
     def value_at(step: float) -> float:
         prior = (1.0 - step) * problem.prior
         prior[state] += step
-        tilted = Problem(
-            problem.actions, problem.states, problem.utility, problem.lam, prior
-        )
-        return _inner_value(tilted, nu.weights, cfg)
+        return _inner_value(replace(problem, prior=prior), nu.weights, _INNER)
 
-    return analytic, _difference(value_at, base.value_primal, h, scheme)
+    return analytic, _central(value_at, h)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +229,6 @@ def ilr_check(problem: Problem, solution: Solution) -> CheckResult:
     formula = np.exp(np.log(problem.prior)[None, :] + kernel - lz[None, :])
     joint = solution.coupling.joint
     supported = list(solution.consideration_set)
-    if not supported:
-        return _result("ilr", np.inf, _ILR_TOL, "empty consideration set")
     worst = 0.0
     for alpha in supported:
         row_mass = joint[alpha].sum()
@@ -357,6 +330,11 @@ def cumulant_errors(problem: Problem, solution: Solution) -> tuple[float, float,
     derivative of lam * b in lam).  Central differences in beta at step
     h = 1e-4 are compared against direct evaluations under the logit policy.
     Returns (mean error, variance error, information-gain error).
+
+    ``run_diagnostics`` holds each error to its own tolerance.  The mean is
+    first-order exact up to O(h^2) curvature, so it gets 1e-6; the variance
+    estimate loses two orders to cancellation in the second difference
+    (1e-4); the information-gain identity sits in between (1e-5).
     """
     weights = solution.marginal.weights
     beta = 1.0 / problem.lam
@@ -377,22 +355,6 @@ def cumulant_errors(problem: Problem, solution: Solution) -> tuple[float, float,
     var_err = float(np.abs(fd_var - var).max())
     gain_err = float(np.abs((beta * fd_mean - b0) - gain).max())
     return mean_err, var_err, gain_err
-
-
-def cumulant_check(problem: Problem, solution: Solution) -> tuple[CheckResult, CheckResult, CheckResult]:
-    """The three cumulant identities, each against its own tolerance.
-
-    The mean is first-order exact up to O(h^2) curvature, so it gets 1e-6 at
-    the step of ``cumulant_errors``; the variance estimate loses two orders
-    to cancellation in the second difference (1e-4); the information-gain
-    identity sits in between (1e-5).
-    """
-    mean_err, var_err, gain_err = cumulant_errors(problem, solution)
-    return (
-        _result("cumulant_mean", mean_err, 1e-6),
-        _result("cumulant_variance", var_err, 1e-4),
-        _result("cumulant_gain", gain_err, 1e-5),
-    )
 
 
 def average_free_energy(problem: Problem, conditionals, reference) -> float:
@@ -459,8 +421,6 @@ def gibbs_plateau_check(problem: Problem, solution: Solution) -> CheckResult:
     if cond is None:
         return _result("gibbs_plateau", np.inf, _PLATEAU_TOL, "coupling has empty states")
     sup = list(solution.consideration_set)
-    if not sup:
-        return _result("gibbs_plateau", np.inf, _PLATEAU_TOL, "empty consideration set")
     cond = cond[sup]
     weights = solution.marginal.weights[sup]
     kernel = gibbs_kernel(problem)[sup]
@@ -498,7 +458,7 @@ def run_diagnostics(
     shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
     if coupling != shape:
         raise InvalidInput(f"solution coupling is {coupling}, problem is {shape}")
-    cfg = sinkhorn or SinkhornConfig(tolerance=1e-12)
+    cfg = sinkhorn or _INNER
     rng = np.random.default_rng(seed)
     nu = solution.marginal
     weights = nu.weights
@@ -528,12 +488,22 @@ def run_diagnostics(
     except BridgeheadError as err:
         checks.append(CheckResult("coupling_consistency", np.inf, 1e-8, False, str(err)))
 
-    defect = plateau_defect(foc_residuals(problem, nu), weights)
+    residuals = foc_residuals(problem, nu)
+    defect = plateau_defect(residuals, weights)
     witness = int(np.argmax(defect))
-    checks.append(_result("kt_plateau", defect[witness], _PLATEAU_TOL, f"worst_index={witness}"))
+    # solve stored these residuals and wrote them to solution_actions.csv
+    stored_gap = float(np.abs(solution.foc_residuals - residuals).max())
+    details = f"worst_index={witness}"
+    if stored_gap != 0.0:
+        details += f"; stored foc_residuals off by {stored_gap:.3e}"
+    violation = np.maximum(defect[witness], stored_gap)  # np.maximum, unlike max, keeps a NaN
+    checks.append(_result("kt_plateau", violation, _PLATEAU_TOL, details))
     checks.append(gibbs_plateau_check(problem, solution))
     checks.append(ilr_check(problem, solution))
-    checks.extend(cumulant_check(problem, solution))
+    mean_err, var_err, gain_err = cumulant_errors(problem, solution)
+    checks.append(_result("cumulant_mean", mean_err, 1e-6))
+    checks.append(_result("cumulant_variance", var_err, 1e-4))
+    checks.append(_result("cumulant_gain", gain_err, 1e-5))
     checks.append(free_energy_check(problem, solution, seed=seed))
 
     worst_f = 0.0
@@ -541,23 +511,17 @@ def run_diagnostics(
         psi_w = rng.dirichlet(np.ones(problem.num_actions))
         analytic = gateaux_f(problem, nu, ActionMarginal(psi_w))
         direction = psi_w - weights
-        numeric = _difference(
-            lambda t: envelope_raw(problem, weights + t * direction), np.nan, _FD_STEP, "central"
-        )
+        numeric = _central(lambda t: envelope_raw(problem, weights + t * direction), _FD_STEP)
         worst_f = max(worst_f, abs(analytic - numeric))
     checks.append(_result("gateaux_f", worst_f, 1e-3, f"{_DIRECTIONS} random directions"))
 
-    probe = [
-        int(i)
-        for i in solution.consideration_set
-        if weights[int(i)] >= max(10.0 * _FD_STEP, 1e-4)
-    ][:3]
+    probe = [i for i in solution.consideration_set if weights[i] >= max(10.0 * _FD_STEP, 1e-4)][:3]
     worst_v = 0.0
     details = f"central differences at {probe}"
     for alpha in probe:
         psi = ActionMarginal.dirac(problem.num_actions, alpha)
         try:
-            analytic, numeric = _toward(problem, nu, psi, _FD_STEP, "central", cfg, fresh)
+            analytic, numeric = _toward(problem, nu, psi, _FD_STEP, cfg, fresh)
         except BridgeNotConverged as err:
             worst_v = np.inf
             details += f"; action {alpha}: {err}"

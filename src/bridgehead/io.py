@@ -18,7 +18,7 @@ import numpy as np
 
 from .bridge import BridgeResult
 from .core import ActionMarginal, Coupling, InvalidInput, Potentials, Problem, check_problem, drop_zero_prior_states
-from .diagnostics import CheckResult, DiagnosticReport
+from .diagnostics import DiagnosticReport
 from .solver import Solution
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "save_bridge",
     "report_to_dict",
     "save_report",
-    "report_rows",
     "write_csv",
     "sha256_of",
     "write_manifest",
@@ -153,22 +152,31 @@ def solution_to_dict(problem: Problem, solution: Solution) -> dict[str, Any]:
 
 
 def solution_from_dict(data: dict[str, Any]) -> Solution:
+    """Rebuild a solution; the stored consideration set must be the marginal's support."""
     with _reading("solution"):
         potentials = Potentials(
             action=np.array(data["potentials"]["action"], dtype=np.float64),
             state=np.array(data["potentials"]["state"], dtype=np.float64),
             normalization=str(data["potentials"]["normalization"]),
         )
-        return Solution(
+        converged, iterations = data["converged"], data["iterations"]
+        if not isinstance(converged, bool):
+            raise TypeError(f"converged must be true or false, got {converged!r}")
+        if isinstance(iterations, bool) or not isinstance(iterations, int):
+            raise TypeError(f"iterations must be an integer, got {iterations!r}")
+        solution = Solution(
             marginal=ActionMarginal(np.array(data["marginal"], dtype=np.float64)),
             coupling=Coupling(np.array(data["coupling"], dtype=np.float64)),
             potentials=potentials,
             f_value=float(data["f_value"]),
             foc_residuals=np.array(data["foc_residuals"], dtype=np.float64),
-            consideration_set=data["consideration_set"],
-            iterations=int(data["iterations"]),
-            converged=bool(data["converged"]),
+            iterations=iterations,
+            converged=converged,
         )
+        support = list(solution.consideration_set)
+        if data["consideration_set"] != support:
+            raise ValueError(f"consideration_set is not {support}, the support of the marginal")
+    return solution
 
 
 def save_solution(problem: Problem, solution: Solution, path: str | Path) -> Path:
@@ -226,13 +234,6 @@ def report_to_dict(report: DiagnosticReport) -> dict[str, Any]:
 
 def save_report(report: DiagnosticReport, path: str | Path) -> Path:
     return _write_json(report_to_dict(report), path)
-
-
-def report_rows(report: DiagnosticReport) -> list[list[str]]:
-    rows = []
-    for c in report.checks:
-        rows.append([c.name, repr(c.max_violation), repr(c.tolerance), str(c.passed)])
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Solved outer problem: optimal marginal plus certified inner state."""
+    """Solved outer problem: optimal marginal plus certified inner state.
+
+    ``consideration_set`` is not a constructor argument: it is read off the
+    marginal, as the actions with mass above ``SUPPORT_THRESHOLD``.
+    """
 
     marginal: ActionMarginal
     coupling: Coupling
     potentials: Potentials
     f_value: float
     foc_residuals: np.ndarray
-    consideration_set: tuple[int, ...]
+    consideration_set: tuple[int, ...] = field(init=False)
     iterations: int
     converged: bool
 
@@ -122,9 +126,8 @@ class Solution:
         r = np.array(self.foc_residuals, dtype=np.float64)
         r.setflags(write=False)
         object.__setattr__(self, "foc_residuals", r)
-        object.__setattr__(
-            self, "consideration_set", tuple(int(i) for i in self.consideration_set)
-        )
+        support = np.flatnonzero(self.marginal.weights > SUPPORT_THRESHOLD)
+        object.__setattr__(self, "consideration_set", tuple(int(i) for i in support))
         m, n = self.coupling.joint.shape
         a, b = self.potentials.action, self.potentials.state
         shapes = (self.marginal.weights.shape, r.shape, a.shape, b.shape)
@@ -133,8 +136,6 @@ class Solution:
                 f"marginal, foc_residuals, action and state potentials have shapes "
                 f"{shapes}, coupling is {m}x{n}"
             )
-        if not all(0 <= i < m for i in self.consideration_set):
-            raise InvalidInput(f"consideration set {self.consideration_set} is not in range({m})")
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +421,6 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         potentials=inner.potentials,
         f_value=jensen_f(problem, nu_star),
         foc_residuals=residuals,
-        consideration_set=np.flatnonzero(w > SUPPORT_THRESHOLD),
         iterations=iterations,
         converged=converged and inner_error is None,
     )

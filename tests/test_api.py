@@ -1,6 +1,7 @@
 """The top-level surface: what ``import bridgehead`` exports and documents."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import bridgehead as bh
 import bridgehead.cli  # noqa: F401  (perfbench reads bh.cli and bh.io as modules)
+import bridgehead.diagnostics
 import bridgehead.io  # noqa: F401
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +68,54 @@ def test_submodule_exports_resolve():
         module = importlib.import_module(f"bridgehead.{name}")
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert missing == [], name
+
+
+# Parameter names of every exported callable, dataclass constructors included,
+# and of the two inner-value derivatives.  A change here is a change of the
+# public surface: it adds or removes a setting a caller can pass.
+PARAMETERS = {
+    "Problem": ("actions", "states", "utility", "lam", "prior"),
+    "ActionMarginal": ("weights",),
+    "BridgeheadError": None,
+    "InvalidInput": None,
+    "SolverConfig": ("foc_tolerance", "max_iterations", "init", "seed", "sinkhorn"),
+    "Solution": (
+        "marginal",
+        "coupling",
+        "potentials",
+        "f_value",
+        "foc_residuals",
+        "iterations",
+        "converged",
+    ),
+    "SolverNotConverged": ("message", "solution"),
+    "solve": ("problem", "config"),
+    "SinkhornConfig": ("tolerance", "max_iterations"),
+    "BridgeNotConverged": ("iterations", "residual", "result"),
+    "sinkhorn_bridge": ("problem", "nu", "config", "initial_action"),
+    "schrodinger_residual": ("problem", "nu", "potentials"),
+    "DiagnosticReport": ("checks",),
+    "run_diagnostics": ("problem", "solution", "seed", "sinkhorn"),
+    "belief_feasibility": ("problem", "candidate_set", "anchor", "posterior_anchor"),
+    "grid_search_f": ("problem", "resolution"),
+    "random_problem": ("seed", "num_actions", "num_states", "lam"),
+    "standard_suite": ("count", "base_seed"),
+    "small_suite": ("count", "base_seed"),
+    "duplicated_action_problem": ("seed", "num_states", "lam"),
+    "gateaux_value_direction": ("problem", "nu", "psi", "h"),
+    "gateaux_value_state": ("problem", "nu", "state", "h"),
+}
+
+
+def _parameters(obj):
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:  # an exception class that keeps the built-in constructor
+        return None
+
+
+def test_public_parameters_are_pinned():
+    objects = {name: getattr(bh, name) for name in bh.__all__ if callable(getattr(bh, name))}
+    for name in ("gateaux_value_direction", "gateaux_value_state"):
+        objects[name] = getattr(bridgehead.diagnostics, name)
+    assert {name: _parameters(obj) for name, obj in objects.items()} == PARAMETERS

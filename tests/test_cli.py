@@ -169,6 +169,29 @@ class TestDiagnoseCommand:
         lines = (report_dir / "report.csv").read_text().splitlines()
         assert lines[0] == "check,max_violation,tolerance,passed"
         assert len(lines) == 16
+        for line in lines[1:]:
+            _, _, tolerance, passed = line.split(",")
+            assert passed in ("True", "False")
+            assert float(tolerance) > 0
+
+    def test_edited_residuals_fail_kt_plateau(self, tmp_path, capsys):
+        problem = make_symmetric_2x2()
+        path = write_problem(tmp_path / "p.json", problem)
+        out = tmp_path / "solved"
+        assert main(["solve", path, "--output-dir", str(out)]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        doc["foc_residuals"] = [5.0, -3.0]
+        (out / "solution.json").write_text(json.dumps(doc))
+        report_dir = tmp_path / "report"
+        code = main(
+            ["diagnose", path, str(out / "solution.json"), "--output-dir", str(report_dir)]
+        )
+        assert code == 2
+        report = json.loads((report_dir / "report.json").read_text())
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        assert set(failed) == {"kt_plateau"}
+        assert failed["kt_plateau"]["max_violation"] == 5.0
+        assert "stored foc_residuals off by 5.000e+00" in failed["kt_plateau"]["details"]
 
     def test_tampered_solution_exits_two_and_reports(self, tmp_path, capsys):
         problem = make_symmetric_2x2()
@@ -311,6 +334,9 @@ class TestMalformedInput:
                 solution, potentials=dict(solution["potentials"], state=[0.0, 0.0, 0.0])
             ),
             "set_0_7": dict(solution, consideration_set=[0, 7]),
+            "converged_string": dict(solution, converged="false"),
+            "iterations_fraction": dict(solution, iterations=1.5),
+            "set_0": dict(solution, consideration_set=[0]),
         }
         paths = {"problem": problem_file, "solution": str(solved / "solution.json")}
         for name, document in documents.items():
@@ -354,6 +380,9 @@ class TestMalformedInput:
             ["solve", "problem", "--init", "random", "--seed", "-1"],
             ["sweep", "problem", "--lambdas", "1", "--init", "random", "--seed", "-1"],
             ["diagnose", "problem", "solution", "--seed", "-1"],
+            ["diagnose", "problem", "converged_string"],
+            ["diagnose", "problem", "iterations_fraction"],
+            ["diagnose", "problem", "set_0"],
         ],
     )
     def test_exits_one_without_traceback(self, tmp_path, paths, capsys, argv):

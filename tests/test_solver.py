@@ -174,12 +174,20 @@ class TestSolve:
             ("marginal", bh.ActionMarginal.uniform(3)),
             ("foc_residuals", np.zeros(3)),
             ("potentials", Potentials(np.zeros(2), np.zeros(3))),
-            ("consideration_set", (0, 7)),
         ],
     )
     def test_parts_must_fit_the_coupling(self, solved_symmetric, part, value):
         with pytest.raises(bh.InvalidInput):
             dataclasses.replace(solved_symmetric, **{part: value})
+
+    def test_consideration_set_is_read_off_the_marginal(self, solved_symmetric):
+        assert solved_symmetric.consideration_set == (0, 1)
+        point_mass = bh.ActionMarginal(np.array([1.0, 0.0]))
+        moved = dataclasses.replace(solved_symmetric, marginal=point_mass)
+        assert moved.consideration_set == (0,)
+        parts = {f.name: getattr(moved, f.name) for f in dataclasses.fields(moved) if f.init}
+        with pytest.raises(TypeError):
+            bh.Solution(**parts, consideration_set=(0, 1))
 
     def test_symmetric_anchor(self, solved_symmetric):
         solution = solved_symmetric
