@@ -11,6 +11,7 @@ from bridgehead.io import (
     load_solution,
     problem_from_dict,
     problem_to_dict,
+    report_to_dict,
     save_problem,
     save_report,
     save_solution,
@@ -124,6 +125,15 @@ class TestSolutionRoundTrip:
 
 
 class TestReportSerialization:
+    def test_rows_cover_every_check(self, solved_suite):
+        problem, solution = solved_suite[0]
+        report = bh.run_diagnostics(problem, solution)
+        rows = report_to_dict(report)["checks"]
+        assert [row["name"] for row in rows] == [c.name for c in report]
+        for row in rows:
+            assert isinstance(row["passed"], bool)
+            assert row["tolerance"] > 0
+
     def test_saved_report_is_valid_json(self, tmp_path, solved_suite):
         problem, solution = solved_suite[0]
         report = bh.run_diagnostics(problem, solution)
