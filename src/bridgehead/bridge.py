@@ -12,12 +12,27 @@ system
     exp(a(alpha)) = sum_omega prior(omega) * exp(u/lam - b(omega))
     exp(b(omega)) = sum_alpha nu(alpha)    * exp(u/lam - a(alpha))
 
-Alternating the two updates is Sinkhorn matrix scaling.  It always runs in
-the log domain, where each half-update is one log-sum-exp, overflow-safe for
-any lam.  Convergence is measured as the worst sup-norm violation of the two
-marginal constraints by the implied unit-mass coupling, which past the first
-sweep is built only when a cheap bound says the residual can pass (see
-``_sweep_log``), so no output depends on the bound.
+``nu`` is scaled to unit mass once on entry (it may sum to 1 only within
+1e-12), so the unit-mass coupling can meet its rows exactly.  The prior is
+used as given: when it sums to 1 + d, the columns stay about max(prior)|d|
+off, so a tolerance under that floor exhausts the budget.  The solve runs in
+three phases:
+
+1. Warm-up: up to ``_WARM_UP`` Sinkhorn sweeps, alternating the two updates
+   in the log domain, where each half-update is one log-sum-exp,
+   overflow-safe for any lam.  Most solves stop here.
+2. Newton: Sinkhorn's linear rate collapses at small lam, so an unconverged
+   warm-up hands its potentials to damped Newton on the semi-dual of the
+   smaller side (``_semi_dual_newton``), whose rate is quadratic.
+3. Finish: Sinkhorn sweeps from the Newton potentials for the rest of the
+   budget.  The stop test is the same as in the warm-up.
+
+Convergence is measured after every sweep as the worst sup-norm violation of
+the two marginal constraints by the implied unit-mass coupling, which past
+the first sweep of a phase is built only when a cheap bound says the
+residual can pass (see ``_sweep_log``), so no output depends on the bound.
+``iterations`` counts sweeps only, warm-up plus finish; Newton steps are not
+counted against the budget.
 
 Actions with nu(alpha) = 0 are excluded before iterating and reinserted as
 zero coupling rows afterwards; their action potential is defined by reading
@@ -27,7 +42,7 @@ translated so that E_nu[a] = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +72,9 @@ __all__ = [
 ]
 
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
+_WARM_UP = 50  # Sinkhorn sweeps before the Newton phase
+_NEWTON_STEPS = 50  # cap on Newton steps; each is one m x n exp and a small solve
+_MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
 
 
 class PotentialsInconsistent(BridgeheadError):
@@ -81,6 +99,9 @@ class SinkhornConfig:
 
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
+        It bounds sweeps only: a solve that needs the Newton phase also takes
+        up to ``_NEWTON_STEPS`` Newton steps, each costing about as much as
+        min(m, n) sweeps.
     """
 
     tolerance: float = 1e-10
@@ -122,11 +143,14 @@ def sinkhorn_bridge(
     config: SinkhornConfig | None = None,
     initial_action: np.ndarray | None = None,
 ) -> BridgeResult:
-    """Solve the inner problem at ``nu`` by alternating scaling.
+    """Solve the inner problem at ``nu``: Sinkhorn warm-up, Newton, Sinkhorn.
 
     Each sweep updates b from a, then a from b, and measures the sup-norm
-    marginal violation of the implied coupling.  The limit does not depend on
-    the start; ``initial_action`` merely warm-starts a.
+    marginal violation of the implied coupling.  A solve that the first
+    ``_WARM_UP`` sweeps do not finish takes Newton steps on the semi-dual and
+    then sweeps again for the rest of the budget; ``iterations`` counts the
+    sweeps of both phases.  The limit does not depend on the start;
+    ``initial_action`` merely warm-starts a.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -135,7 +159,7 @@ def sinkhorn_bridge(
     check_marginal(problem, nu)
 
     kernel = gibbs_kernel(problem)
-    weights = nu.weights
+    weights = nu.weights / nu.weights.sum()
     prior = problem.prior
     sup = weights > 0
     ks = kernel[sup]
@@ -148,11 +172,21 @@ def sinkhorn_bridge(
             raise InvalidInput("initial_action must be a finite length-m vector")
         a0 = init[sup].copy()
 
+    warm_up = replace(cfg, max_iterations=min(_WARM_UP, cfg.max_iterations))
     a_s, b, coupling_s, mass, iterations, residual, converged = _sweep_log(
-        ks, ws, prior, a0, cfg
+        ks, ws, prior, a0, warm_up
     )
+    if not converged and iterations < cfg.max_iterations:
+        a_newton = _semi_dual_newton(ks, ws, prior, a_s, b, cfg.tolerance)
+        finish = replace(cfg, max_iterations=cfg.max_iterations - iterations)
+        a_s, b, coupling_s, mass, sweeps, residual, converged = _sweep_log(
+            ks, ws, prior, a_newton, finish
+        )
+        iterations += sweeps
 
-    result = _assemble(problem, nu, kernel, sup, a_s, b, coupling_s, mass, iterations, residual)
+    result = _assemble(
+        problem, weights, kernel, sup, a_s, b, coupling_s, mass, iterations, residual
+    )
     if not converged:
         raise BridgeNotConverged(iterations, residual, result)
     return result
@@ -163,12 +197,12 @@ def _sweep_log(ks, ws, prior, a, cfg):
 
     Sweep k updates b, then a, and stops at the first ``_marginal_residual``
     within tolerance or at the budget's end.  After the a-update the raw
-    coupling has rows nu, mass W = sum(nu) and columns prior * exp(b_next - b),
-    b_next being the next b-update.  So each column of the unit-mass coupling
-    misses prior by at least c - |1 - W|, c = max|prior * expm1(b_next - b)|.
-    After sweep 1 (where warm starts at a solved nu stop), the coupling is
-    built only when c is within ``gate`` (4 tol plus |1 - W| and rounding) or
-    on the last sweep, so c neither stops a sweep nor delays a stop.
+    coupling has rows nu, hence unit mass up to rounding, and columns
+    prior * exp(b_next - b), b_next being the next b-update.  So its columns
+    miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  After
+    sweep 1 (where warm starts at a solved nu stop), the coupling is built
+    only when c is within ``gate`` (4 tol plus rounding) or on the last
+    sweep, so c neither stops a sweep nor delays a stop.
     """
     log_prior = np.log(prior)
     row_part = ks + np.log(ws)[:, None]       # log nu + u/lam
@@ -185,8 +219,7 @@ def _sweep_log(ks, ws, prior, a, cfg):
                     # |b| + osc(u/lam) and sums of m + n terms, by under eps/4 times
                     # that on 600 instances, lam 1e-4 to 1e4.  4 tol costs a few exact residuals.
                     scale = sum(ks.shape) + float(np.abs(b).max()) + float(ks.max() - ks.min())
-                    gate = 4.0 * cfg.tolerance + abs(1.0 - float(ws.sum()))
-                    gate += 8.0 * np.finfo(float).eps * scale
+                    gate = 4.0 * cfg.tolerance + 8.0 * np.finfo(float).eps * scale
                 b_next = _logsumexp_kernel(rows, axis=0)
                 if np.abs(prior * np.expm1(b_next - b)).max() > gate:  # NaN: measure
                     b = b_next
@@ -201,15 +234,81 @@ def _sweep_log(ks, ws, prior, a, cfg):
     return a[:, 0], b[0], coupling, mass, iterations, residual, residual <= cfg.tolerance
 
 
+def _semi_dual_newton(ks, ws, prior, a, b, tolerance):
+    """Action potentials from damped Newton on the smaller side's semi-dual.
+
+    Eliminating a leaves the convex semi-dual in b,
+    g(b) = sum_alpha nu log sum_omega prior exp(u/lam - b) + prior . b, whose
+    gradient is prior minus the coupling's column sums; eliminating b gives
+    the same form in a with the roles of nu and prior swapped.  Newton runs
+    on whichever potential has fewer entries and returns a, read off the
+    fixed-point equation when it ran on b.
+    """
+    if ks.shape[1] <= ks.shape[0]:
+        return _newton(ks, ws, prior, b, tolerance)[1]
+    return _newton(ks.T, prior, ws, a, tolerance)[0]
+
+
+def _newton(kernel, p, q, y, tolerance):
+    """Minimize g(y) = sum_i p_i log sum_j q_j exp(K_ij - y_j) + q . y.
+
+    With pi the row-conditional of exp(K - y), the gradient is q - p pi and
+    the Hessian diag(p pi) - pi^T diag(p) pi.  g is invariant under y + c
+    (up to the 1e-12 by which the prior may miss unit mass), so the gauge
+    holds the coordinate of the heaviest q fixed and the other ones are
+    solved for.  Steps are damped by Armijo backtracking on the exact
+    decrease of g, from a first trial that moves no entry of y by more than
+    ``_MAX_MOVE``.  Stops once the free coordinates' max|gradient| <=
+    tolerance / 4, when no step length decreases g, or after
+    ``_NEWTON_STEPS`` steps.  Returns y and the row log-sums
+    log sum_j q_j exp(K_ij - y_j).
+    """
+    logits = kernel + np.log(q)
+    free = np.arange(len(q)) != np.argmax(q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = _logsumexp_kernel(logits - y, axis=1)
+        pi = np.exp(logits - y - rows)
+        for _ in range(_NEWTON_STEPS):
+            colsum = p @ pi
+            grad = (q - colsum)[free]
+            if np.all(np.abs(grad) <= tolerance / 4):
+                break
+            hessian = np.diag(colsum) - (pi.T * p) @ pi
+            try:
+                step = np.linalg.solve(hessian[np.ix_(free, free)], grad)
+            except np.linalg.LinAlgError:
+                break
+            # a tiny column sum gives a near-null Hessian direction and a huge
+            # step; trials start at most _MAX_MOVE nats from y
+            step *= min(1.0, _MAX_MOVE / np.abs(step).max())
+            slope = float(grad @ step)
+            if not slope > 0:
+                break
+            move = np.zeros_like(y)
+            for _ in range(40):
+                move[free] = -step
+                # g(y + move) - g(y), from pi at y: exact to rounding of |move|
+                change = float(p @ np.log1p(pi @ np.expm1(-move)) + q @ move)
+                if change <= -1e-4 * slope:
+                    break
+                step *= 0.5
+                slope *= 0.5
+            else:
+                break
+            y = y + move
+            rows = _logsumexp_kernel(logits - y, axis=1)
+            pi = np.exp(logits - y - rows)
+    return y, rows[:, 0]
+
+
 def _marginal_residual(coupling, ws, prior) -> float:
     row = float(np.abs(coupling.sum(axis=1) - ws).max())
     col = float(np.abs(coupling.sum(axis=0) - prior).max())
     return max(row, col)
 
 
-def _assemble(problem, nu, kernel, sup, a_s, b, coupling_s, mass, iterations, residual):
+def _assemble(problem, weights, kernel, sup, a_s, b, coupling_s, mass, iterations, residual):
     prior = problem.prior
-    weights = nu.weights
 
     # extend a to excluded actions by reading the fixed-point equation at b
     a_full = np.empty(problem.num_actions)

@@ -63,6 +63,17 @@ class TestInnerValueDerivatives:
         analytic, cen = gateaux_value_direction(p, nu, bh.ActionMarginal.dirac(3, 1), h=1e-4)
         assert abs(analytic - cen) <= 1e-7
 
+    def test_small_lambda_probe_solves_converge(self):
+        # the six probe solves of run_diagnostics at lam=0.01, which Sinkhorn
+        # alone leaves near residual 2e-6 after the default 10,000 sweeps
+        p = bh.random_problem(3, 6, 6, lam=0.01)
+        nu = bh.solve(p, TIGHT).marginal.weights
+        for alpha in (0, 1, 3):
+            direction = bh.ActionMarginal.dirac(6, alpha).weights - nu
+            for t in (-1e-5, 1e-5):
+                res = bh.sinkhorn_bridge(p, bh.ActionMarginal(nu + t * direction), SINKHORN)
+                assert res.residual <= 1e-12
+
     def test_marginal_with_exact_zero(self):
         # run_diagnostics differentiates at solved marginals, which carry
         # exact zeros off the consideration set
