@@ -12,11 +12,9 @@ system
     exp(a(alpha)) = sum_omega prior(omega) * exp(u/lam - b(omega))
     exp(b(omega)) = sum_alpha nu(alpha)    * exp(u/lam - a(alpha))
 
-``nu`` is scaled to unit mass once on entry (it may sum to 1 only within
-1e-12), so the unit-mass coupling can meet its rows exactly.  The prior is
-used as given: when it sums to 1 + d, the columns stay about max(prior)|d|
-off, so a tolerance under that floor exhausts the budget.  The solve runs in
-three phases:
+``nu`` and the prior are scaled to unit mass once on entry (either may sum to
+1 only within 1e-12), so the unit-mass coupling can meet its rows and its
+columns exactly.  The solve runs in three phases:
 
 1. Warm-up: up to ``_WARM_UP`` Sinkhorn sweeps, alternating the two updates
    in the log domain, where each half-update is one log-sum-exp,
@@ -160,7 +158,7 @@ def sinkhorn_bridge(
 
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
-    prior = problem.prior
+    prior = problem.prior / problem.prior.sum()
     sup = weights > 0
     ks = kernel[sup]
     ws = weights[sup]
@@ -185,7 +183,7 @@ def sinkhorn_bridge(
         iterations += sweeps
 
     result = _assemble(
-        problem, weights, kernel, sup, a_s, b, coupling_s, mass, iterations, residual
+        problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, iterations, residual
     )
     if not converged:
         raise BridgeNotConverged(iterations, residual, result)
@@ -253,10 +251,9 @@ def _newton(kernel, p, q, y, tolerance):
     """Minimize g(y) = sum_i p_i log sum_j q_j exp(K_ij - y_j) + q . y.
 
     With pi the row-conditional of exp(K - y), the gradient is q - p pi and
-    the Hessian diag(p pi) - pi^T diag(p) pi.  g is invariant under y + c
-    (up to the 1e-12 by which the prior may miss unit mass), so the gauge
-    holds the coordinate of the heaviest q fixed and the other ones are
-    solved for.  Steps are damped by Armijo backtracking on the exact
+    the Hessian diag(p pi) - pi^T diag(p) pi.  g is invariant under y + c,
+    so the gauge holds the coordinate of the heaviest q fixed and the other
+    ones are solved for.  Steps are damped by Armijo backtracking on the exact
     decrease of g, from a first trial that moves no entry of y by more than
     ``_MAX_MOVE``.  Stops once the free coordinates' max|gradient| <=
     tolerance / 4, when no step length decreases g, or after
@@ -307,9 +304,7 @@ def _marginal_residual(coupling, ws, prior) -> float:
     return max(row, col)
 
 
-def _assemble(problem, weights, kernel, sup, a_s, b, coupling_s, mass, iterations, residual):
-    prior = problem.prior
-
+def _assemble(problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, iterations, residual):
     # extend a to excluded actions by reading the fixed-point equation at b
     a_full = np.empty(problem.num_actions)
     a_full[sup] = a_s

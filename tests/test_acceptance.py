@@ -246,7 +246,7 @@ def test_criterion_09_cumulant_identities(solved_suite):
         worst_mean = max(worst_mean, mean_err)
         worst_var = max(worst_var, var_err)
         worst_gain = max(worst_gain, gain_err)
-    ok = worst_mean <= 1e-6 and worst_var <= 1e-4 and worst_gain <= 1e-5
+    ok = worst_mean <= 1e-7 and worst_var <= 5e-6 and worst_gain <= 1e-5
     _certify(
         9,
         ok,
@@ -287,12 +287,12 @@ def test_criterion_10_partition_function_invariance():
 def test_criterion_11_free_energy_minimality(solved_suite):
     worst = 0.0
     for problem, solution in solved_suite:
-        check = free_energy_check(problem, solution, seed=0)
+        check = free_energy_check(problem, solution)
         worst = max(worst, check.max_violation)
-    ok = worst <= 1e-9
+    ok = worst <= 1e-10
     _certify(
         11,
         ok,
-        "no plausible rival beats the solved policy's average free energy",
-        f"worst improvement {worst:.2e} over 100 rivals x {len(solved_suite)} instances",
+        "no conditional policy beats the solved policy's average free energy",
+        f"worst KL gap to the Gibbs policy {worst:.2e} nats over {len(solved_suite)} instances",
     )

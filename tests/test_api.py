@@ -95,7 +95,7 @@ PARAMETERS = {
     "sinkhorn_bridge": ("problem", "nu", "config", "initial_action"),
     "schrodinger_residual": ("problem", "nu", "potentials"),
     "DiagnosticReport": ("checks",),
-    "run_diagnostics": ("problem", "solution", "seed", "sinkhorn"),
+    "run_diagnostics": ("problem", "solution", "seed"),
     "belief_feasibility": ("problem", "candidate_set", "anchor", "posterior_anchor"),
     "grid_search_f": ("problem", "resolution"),
     "random_problem": ("seed", "num_actions", "num_states", "lam"),
