@@ -16,9 +16,13 @@ system
 1 only within 1e-12), so the unit-mass coupling can meet its rows and its
 columns exactly.  The solve runs in three phases:
 
-1. Warm-up: up to ``_WARM_UP`` Sinkhorn sweeps, alternating the two updates
-   in the log domain, where each half-update is one log-sum-exp,
-   overflow-safe for any lam.  Most solves stop here.
+1. Warm-up: Sinkhorn sweeps, alternating the two updates in the log domain,
+   where each half-update is one log-sum-exp, overflow-safe for any lam.
+   Most solves stop here.  The exact residuals after sweeps 1 and 5 measure
+   Sinkhorn's linear rate; where 20 more sweeps at that rate would not reach
+   tolerance (``_sinkhorn_is_slow``), the warm-up ends at sweep 5, otherwise
+   it runs up to ``_WARM_UP`` sweeps.  The sweeps are those of one unbroken
+   run, so a solve that ends in the warm-up keeps its bytes.
 2. Newton: Sinkhorn's linear rate collapses at small lam, so an unconverged
    warm-up hands its potentials to damped Newton on the semi-dual of the
    smaller side (``_semi_dual_newton``), whose rate is quadratic.
@@ -70,7 +74,9 @@ __all__ = [
 ]
 
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
-_WARM_UP = 50  # Sinkhorn sweeps before the Newton phase
+_WARM_UP = 50  # most Sinkhorn sweeps before the Newton phase
+_RATE_SWEEPS = 4  # sweeps 2 to 5, over which the warm-up measures Sinkhorn's rate
+_NEWTON_COST = 20  # sweeps the Newton phase is worth; slower warm-ups hand over
 _NEWTON_STEPS = 50  # cap on Newton steps; each is one m x n exp and a small solve
 _MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
 
@@ -97,9 +103,10 @@ class SinkhornConfig:
 
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
-        It bounds sweeps only: a solve that needs the Newton phase also takes
-        up to ``_NEWTON_STEPS`` Newton steps, each costing about as much as
-        min(m, n) sweeps.
+        It bounds sweeps only: a solve whose warm-up measures Sinkhorn as
+        slow by sweep 5, or that is unconverged at sweep ``_WARM_UP``, also
+        takes up to ``_NEWTON_STEPS`` Newton steps, each costing about as
+        much as min(m, n) sweeps.
     """
 
     tolerance: float = 1e-10
@@ -144,11 +151,13 @@ def sinkhorn_bridge(
     """Solve the inner problem at ``nu``: Sinkhorn warm-up, Newton, Sinkhorn.
 
     Each sweep updates b from a, then a from b, and measures the sup-norm
-    marginal violation of the implied coupling.  A solve that the first
-    ``_WARM_UP`` sweeps do not finish takes Newton steps on the semi-dual and
-    then sweeps again for the rest of the budget; ``iterations`` counts the
-    sweeps of both phases.  The limit does not depend on the start;
-    ``initial_action`` merely warm-starts a.
+    marginal violation of the implied coupling.  The warm-up hands over to
+    Newton steps on the semi-dual at sweep 5 where the rate measured from the
+    residuals of sweeps 1 and 5 predicts more than ``_NEWTON_COST`` further
+    sweeps, else at sweep ``_WARM_UP`` if still unconverged; sweeps then run
+    again for the rest of the budget.  ``iterations`` counts the sweeps of
+    both phases, not the Newton steps.  The limit does not depend on the
+    start; ``initial_action`` merely warm-starts a.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -170,10 +179,23 @@ def sinkhorn_bridge(
             raise InvalidInput("initial_action must be a finite length-m vector")
         a0 = init[sup].copy()
 
-    warm_up = replace(cfg, max_iterations=min(_WARM_UP, cfg.max_iterations))
-    a_s, b, coupling_s, mass, iterations, residual, converged = _sweep_log(
-        ks, ws, prior, a0, warm_up
-    )
+    # the warm-up runs in chunks ending at sweeps 1, 1 + _RATE_SWEEPS and
+    # warm_up; a chunk restarts from its a, which is the same arithmetic as
+    # sweeping on, so the chunks add only coupling builds at their boundaries
+    warm_up = min(_WARM_UP, cfg.max_iterations)
+    a_s, iterations = a0, 0
+    for end in (1, 1 + _RATE_SWEEPS, warm_up):
+        chunk = replace(cfg, max_iterations=min(end, warm_up) - iterations)
+        a_s, b, coupling_s, mass, sweeps, residual, converged = _sweep_log(
+            ks, ws, prior, a_s, chunk
+        )
+        iterations += sweeps
+        if converged or iterations == warm_up:
+            break
+        if iterations == 1:
+            first = residual
+        elif _sinkhorn_is_slow(first, residual, cfg.tolerance):
+            break
     if not converged and iterations < cfg.max_iterations:
         a_newton = _semi_dual_newton(ks, ws, prior, a_s, b, cfg.tolerance)
         finish = replace(cfg, max_iterations=cfg.max_iterations - iterations)
@@ -188,6 +210,13 @@ def sinkhorn_bridge(
     if not converged:
         raise BridgeNotConverged(iterations, residual, result)
     return result
+
+
+def _sinkhorn_is_slow(first, last, tolerance):
+    """True unless Sinkhorn, at the linear rate (last / first)^(1 / _RATE_SWEEPS)
+    measured over the rate window, passes tolerance within ``_NEWTON_COST``
+    more sweeps.  A rate of 1 or more, or a NaN residual, counts as slow."""
+    return not last * (last / first) ** (_NEWTON_COST / _RATE_SWEEPS) <= tolerance
 
 
 def _sweep_log(ks, ws, prior, a, cfg):
@@ -255,12 +284,15 @@ def _newton(kernel, p, q, y, tolerance):
     so the gauge holds the coordinate of the heaviest q fixed and the other
     ones are solved for.  Steps are damped by Armijo backtracking on the exact
     decrease of g, from a first trial that moves no entry of y by more than
-    ``_MAX_MOVE``.  Stops once the free coordinates' max|gradient| <=
-    tolerance / 4, when no step length decreases g, or after
-    ``_NEWTON_STEPS`` steps.  Returns y and the row log-sums
-    log sum_j q_j exp(K_ij - y_j).
+    ``_MAX_MOVE``.  Where the reduced Hessian is singular, the step is no
+    descent direction or no step length decreases g, the step is the
+    Sinkhorn half-step y += log(colsum / q) instead, gauge held, which never
+    increases g.  Stops once the free coordinates' max|gradient| <=
+    tolerance / 4 or after ``_NEWTON_STEPS`` steps.  Returns y and the row
+    log-sums log sum_j q_j exp(K_ij - y_j).
     """
     logits = kernel + np.log(q)
+    row_logits = kernel + np.log(p)[:, None]
     free = np.arange(len(q)) != np.argmax(q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = _logsumexp_kernel(logits - y, axis=1)
@@ -270,32 +302,41 @@ def _newton(kernel, p, q, y, tolerance):
             grad = (q - colsum)[free]
             if np.all(np.abs(grad) <= tolerance / 4):
                 break
-            hessian = np.diag(colsum) - (pi.T * p) @ pi
-            try:
-                step = np.linalg.solve(hessian[np.ix_(free, free)], grad)
-            except np.linalg.LinAlgError:
-                break
-            # a tiny column sum gives a near-null Hessian direction and a huge
-            # step; trials start at most _MAX_MOVE nats from y
-            step *= min(1.0, _MAX_MOVE / np.abs(step).max())
-            slope = float(grad @ step)
-            if not slope > 0:
-                break
-            move = np.zeros_like(y)
-            for _ in range(40):
-                move[free] = -step
-                # g(y + move) - g(y), from pi at y: exact to rounding of |move|
-                change = float(p @ np.log1p(pi @ np.expm1(-move)) + q @ move)
-                if change <= -1e-4 * slope:
-                    break
-                step *= 0.5
-                slope *= 0.5
-            else:
-                break
+            move = _newton_move(p, q, pi, colsum, grad, free)
+            if move is None:
+                # the Sinkhorn half-step on y, gauge held: it never increases g
+                y_half = _logsumexp_kernel(row_logits - rows, axis=0)[0]
+                move = y_half - y_half[~free] + y[~free] - y
             y = y + move
             rows = _logsumexp_kernel(logits - y, axis=1)
             pi = np.exp(logits - y - rows)
     return y, rows[:, 0]
+
+
+def _newton_move(p, q, pi, colsum, grad, free):
+    """The damped Newton move of ``_newton``, or None where the reduced Hessian
+    is singular, the step is no descent direction or no length decreases g."""
+    hessian = np.diag(colsum) - (pi.T * p) @ pi
+    try:
+        step = np.linalg.solve(hessian[np.ix_(free, free)], grad)
+    except np.linalg.LinAlgError:
+        return None
+    # a tiny column sum gives a near-null Hessian direction and a huge
+    # step; trials start at most _MAX_MOVE nats from y
+    step *= min(1.0, _MAX_MOVE / np.abs(step).max())
+    slope = float(grad @ step)
+    if not slope > 0:
+        return None
+    move = np.zeros(len(q))
+    for _ in range(40):
+        move[free] = -step
+        # g(y + move) - g(y), from pi at y: exact to rounding of |move|
+        change = float(p @ np.log1p(pi @ np.expm1(-move)) + q @ move)
+        if change <= -1e-4 * slope:
+            return move
+        step *= 0.5
+        slope *= 0.5
+    return None
 
 
 def _marginal_residual(coupling, ws, prior) -> float:

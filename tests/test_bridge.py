@@ -3,6 +3,7 @@
 import hashlib
 import math
 import platform
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -136,7 +137,8 @@ class TestSinkhornBridge:
         p = bh.random_problem(1028712447, 16, 16, lam=0.01)
         nu = bh.ActionMarginal(weights)
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        assert res.iterations < 2 * bridge._WARM_UP
+        # the warm-up measures Sinkhorn as slow by sweep 5 and hands over
+        assert res.iterations <= 10
         assert res.residual <= 1e-12
         assert res.duality_gap <= 1e-8
         assert max(bh.schrodinger_residual(p, nu, res.potentials)) <= 1e-9
@@ -272,17 +274,45 @@ def reference_sweep_log(ks, ws, prior, a, cfg):
     return a, b, coupling, mass, iterations, residual, residual <= cfg.tolerance
 
 
-def _bridge(problem, nu, cfg):
+def single_warm_up_bridge(problem, nu, cfg):
+    """sinkhorn_bridge with the warm-up run as one stretch of up to
+    ``_WARM_UP`` sweeps and no rate window: the reference for the bytes of
+    solves that take no Newton step."""
+    kernel = gibbs_kernel(problem)
+    weights = nu.weights / nu.weights.sum()
+    prior = problem.prior / problem.prior.sum()
+    sup = weights > 0
+    ks, ws = kernel[sup], weights[sup]
+    warm_up = replace(cfg, max_iterations=min(bridge._WARM_UP, cfg.max_iterations))
+    a, b, coupling, mass, iterations, residual, converged = bridge._sweep_log(
+        ks, ws, prior, np.zeros(sup.sum()), warm_up
+    )
+    if not converged and iterations < cfg.max_iterations:
+        a = bridge._semi_dual_newton(ks, ws, prior, a, b, cfg.tolerance)
+        finish = replace(cfg, max_iterations=cfg.max_iterations - iterations)
+        a, b, coupling, mass, sweeps, residual, converged = bridge._sweep_log(
+            ks, ws, prior, a, finish
+        )
+        iterations += sweeps
+    result = bridge._assemble(
+        problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
+    )
+    if not converged:
+        raise BridgeNotConverged(iterations, residual, result)
+    return result
+
+
+def _bridge(problem, nu, cfg, solve=bh.sinkhorn_bridge):
     """(result, converged), the result of an exhausted budget included."""
     try:
-        return bh.sinkhorn_bridge(problem, nu, cfg), True
+        return solve(problem, nu, cfg), True
     except BridgeNotConverged as err:
         return err.result, False
 
 
-def _bridge_bytes(problem, nu, cfg):
+def _bridge_bytes(problem, nu, cfg, solve=bh.sinkhorn_bridge):
     """Every returned field of sinkhorn_bridge, floats by float.hex."""
-    res, converged = _bridge(problem, nu, cfg)
+    res, converged = _bridge(problem, nu, cfg, solve)
     arrays = (res.coupling.joint, res.potentials.action, res.potentials.state)
     return (
         converged,
@@ -384,6 +414,24 @@ class TestLeanSweep:
                 self._assert_matches_reference((problem, nu), cfg)
 
 
+def assert_certificates(problem, nu, res):
+    """What a solve at tolerance 1e-12 must show, Newton phase or not."""
+    assert res.residual <= 1e-12
+    assert res.duality_gap <= 1e-8
+    # a column whose mass is off by r is off by r / prior in log, so the
+    # state equation can miss 1e-9 by itself where the prior holds atoms
+    # near 1e-4
+    bound = max(1e-9, 2.0 * res.residual / problem.prior.min())
+    assert max(bh.schrodinger_residual(problem, nu, res.potentials)) <= bound
+    weights = nu.weights / nu.weights.sum()
+    sup = weights > 0
+    plain = reference_sweep_log(
+        gibbs_kernel(problem)[sup], weights[sup], problem.prior, np.zeros(sup.sum()), TIGHT
+    )
+    if plain[-1]:
+        assert np.abs(res.coupling.joint[sup] - plain[2]).max() <= 1e-9
+
+
 class TestNewtonPhase:
     """Solves that the warm-up does not finish go through the Newton phase."""
 
@@ -394,21 +442,43 @@ class TestNewtonPhase:
     def test_certificates_and_plain_loop_coupling(self, max_lam, data):
         problem, nu = data.draw(bridge_instances(max_lam=max_lam))
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
-        res = bh.sinkhorn_bridge(problem, nu, cfg)
-        assert res.residual <= 1e-12
-        assert res.duality_gap <= 1e-8
-        # a column whose mass is off by r is off by r / prior in log, so the
-        # state equation can miss 1e-9 by itself where the prior holds atoms
-        # near 1e-4
-        bound = max(1e-9, 2.0 * res.residual / problem.prior.min())
-        assert max(bh.schrodinger_residual(problem, nu, res.potentials)) <= bound
-        weights = nu.weights / nu.weights.sum()
-        sup = weights > 0
-        plain = reference_sweep_log(
-            gibbs_kernel(problem)[sup], weights[sup], problem.prior, np.zeros(sup.sum()), TIGHT
-        )
-        if plain[-1]:
-            assert np.abs(res.coupling.joint[sup] - plain[2]).max() <= 1e-9
+        assert_certificates(problem, nu, bh.sinkhorn_bridge(problem, nu, cfg))
+
+    @pytest.mark.parametrize("max_lam", [1e4, 0.05])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rate_window_keeps_bytes_without_newton(self, max_lam, data):
+        # the warm-up in chunks that end at sweeps 1 and 5 returns the bytes
+        # of one stretch wherever neither side reaches the Newton phase
+        problem, nu = data.draw(bridge_instances(max_lam=max_lam))
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
+        newton = bridge._semi_dual_newton
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return newton(*args)
+
+        with mock.patch.object(bridge, "_semi_dual_newton", counted):
+            chunked = _bridge_bytes(problem, nu, cfg)
+            single = _bridge_bytes(problem, nu, cfg, single_warm_up_bridge)
+        if calls:
+            assert_certificates(problem, nu, bh.sinkhorn_bridge(problem, nu, cfg))
+        else:
+            assert chunked == single
+
+    def test_singular_hessian_takes_sinkhorn_half_steps(self):
+        # 12 x 2 with two supported actions: Newton runs on b, whose reduced
+        # Hessian is 1 x 1 and exactly 0 because every row conditional is 0
+        # or 1 in floating point.  A Newton phase that stops there leaves 141
+        # sweeps to Sinkhorn (174 with a 50-sweep warm-up)
+        weights = np.zeros(12)
+        weights[[5, 1]] = [0.6759147289132628, 0.3240852710867373]
+        problem = bh.random_problem(4198799368, 12, 2, lam=0.012181494613539642)
+        nu = bh.ActionMarginal(weights)
+        res = bh.sinkhorn_bridge(problem, nu, TIGHT)
+        assert res.iterations <= 10
+        assert_certificates(problem, nu, res)
 
 
 def _golden_problem(case):
@@ -416,7 +486,8 @@ def _golden_problem(case):
         nu = bh.ActionMarginal(np.array([0.4, 0.0, 0.35, 0.0, 0.25]))
         return bh.random_problem(5, 5, 4, lam=0.3), nu, TIGHT
     if case == "exhausted":
-        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=7)
+        # the budget ends with the rate window at sweep 5, before any Newton step
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=5)
         return bh.random_problem(8, 6, 6, lam=0.01), bh.ActionMarginal.uniform(6), cfg
     if case == "200x50":
         return bh.random_problem(200, 200, 50, lam=1.0), bh.ActionMarginal.uniform(200), TIGHT
@@ -439,12 +510,12 @@ def _recording_platform():
 
 
 # Recorded from the plain per-sweep loop (NumPy 2.4, x86-64 with AVX-512),
-# with the Newton phase between its warm-up and finish for 6x6 lam=0.01:
-# iterations, float.hex of residual, value_primal and value_dual, sha256 of
-# the coupling.
+# with the Newton phase between its warm-up, which measures Sinkhorn as slow
+# at sweep 5, and its finish for 6x6 lam=0.01: iterations, float.hex of
+# residual, value_primal and value_dual, sha256 of the coupling.
 GOLDEN = {
-    "6x6 lam=0.01": (51, "0x1.c000000000000p-50", "0x1.41b316b242910p+6", "0x1.41b316b242913p+6",
-                     "e10afa02370cba77804e5824ab851afa3d9d617e61a637398c84f29f47d77097"),
+    "6x6 lam=0.01": (6, "0x1.4980000000000p-46", "0x1.41b316b2428dcp+6", "0x1.41b316b242913p+6",
+                     "49dd643110533347ea9815531c279b97772385e7cdd2f37ebd9c711bca44eb9f"),
     "6x6 lam=1": (7, "0x1.0d44000000000p-41", "0x1.124450e86e098p-1", "0x1.124450e86df70p-1",
                   "819b69e2084ff20c82d92388235d0cf31dd5042b9ab5c218155d1d8af7ef229f"),
     "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",
@@ -453,8 +524,8 @@ GOLDEN = {
                "1947df60f4d4cb2a5ec62462cb32d81fd8eb4a8a436f820e5c54ded0faf9aed4"),
     "zeros": (17, "0x1.aad0000000000p-42", "0x1.f865302b7fa0bp+0", "0x1.f865302b7f68ep+0",
               "f7d4fd75906f9eec741d8bf30384e80d90a630102c5210c618715defa82dc27a"),
-    "exhausted": (7, "0x1.6f0d6a704103ap-3", "0x1.00c1bedd48bd3p+6", "0x1.18b089adb94c8p+6",
-                  "a1ebf1d6bad64506cd4425117fb1440a06f2cf9bf83ffb46644f683ec6a09e9e"),
+    "exhausted": (5, "0x1.88a3b0835fd5ap-3", "0x1.fb7065023bcfdp+5", "0x1.1d1b56522e7dap+6",
+                  "4552c3e10ca31371fe2e6f14a241b896b5d0c3cf1cd64d5ec34b15b3faec19e6"),
 }
 
 
