@@ -14,27 +14,21 @@ system
 
 ``nu`` and the prior are scaled to unit mass once on entry (either may sum to
 1 only within 1e-12), so the unit-mass coupling can meet its rows and its
-columns exactly.  The solve runs in three phases:
+columns exactly.  The solve is one loop of Sinkhorn sweeps, alternating the
+two updates in the log domain, where each half-update is one log-sum-exp,
+overflow-safe for any lam.  Most solves end within a few sweeps.  Sinkhorn's
+linear rate collapses at small lam, so the loop hands over once to damped
+Newton on the semi-dual of the smaller side (``_semi_dual_newton``), whose
+rate is quadratic: after sweep 5 where the exact residuals of sweeps 1 and 5
+predict that 20 more sweeps would not reach tolerance
+(``_sinkhorn_is_slow``), otherwise after sweep ``_WARM_UP`` if still
+unconverged.  The sweeps go on from the Newton potentials.
 
-1. Warm-up: Sinkhorn sweeps, alternating the two updates in the log domain,
-   where each half-update is one log-sum-exp, overflow-safe for any lam.
-   Most solves stop here.  The exact residuals after sweeps 1 and 5 measure
-   Sinkhorn's linear rate; where 20 more sweeps at that rate would not reach
-   tolerance (``_sinkhorn_is_slow``), the warm-up ends at sweep 5, otherwise
-   it runs up to ``_WARM_UP`` sweeps.  The sweeps are those of one unbroken
-   run, so a solve that ends in the warm-up keeps its bytes.
-2. Newton: Sinkhorn's linear rate collapses at small lam, so an unconverged
-   warm-up hands its potentials to damped Newton on the semi-dual of the
-   smaller side (``_semi_dual_newton``), whose rate is quadratic.
-3. Finish: Sinkhorn sweeps from the Newton potentials for the rest of the
-   budget.  The stop test is the same as in the warm-up.
-
-Convergence is measured after every sweep as the worst sup-norm violation of
-the two marginal constraints by the implied unit-mass coupling, which past
-the first sweep of a phase is built only when a cheap bound says the
-residual can pass (see ``_sweep_log``), so no output depends on the bound.
-``iterations`` counts sweeps only, warm-up plus finish; Newton steps are not
-counted against the budget.
+Convergence is measured as the worst sup-norm violation of the two marginal
+constraints by the implied unit-mass coupling, which is built only where a
+cheap bound says the residual can pass (see ``sinkhorn_bridge``), so no
+output depends on the bound.  ``iterations`` counts sweeps only; Newton
+steps are not counted against the budget.
 
 Actions with nu(alpha) = 0 are excluded before iterating and reinserted as
 zero coupling rows afterwards; their action potential is defined by reading
@@ -44,7 +38,7 @@ translated so that E_nu[a] = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +52,7 @@ from .core import (
     _logsumexp_kernel,
     action_equation,
     check_marginal,
+    check_number,
     gibbs_kernel,
     weighted_logsumexp,
 )
@@ -103,18 +98,20 @@ class SinkhornConfig:
 
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
-        It bounds sweeps only: a solve whose warm-up measures Sinkhorn as
-        slow by sweep 5, or that is unconverged at sweep ``_WARM_UP``, also
-        takes up to ``_NEWTON_STEPS`` Newton steps, each costing about as
-        much as min(m, n) sweeps.
+        It bounds sweeps only: a loop that hands over to Newton (at sweep 5
+        or ``_WARM_UP``, never at its last sweep) also takes up to
+        ``_NEWTON_STEPS`` Newton steps, each costing about as much as
+        min(m, n) sweeps.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
+        check_number("tolerance", self.tolerance)
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise InvalidInput(f"tolerance must be > 0, got {self.tolerance!r}")
+        check_number("max_iterations", self.max_iterations, integer=True)
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
 
@@ -146,24 +143,26 @@ def sinkhorn_bridge(
     problem: Problem,
     nu: ActionMarginal,
     config: SinkhornConfig | None = None,
-    initial_action: np.ndarray | None = None,
 ) -> BridgeResult:
-    """Solve the inner problem at ``nu``: Sinkhorn warm-up, Newton, Sinkhorn.
+    """Solve the inner problem at ``nu``: Sinkhorn sweeps, one Newton hand-over.
 
-    Each sweep updates b from a, then a from b, and measures the sup-norm
-    marginal violation of the implied coupling.  The warm-up hands over to
-    Newton steps on the semi-dual at sweep 5 where the rate measured from the
-    residuals of sweeps 1 and 5 predicts more than ``_NEWTON_COST`` further
-    sweeps, else at sweep ``_WARM_UP`` if still unconverged; sweeps then run
-    again for the rest of the budget.  ``iterations`` counts the sweeps of
-    both phases, not the Newton steps.  The limit does not depend on the
-    start; ``initial_action`` merely warm-starts a.
+    Sweep k updates b, then a, and stops at the first exact residual within
+    tolerance or at the budget's end.  After the a-update the raw coupling
+    has rows nu, hence unit mass up to rounding, and columns
+    prior * exp(b_next - b), b_next being the next b-update, so its columns
+    miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  The
+    exact residual is measured at sweep 1 (where a solved start stops), at
+    the rate sweep, at the first sweep after Newton, at the budget's last
+    sweep, and wherever c is within ``gate`` (4 tol plus rounding), so c
+    neither stops a sweep nor delays a stop.  Newton runs at most once (see
+    the module docstring), never at the budget's last sweep.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
     """
     cfg = config or SinkhornConfig()
     check_marginal(problem, nu)
+    budget, tolerance = cfg.max_iterations, cfg.tolerance
 
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
@@ -171,43 +170,48 @@ def sinkhorn_bridge(
     sup = weights > 0
     ks = kernel[sup]
     ws = weights[sup]
-
-    a0 = np.zeros(int(sup.sum()))
-    if initial_action is not None:
-        init = np.asarray(initial_action, dtype=np.float64)
-        if init.shape != (problem.num_actions,) or not np.all(np.isfinite(init)):
-            raise InvalidInput("initial_action must be a finite length-m vector")
-        a0 = init[sup].copy()
-
-    # the warm-up runs in chunks ending at sweeps 1, 1 + _RATE_SWEEPS and
-    # warm_up; a chunk restarts from its a, which is the same arithmetic as
-    # sweeping on, so the chunks add only coupling builds at their boundaries
-    warm_up = min(_WARM_UP, cfg.max_iterations)
-    a_s, iterations = a0, 0
-    for end in (1, 1 + _RATE_SWEEPS, warm_up):
-        chunk = replace(cfg, max_iterations=min(end, warm_up) - iterations)
-        a_s, b, coupling_s, mass, sweeps, residual, converged = _sweep_log(
-            ks, ws, prior, a_s, chunk
-        )
-        iterations += sweeps
-        if converged or iterations == warm_up:
-            break
-        if iterations == 1:
-            first = residual
-        elif _sinkhorn_is_slow(first, residual, cfg.tolerance):
-            break
-    if not converged and iterations < cfg.max_iterations:
-        a_newton = _semi_dual_newton(ks, ws, prior, a_s, b, cfg.tolerance)
-        finish = replace(cfg, max_iterations=cfg.max_iterations - iterations)
-        a_s, b, coupling_s, mass, sweeps, residual, converged = _sweep_log(
-            ks, ws, prior, a_newton, finish
-        )
-        iterations += sweeps
+    log_prior = np.log(prior)
+    row_part = ks + np.log(ws)[:, None]       # log nu + u/lam
+    col_part = ks + log_prior[None, :]        # log prior + u/lam
+    # Cheap and exact residuals round apart on exponents up to |b| + osc(u/lam)
+    # and sums of m + n terms, by under eps/4 times that on 600 instances, lam
+    # 1e-4 to 1e4.  4 tol costs a few exact residuals.
+    size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
+    eps = np.finfo(float).eps
+    rate_sweep, newton_at, measure = 1 + _RATE_SWEEPS, _WARM_UP, True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = _logsumexp_kernel(row_part, axis=0)
+        for iterations in range(1, budget + 1):
+            a = _logsumexp_kernel(col_part - b, axis=1)
+            rows = row_part - a
+            measure = measure or iterations in (rate_sweep, budget)
+            b_next = None
+            if not measure:
+                gate = 4.0 * tolerance + 8.0 * eps * (size_and_osc + float(np.abs(b).max()))
+                b_next = _logsumexp_kernel(rows, axis=0)
+                measure = not np.abs(prior * np.expm1(b_next - b)).max() > gate  # NaN: measure
+            if measure:
+                coupling = np.exp(rows + (log_prior - b))
+                mass = float(coupling.sum())
+                coupling /= mass
+                residual = _marginal_residual(coupling, ws, prior)
+                if residual <= tolerance or iterations == budget:
+                    break
+                if iterations == 1:
+                    first = residual
+                elif iterations == rate_sweep and _sinkhorn_is_slow(first, residual, tolerance):
+                    newton_at = rate_sweep
+            measure = iterations == newton_at  # hand over now, measure the next sweep
+            if measure:
+                a = _semi_dual_newton(ks, ws, prior, a[:, 0], b[0], tolerance)[:, None]
+                b = _logsumexp_kernel(row_part - a, axis=0)
+            else:
+                b = _logsumexp_kernel(rows, axis=0) if b_next is None else b_next
 
     result = _assemble(
-        problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, iterations, residual
+        problem, weights, prior, kernel, sup, a[:, 0], b[0], coupling, mass, iterations, residual
     )
-    if not converged:
+    if not residual <= tolerance:
         raise BridgeNotConverged(iterations, residual, result)
     return result
 
@@ -217,48 +221,6 @@ def _sinkhorn_is_slow(first, last, tolerance):
     measured over the rate window, passes tolerance within ``_NEWTON_COST``
     more sweeps.  A rate of 1 or more, or a NaN residual, counts as slow."""
     return not last * (last / first) ** (_NEWTON_COST / _RATE_SWEEPS) <= tolerance
-
-
-def _sweep_log(ks, ws, prior, a, cfg):
-    """Log-domain sweeps; returns support-sized pieces plus loop telemetry.
-
-    Sweep k updates b, then a, and stops at the first ``_marginal_residual``
-    within tolerance or at the budget's end.  After the a-update the raw
-    coupling has rows nu, hence unit mass up to rounding, and columns
-    prior * exp(b_next - b), b_next being the next b-update.  So its columns
-    miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  After
-    sweep 1 (where warm starts at a solved nu stop), the coupling is built
-    only when c is within ``gate`` (4 tol plus rounding) or on the last
-    sweep, so c neither stops a sweep nor delays a stop.
-    """
-    log_prior = np.log(prior)
-    row_part = ks + np.log(ws)[:, None]       # log nu + u/lam
-    col_part = ks + log_prior[None, :]        # log prior + u/lam
-    a = a[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = _logsumexp_kernel(row_part - a, axis=0)
-        for iterations in range(1, cfg.max_iterations + 1):
-            a = _logsumexp_kernel(col_part - b, axis=1)
-            rows = row_part - a
-            if 1 < iterations < cfg.max_iterations:
-                if iterations == 2:
-                    # Cheap and exact residuals round apart on exponents up to
-                    # |b| + osc(u/lam) and sums of m + n terms, by under eps/4 times
-                    # that on 600 instances, lam 1e-4 to 1e4.  4 tol costs a few exact residuals.
-                    scale = sum(ks.shape) + float(np.abs(b).max()) + float(ks.max() - ks.min())
-                    gate = 4.0 * cfg.tolerance + 8.0 * np.finfo(float).eps * scale
-                b_next = _logsumexp_kernel(rows, axis=0)
-                if np.abs(prior * np.expm1(b_next - b)).max() > gate:  # NaN: measure
-                    b = b_next
-                    continue
-            raw = np.exp(rows + (log_prior - b))
-            mass = float(raw.sum())
-            coupling = raw / mass
-            residual = _marginal_residual(coupling, ws, prior)
-            if residual <= cfg.tolerance or iterations == cfg.max_iterations:
-                break
-            b = b_next if iterations > 1 else _logsumexp_kernel(rows, axis=0)
-    return a[:, 0], b[0], coupling, mass, iterations, residual, residual <= cfg.tolerance
 
 
 def _semi_dual_newton(ks, ws, prior, a, b, tolerance):

@@ -15,6 +15,7 @@ independently computed quantities use looser, documented tolerances.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -278,6 +279,15 @@ def check_problem(problem: Problem, subject: str) -> None:
     if issues:
         summary = "; ".join(f"{i.code}: {i.message}" for i in issues)
         raise InvalidInput(f"{subject} failed validation: {summary}")
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise InvalidInput unless ``value`` is a real number, or an integer
+    where ``integer``; NumPy scalars count, a bool is neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a real number"
+        raise InvalidInput(f"{name} must be {noun}, got {value!r}")
 
 
 def drop_zero_prior_states(problem: Problem) -> Problem:

@@ -224,11 +224,12 @@ def ilr_check(problem: Problem, solution: Solution) -> CheckResult:
     sum_omega exp((u(alpha,.) - u(alpha',.))/lam) P(omega|alpha') stay at or
     below one, exactly one when alpha is itself supported, for each supported
     alpha'.  Posteriors come from the stored coupling, so corrupted couplings
-    fail here.  The worst violation is held to 1e-7.
+    fail here; the ratio sums read the entries that ``_gibbs_log_posterior``
+    sets aside off the formula.  The worst violation is held to 1e-7.
     """
     kernel = gibbs_kernel(problem)
-    lz = log_partition(problem, solution.marginal)
-    formula = np.exp(np.log(problem.prior)[None, :] + kernel - lz[None, :])
+    log_formula, aside = _gibbs_log_posterior(problem, solution)
+    formula = np.exp(log_formula)
     joint = solution.coupling.joint
     supported = list(solution.consideration_set)
     worst = 0.0
@@ -239,7 +240,7 @@ def ilr_check(problem: Problem, solution: Solution) -> CheckResult:
         posterior = joint[alpha] / row_mass
         worst = max(worst, float(np.abs(posterior - formula[alpha]).max()))
         with np.errstate(divide="ignore"):
-            log_posterior = np.log(posterior)
+            log_posterior = np.where(aside[alpha], log_formula[alpha], np.log(posterior))
         ratio_sums = np.exp(
             logsumexp(kernel - kernel[alpha][None, :] + log_posterior[None, :], axis=1)
         )
@@ -381,6 +382,21 @@ def _conditionals(solution: Solution) -> np.ndarray | None:
     return None if np.any(col <= 0) else joint / col[None, :]
 
 
+def _gibbs_log_posterior(problem: Problem, solution: Solution) -> tuple[np.ndarray, np.ndarray]:
+    """log P(omega | alpha) = log prior + u/lam - log Z by the Gibbs formula,
+    and the entries set aside: those where both the stored joint and the
+    formula's joint nu * P(omega | alpha) lie below the smallest normal
+    double.  There the stored coupling has underflowed (at lam = 1e-3 a
+    converged solve stores supported entries as 0 or 1e-317), so its
+    logarithm measures rounding, not the solve."""
+    lz = log_partition(problem, solution.marginal)
+    log_formula = np.log(problem.prior)[None, :] + gibbs_kernel(problem) - lz[None, :]
+    with np.errstate(divide="ignore"):
+        log_joint = np.log(solution.marginal.weights)[:, None] + log_formula
+    tiny = np.finfo(float).tiny
+    return log_formula, (solution.coupling.joint < tiny) & (log_joint < np.log(tiny))
+
+
 def free_energy_check(problem: Problem, solution: Solution) -> CheckResult:
     """No conditional policy beats the solved one's average free energy.
 
@@ -409,7 +425,8 @@ def gibbs_plateau_check(problem: Problem, solution: Solution) -> CheckResult:
     """State by state, u/lam - log(P(alpha|omega)/nu(alpha)) sits at b(omega).
 
     Evaluated on the stored coupling across the consideration set, so edits
-    to the coupling surface here.  The worst deviation is held to 1e-7.
+    to the coupling surface here; the entries that ``_gibbs_log_posterior``
+    sets aside are skipped.  The worst deviation is held to 1e-7.
     """
     cond = _conditionals(solution)
     if cond is None:
@@ -421,7 +438,9 @@ def gibbs_plateau_check(problem: Problem, solution: Solution) -> CheckResult:
     with np.errstate(divide="ignore"):
         values = kernel - np.log(cond) + np.log(weights)[:, None]
     values = np.where(np.isfinite(values), values, np.inf)
-    worst = float(np.abs(values - solution.potentials.state[None, :]).max())
+    deviation = np.abs(values - solution.potentials.state[None, :])
+    aside = _gibbs_log_posterior(problem, solution)[1][sup]
+    worst = float(np.where(aside, 0.0, deviation).max())
     details = f"{len(sup)} actions x {cond.shape[1]} states"
     return _result("gibbs_plateau", worst, _PLATEAU_TOL, details)
 

@@ -45,6 +45,7 @@ from .core import (
     Problem,
     action_equation,
     check_marginal,
+    check_number,
     gibbs_kernel,
     logsumexp,
     plateau_defect,
@@ -93,16 +94,20 @@ class SolverConfig:
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
     def __post_init__(self) -> None:
+        check_number("foc_tolerance", self.foc_tolerance)
         if not (np.isfinite(self.foc_tolerance) and self.foc_tolerance > 0):
             raise InvalidInput(f"foc_tolerance must be > 0, got {self.foc_tolerance!r}")
+        check_number("max_iterations", self.max_iterations, integer=True)
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
         if not isinstance(self.init, ActionMarginal) and not (
             isinstance(self.init, str) and self.init in ("uniform", "random")
         ):
             raise InvalidInput(f"unknown init {self.init!r}")
-        if self.seed is not None and self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        if self.seed is not None:
+            check_number("seed", self.seed, integer=True)
+            if self.seed < 0:
+                raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ PARAMETERS = {
     "solve": ("problem", "config"),
     "SinkhornConfig": ("tolerance", "max_iterations"),
     "BridgeNotConverged": ("iterations", "residual", "result"),
-    "sinkhorn_bridge": ("problem", "nu", "config", "initial_action"),
+    "sinkhorn_bridge": ("problem", "nu", "config"),
     "schrodinger_residual": ("problem", "nu", "potentials"),
     "DiagnosticReport": ("checks",),
     "run_diagnostics": ("problem", "solution", "seed"),

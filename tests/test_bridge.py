@@ -90,17 +90,6 @@ class TestSinkhornBridge:
         assert np.all(np.isfinite(res.potentials.state))
         assert res.duality_gap <= 1e-8
 
-    def test_uniqueness_across_initializations(self):
-        p = bh.random_problem(13, 4, 5, lam=0.6)
-        nu = bh.ActionMarginal(np.array([0.4, 0.1, 0.3, 0.2]))
-        base = bh.sinkhorn_bridge(p, nu, TIGHT)
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            start = rng.normal(scale=2.0, size=4)
-            other = bh.sinkhorn_bridge(p, nu, TIGHT, initial_action=start)
-            assert np.abs(other.coupling.joint - base.coupling.joint).max() <= 1e-8
-            assert np.abs(other.potentials.action - base.potentials.action).max() <= 1e-8
-
     def test_monotone_residual_per_sweep(self):
         p = bh.random_problem(41, 4, 4, lam=0.3)
         nu = bh.ActionMarginal.uniform(4)
@@ -156,6 +145,26 @@ class TestSinkhornConfig:
     def test_rejects_zero_iterations(self):
         with pytest.raises(bh.InvalidInput):
             bh.SinkhornConfig(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", 100.0),
+            ("max_iterations", True),
+            ("max_iterations", "50"),
+            ("tolerance", "1e-9"),
+            ("tolerance", None),
+            ("tolerance", True),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(bh.InvalidInput, match=field):
+            bh.SinkhornConfig(**{field: value})
+
+    def test_accepts_numpy_numbers(self):
+        cfg = bh.SinkhornConfig(tolerance=np.float32(1e-6), max_iterations=np.int64(3))
+        assert cfg.max_iterations == 3
 
 
 class TestSchrodingerResidual:
@@ -255,8 +264,8 @@ class TestAdditiveSeparability:
 
 
 def reference_sweep_log(ks, ws, prior, a, cfg):
-    """The plain per-sweep loop: every sweep builds the coupling and measures
-    the exact residual.  ``bridge._sweep_log`` must return the same bytes."""
+    """Plain Sinkhorn sweeps from ``a``: every sweep builds the coupling and
+    measures the exact residual; no Newton step."""
     row_part = ks + np.log(ws)[:, None]
     col_part = ks + np.log(prior)[None, :]
     for iterations in range(1, cfg.max_iterations + 1):
@@ -274,26 +283,31 @@ def reference_sweep_log(ks, ws, prior, a, cfg):
     return a, b, coupling, mass, iterations, residual, residual <= cfg.tolerance
 
 
-def single_warm_up_bridge(problem, nu, cfg):
-    """sinkhorn_bridge with the warm-up run as one stretch of up to
-    ``_WARM_UP`` sweeps and no rate window: the reference for the bytes of
-    solves that take no Newton step."""
+def reference_bridge(problem, nu, cfg):
+    """sinkhorn_bridge as the plain loop: one ``reference_sweep_log`` sweep at
+    a time, so every sweep measures the exact residual, and the Newton
+    hand-over by the same rule.  ``sinkhorn_bridge`` must return its bytes."""
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
     prior = problem.prior / problem.prior.sum()
     sup = weights > 0
     ks, ws = kernel[sup], weights[sup]
-    warm_up = replace(cfg, max_iterations=min(bridge._WARM_UP, cfg.max_iterations))
-    a, b, coupling, mass, iterations, residual, converged = bridge._sweep_log(
-        ks, ws, prior, np.zeros(sup.sum()), warm_up
-    )
-    if not converged and iterations < cfg.max_iterations:
-        a = bridge._semi_dual_newton(ks, ws, prior, a, b, cfg.tolerance)
-        finish = replace(cfg, max_iterations=cfg.max_iterations - iterations)
-        a, b, coupling, mass, sweeps, residual, converged = bridge._sweep_log(
-            ks, ws, prior, a, finish
+    one_sweep = replace(cfg, max_iterations=1)
+    a, newton_at = np.zeros(sup.sum()), bridge._WARM_UP
+    for iterations in range(1, cfg.max_iterations + 1):
+        a, b, coupling, mass, _, residual, converged = reference_sweep_log(
+            ks, ws, prior, a, one_sweep
         )
-        iterations += sweeps
+        if converged or iterations == cfg.max_iterations:
+            break
+        if iterations == 1:
+            first = residual
+        elif iterations == 1 + bridge._RATE_SWEEPS and bridge._sinkhorn_is_slow(
+            first, residual, cfg.tolerance
+        ):
+            newton_at = iterations
+        if iterations == newton_at:
+            a = bridge._semi_dual_newton(ks, ws, prior, a, b, cfg.tolerance)
     result = bridge._assemble(
         problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
     )
@@ -347,14 +361,12 @@ def bridge_instances(draw, max_lam=1e4):
 
 class TestLeanSweep:
     """The sweep loop skips the coupling while the residual cannot pass;
-    that must change no returned byte against the plain loop."""
+    that must change no returned byte against ``reference_bridge``, which
+    measures every sweep, Newton hand-over included."""
 
     def _assert_matches_reference(self, instance, cfg):
         problem, nu = instance
-        lean = _bridge_bytes(problem, nu, cfg)
-        with mock.patch.object(bridge, "_sweep_log", reference_sweep_log):
-            plain = _bridge_bytes(problem, nu, cfg)
-        assert lean == plain
+        assert _bridge_bytes(problem, nu, cfg) == _bridge_bytes(problem, nu, cfg, reference_bridge)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -444,29 +456,6 @@ class TestNewtonPhase:
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
         assert_certificates(problem, nu, bh.sinkhorn_bridge(problem, nu, cfg))
 
-    @pytest.mark.parametrize("max_lam", [1e4, 0.05])
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_rate_window_keeps_bytes_without_newton(self, max_lam, data):
-        # the warm-up in chunks that end at sweeps 1 and 5 returns the bytes
-        # of one stretch wherever neither side reaches the Newton phase
-        problem, nu = data.draw(bridge_instances(max_lam=max_lam))
-        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
-        newton = bridge._semi_dual_newton
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return newton(*args)
-
-        with mock.patch.object(bridge, "_semi_dual_newton", counted):
-            chunked = _bridge_bytes(problem, nu, cfg)
-            single = _bridge_bytes(problem, nu, cfg, single_warm_up_bridge)
-        if calls:
-            assert_certificates(problem, nu, bh.sinkhorn_bridge(problem, nu, cfg))
-        else:
-            assert chunked == single
-
     def test_singular_hessian_takes_sinkhorn_half_steps(self):
         # 12 x 2 with two supported actions: Newton runs on b, whose reduced
         # Hessian is 1 x 1 and exactly 0 because every row conditional is 0
@@ -532,9 +521,7 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_cases_match_plain_loop(case):
     problem, nu, cfg = _golden_problem(case)
-    lean = _bridge_bytes(problem, nu, cfg)
-    with mock.patch.object(bridge, "_sweep_log", reference_sweep_log):
-        assert lean == _bridge_bytes(problem, nu, cfg)
+    assert _bridge_bytes(problem, nu, cfg) == _bridge_bytes(problem, nu, cfg, reference_bridge)
 
 
 @pytest.mark.skipif(not _recording_platform(), reason="pins hold on the recording platform only")
@@ -550,3 +537,37 @@ def test_golden_pins(case):
         hashlib.sha256(res.coupling.joint.tobytes()).hexdigest(),
     )
     assert got == GOLDEN[case]
+
+
+# Exact residuals built per solve: at sweep 1, the rate sweep, the first
+# sweep after Newton, the budget's last sweep, and the sweeps whose cheap
+# bound passes the gate; then the log-sum-exps, Newton's included
+CALL_COUNTS = {
+    "6x6 lam=0.01": (3, 25),
+    "6x6 lam=1": (3, 15),
+    "6x6 lam=1e4": (2, 5),
+    "200x50": (2, 9),
+    "zeros": (4, 35),
+    "exhausted": (2, 10),
+}
+
+
+def _call_counts(problem, nu, cfg):
+    """(exact residuals built, log-sum-exps taken) by one sinkhorn_bridge."""
+    with (
+        mock.patch.object(bridge, "_marginal_residual", wraps=bridge._marginal_residual) as exact,
+        mock.patch.object(bridge, "_logsumexp_kernel", wraps=bridge._logsumexp_kernel) as lse,
+    ):
+        _bridge(problem, nu, cfg)
+    return exact.call_count, lse.call_count
+
+
+@pytest.mark.parametrize("case", sorted(CALL_COUNTS))
+def test_golden_cases_build_few_exact_residuals(case):
+    assert _call_counts(*_golden_problem(case)) == CALL_COUNTS[case]
+
+
+def test_solved_marginal_takes_one_sweep():
+    # a = 0 solves zero utility, so sweep 1 stops on its exact residual
+    nu = bh.ActionMarginal(np.array([0.3, 0.7]))
+    assert _call_counts(zero_utility_problem(), nu, TIGHT) == (1, 2)

@@ -287,6 +287,50 @@ class TestGibbsPlateau:
         assert not gibbs_plateau_check(symmetric_2x2, tampered).passed
 
 
+class TestUnderflowedCouplings:
+    """At lam = 1e-3 a converged solve stores supported coupling entries as 0
+    or as subnormals, which the Gibbs formula also puts below the smallest
+    normal double; gibbs_plateau and ilr set exactly those entries aside."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 2e-3, 5e-3])
+    def test_small_lambda_solves_pass(self, lam):
+        for seed in range(3, 23):
+            problem = bh.random_problem(seed, 6, 6, lam)
+            solution = bh.solve(problem, TIGHT)
+            assert gibbs_plateau_check(problem, solution).passed, seed
+            assert ilr_check(problem, solution).passed, seed
+
+    @pytest.mark.parametrize("seed, zeros, subnormals", [(3, 3, 0), (5, 4, 2)])
+    def test_underflowed_entries_are_set_aside(self, seed, zeros, subnormals):
+        problem = bh.random_problem(seed, 6, 6, 1e-3)
+        solution = bh.solve(problem, TIGHT)
+        joint = solution.coupling.joint[list(solution.consideration_set)]
+        assert (joint == 0).sum() == zeros
+        assert ((joint > 0) & (joint < np.finfo(float).tiny)).sum() == subnormals
+        assert gibbs_plateau_check(problem, solution).max_violation <= 1e-12
+        assert ilr_check(problem, solution).max_violation <= 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_zeroed_largest_entry_fails(self, seed):
+        problem = bh.random_problem(seed, 6, 6, 1e-3)
+        solution = bh.solve(problem, TIGHT)
+        joint = solution.coupling.joint.copy()
+        sup = list(solution.consideration_set)
+        largest = np.unravel_index(np.argmax(joint[sup]), joint[sup].shape)
+        joint[sup[largest[0]], largest[1]] = 0.0
+        joint /= joint.sum()
+        tampered = dataclasses.replace(solution, coupling=Coupling(joint))
+        assert not gibbs_plateau_check(problem, tampered).passed
+        assert not ilr_check(problem, tampered).passed
+
+    def test_only_the_gateaux_value_check_fails(self):
+        # gateaux_value still fails here: its probe solves exhaust the
+        # bridge's 10,000 sweeps (ROADMAP item 3b); every other check passes
+        problem = bh.random_problem(3, 6, 6, 1e-3)
+        report = bh.run_diagnostics(problem, bh.solve(problem, TIGHT))
+        assert [c.name for c in report if not c.passed and c.name != "gateaux_value"] == []
+
+
 class TestRunDiagnostics:
     def test_rejects_another_problems_solution(self, solved_suite, symmetric_2x2):
         _, solution = solved_suite[1]

@@ -161,6 +161,26 @@ class TestSolverConfig:
         with pytest.raises(bh.InvalidInput, match="seed"):
             bh.SolverConfig(init="random", seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("foc_tolerance", "1e-7"),
+            ("foc_tolerance", None),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", "7"),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(bh.InvalidInput, match=field):
+            bh.SolverConfig(init="random", **{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = bh.SolverConfig(init="random", seed=np.int64(4), max_iterations=np.int32(9))
+        assert (cfg.seed, cfg.max_iterations) == (4, 9)
+
     def test_marginal_init_must_match_action_count(self, symmetric_2x2):
         cfg = bh.SolverConfig(init=bh.ActionMarginal.uniform(3))
         with pytest.raises(bh.InvalidInput):
