@@ -125,28 +125,52 @@ def envelope_raw(problem: Problem, weights) -> float:
     just outside the simplex.  It runs on ``shifted_gain``, the route of the
     solver's iteration, while ``gateaux_f`` and ``jensen_f`` take the
     log-domain route, so the finite differences check one against the other.
+    It is one row of ``_plain_envelope``, which the ``gateaux_f`` check of
+    ``run_diagnostics`` runs on all its directions at once.
     """
     w = np.asarray(weights, dtype=np.float64)
+    return float(_plain_envelope(problem)(w[None, :])[0])
+
+
+def _plain_envelope(problem: Problem):
+    """The map from a (k, m) stack of raw weights to f on each row; the gain
+    is built once, for every stack it is called on."""
     gain, shift = shifted_gain(problem)
-    z = w @ gain
-    if np.any(z <= 0):
-        raise InvalidInput("weights give a non-positive partition function")
-    return float(problem.prior @ (np.log(z) + shift))
+
+    def envelope(weights: np.ndarray) -> np.ndarray:
+        z = weights @ gain
+        if np.any(z <= 0):
+            raise InvalidInput("weights give a non-positive partition function")
+        return (np.log(z) + shift) @ problem.prior
+
+    return envelope
 
 
 def gateaux_f(problem: Problem, nu: ActionMarginal, psi: ActionMarginal) -> float:
     """Directional derivative of the envelope f at nu toward psi.
 
     Equals E_prior[Z(.; psi) / Z(.; nu) - 1]; cross-check against finite
-    differences of the envelope along nu + h (psi - nu).
+    differences of the envelope along nu + h (psi - nu).  It is one row of
+    ``_gateaux_rows``, which the ``gateaux_f`` check of ``run_diagnostics``
+    runs on all its directions at once.
     """
-    lz_nu = log_partition(problem, nu)
-    lz_psi = log_partition(problem, psi)
-    return float(problem.prior @ np.expm1(lz_psi - lz_nu))
+    check_marginal(problem, psi)
+    return float(_gateaux_rows(problem, nu, psi.weights[None, :])[0])
 
 
-def _central(value_at, h: float) -> float:
-    """Central difference quotient of value_at(t) at t = 0.
+def _gateaux_rows(problem: Problem, nu: ActionMarginal, psi: np.ndarray) -> np.ndarray:
+    """E_prior[Z(.; psi) / Z(.; nu)] - 1 for every row psi of a (k, m) stack,
+    log domain, with log Z(.; nu) computed once."""
+    with np.errstate(divide="ignore"):
+        log_psi = np.log(psi)
+    lz_psi = logsumexp(gibbs_kernel(problem)[None, :, :] + log_psi[:, :, None], axis=1)
+    # summed row by row, not as a product, so a row's bits do not depend on k
+    return (np.expm1(lz_psi - log_partition(problem, nu)) * problem.prior).sum(axis=1)
+
+
+def _central(value_at, h: float):
+    """Central difference quotient of value_at(t) at t = 0, a float or, for a
+    stack of values, one quotient per row.
 
     The back step is evaluated first: it is the one that can leave the
     simplex, and then fails before any solve at the forward step.
@@ -462,8 +486,11 @@ def run_diagnostics(
 
     Assumes the solution was produced at (or re-solved to) tight tolerances;
     the fixed entry tolerances are calibrated for a first-order plateau near
-    1e-9 and marginal residuals near 1e-12.  Raises InvalidInput for a
-    negative seed or a solution whose coupling is not the problem's m x n.
+    1e-9 and marginal residuals near 1e-12.  ``seed`` draws the random
+    directions of the ``gateaux_f`` check; its 10 directions are evaluated at
+    once, as one stack on each route, and they are the same directions as
+    10 successive one-direction draws.  Raises InvalidInput for a negative
+    seed or a solution whose coupling is not the problem's m x n.
     """
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
@@ -517,13 +544,13 @@ def run_diagnostics(
     checks.append(_result("cumulant_gain", gain_err, 1e-5))
     checks.append(free_energy_check(problem, solution))
 
-    worst_f = 0.0
-    for _ in range(_DIRECTIONS):
-        psi_w = rng.dirichlet(np.ones(problem.num_actions))
-        analytic = gateaux_f(problem, nu, ActionMarginal(psi_w))
-        direction = psi_w - weights
-        numeric = _central(lambda t: envelope_raw(problem, weights + t * direction), _FD_STEP)
-        worst_f = max(worst_f, abs(analytic - numeric))
+    # the same directions as _DIRECTIONS successive draws of one marginal each
+    psi = rng.dirichlet(np.ones(problem.num_actions), size=_DIRECTIONS)
+    analytic = _gateaux_rows(problem, nu, psi)
+    envelope = _plain_envelope(problem)
+    direction = psi - weights
+    numeric = _central(lambda t: envelope(weights + t * direction), _FD_STEP)
+    worst_f = float(np.abs(analytic - numeric).max())
     checks.append(_result("gateaux_f", worst_f, 1e-3, f"{_DIRECTIONS} random directions"))
 
     probe = [i for i in solution.consideration_set if weights[i] >= max(10.0 * _FD_STEP, 1e-4)][:3]

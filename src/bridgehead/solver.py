@@ -108,6 +108,8 @@ class SolverConfig:
             check_number("seed", self.seed, integer=True)
             if self.seed < 0:
                 raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.sinkhorn, SinkhornConfig):
+            raise InvalidInput(f"sinkhorn must be a SinkhornConfig, got {self.sinkhorn!r}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,56 @@ class TestEnvelopeDerivatives:
         assert_allclose(
             envelope_raw(p, w), jensen_f(p, bh.ActionMarginal(w)), atol=1e-15
         )
+
+
+class TestStackedGateauxCheck:
+    """run_diagnostics evaluates its gateaux_f directions as one stack."""
+
+    @pytest.mark.parametrize("m", [2, 6, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 99, 20240817])
+    def test_stacked_draws_are_successive_draws(self, seed, m):
+        stacked = np.random.default_rng(seed).dirichlet(np.ones(m), size=10)
+        rng = np.random.default_rng(seed)
+        successive = np.array([rng.dirichlet(np.ones(m)) for _ in range(10)])
+        assert np.array_equal(stacked, successive)
+
+    @staticmethod
+    def _assert_rows_match_one_direction_calls(problem, nu, seed):
+        psi = np.random.default_rng(seed).dirichlet(np.ones(problem.num_actions), size=10)
+        analytic = diagnostics._gateaux_rows(problem, nu, psi)
+        one = [gateaux_f(problem, nu, bh.ActionMarginal(w)) for w in psi]
+        assert_allclose(analytic, one, rtol=1e-15, atol=0)
+        envelope = diagnostics._plain_envelope(problem)
+        for t in (-1e-5, 1e-5):
+            weights = nu.weights + t * (psi - nu.weights)
+            one = [envelope_raw(problem, w) for w in weights]
+            assert_allclose(envelope(weights), one, rtol=1e-15, atol=0)
+
+    def test_rows_match_one_direction_calls_on_suite(self, solved_suite):
+        for seed, (problem, solution) in enumerate(solved_suite):
+            self._assert_rows_match_one_direction_calls(problem, solution.marginal, seed)
+
+    def test_rows_match_one_direction_calls_at_200x50(self):
+        problem = bh.random_problem(200, 200, 50, lam=1.0)
+        nu = bh.ActionMarginal(random_simplex(np.random.default_rng(5), 200))
+        self._assert_rows_match_one_direction_calls(problem, nu, 5)
+
+    def test_check_reads_the_one_direction_calls(self, solved_suite):
+        # the violation the report holds, rebuilt from the public one-direction
+        # calls along the directions that successive draws of the seed give
+        h = 1e-5
+        for seed, (problem, solution) in enumerate(solved_suite[:5]):
+            nu = solution.marginal
+            rng = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(10):
+                psi = rng.dirichlet(np.ones(problem.num_actions))
+                step = h * (psi - nu.weights)
+                numeric = (envelope_raw(problem, nu.weights + step)
+                           - envelope_raw(problem, nu.weights - step)) / (2.0 * h)
+                worst = max(worst, abs(gateaux_f(problem, nu, bh.ActionMarginal(psi)) - numeric))
+            check = bh.run_diagnostics(problem, solution, seed=seed).by_name("gateaux_f")
+            assert check.max_violation == pytest.approx(worst, rel=0, abs=1e-10)
 
 
 class TestInnerValueDerivatives:
@@ -386,6 +437,25 @@ class TestRunDiagnostics:
         assert not report.all_pass
         failed = {c.name for c in report if not c.passed}
         assert "coupling_consistency" in failed or "gibbs_plateau" in failed
+
+    def test_gibbs_kernel_builds_stay_bounded(self, solved_suite, monkeypatch):
+        # counted as perfbench's tracer counts them: wrapped in every module
+        # that imports it, so shifted_gain's call inside core counts too
+        calls = []
+        kernel = bh.core.gibbs_kernel
+
+        def counted(problem):
+            calls.append(1)
+            return kernel(problem)
+
+        for name, module in list(sys.modules.items()):
+            if name == "bridgehead" or name.startswith("bridgehead."):
+                for attr, value in list(vars(module).items()):
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, counted)
+        problem, solution = solved_suite[1]
+        bh.run_diagnostics(problem, solution)
+        assert 0 < len(calls) <= 21
 
     def test_unconverged_inner_solves_become_failed_checks(self, solved_suite, monkeypatch):
         # away from the optimum 2 sweeps cannot reach 1e-12: the fresh solve

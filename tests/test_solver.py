@@ -171,6 +171,9 @@ class TestSolverConfig:
             ("seed", 1.5),
             ("seed", False),
             ("seed", "7"),
+            ("sinkhorn", {"tolerance": 1e-12}),
+            ("sinkhorn", None),
+            ("sinkhorn", 7),
         ],
     )
     def test_rejects_wrong_types(self, field, value):
