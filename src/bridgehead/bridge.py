@@ -17,12 +17,10 @@ system
 columns exactly.  The solve is one loop of Sinkhorn sweeps, alternating the
 two updates in the log domain, where each half-update is one log-sum-exp,
 overflow-safe for any lam.  Most solves end within a few sweeps.  Sinkhorn's
-linear rate collapses at small lam, so the loop hands over once to damped
-Newton on the semi-dual of the smaller side (``_semi_dual_newton``), whose
-rate is quadratic: after sweep 5 where the exact residuals of sweeps 1 and 5
-predict that 20 more sweeps would not reach tolerance
-(``_sinkhorn_is_slow``), otherwise after sweep ``_WARM_UP`` if still
-unconverged.  The sweeps go on from the Newton potentials.
+linear rate collapses at small lam, so a solve still unconverged after sweep
+``_WARM_UP`` hands over once to damped Newton on the semi-dual of the smaller
+side (``_semi_dual_newton``), whose rate is quadratic.  The sweeps go on
+from the Newton potentials.
 
 Convergence is measured as the worst sup-norm violation of the two marginal
 constraints by the implied unit-mass coupling, which is built only where a
@@ -69,9 +67,7 @@ __all__ = [
 ]
 
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
-_WARM_UP = 50  # most Sinkhorn sweeps before the Newton phase
-_RATE_SWEEPS = 4  # sweeps 2 to 5, over which the warm-up measures Sinkhorn's rate
-_NEWTON_COST = 20  # sweeps the Newton phase is worth; slower warm-ups hand over
+_WARM_UP = 8  # Sinkhorn sweeps before the Newton phase
 _NEWTON_STEPS = 50  # cap on Newton steps; each is one m x n exp and a small solve
 _MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
 
@@ -98,8 +94,8 @@ class SinkhornConfig:
 
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
-        It bounds sweeps only: a loop that hands over to Newton (at sweep 5
-        or ``_WARM_UP``, never at its last sweep) also takes up to
+        It bounds sweeps only: a loop that hands over to Newton (after
+        sweep ``_WARM_UP``, unless that is its last) also takes up to
         ``_NEWTON_STEPS`` Newton steps, each costing about as much as
         min(m, n) sweeps.
     """
@@ -151,11 +147,10 @@ def sinkhorn_bridge(
     has rows nu, hence unit mass up to rounding, and columns
     prior * exp(b_next - b), b_next being the next b-update, so its columns
     miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  The
-    exact residual is measured at sweep 1 (where a solved start stops), at
-    the rate sweep, at the first sweep after Newton, at the budget's last
-    sweep, and wherever c is within ``gate`` (4 tol plus rounding), so c
-    neither stops a sweep nor delays a stop.  Newton runs at most once (see
-    the module docstring), never at the budget's last sweep.
+    exact residual is measured wherever c is within ``gate`` (4 tol plus
+    rounding), at the first sweep after Newton and at the budget's last
+    sweep, so c neither stops a sweep nor delays a stop.  Newton runs once,
+    after sweep ``_WARM_UP`` if that is not the budget's last.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -178,13 +173,13 @@ def sinkhorn_bridge(
     # 1e-4 to 1e4.  4 tol costs a few exact residuals.
     size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
     eps = np.finfo(float).eps
-    rate_sweep, newton_at, measure = 1 + _RATE_SWEEPS, _WARM_UP, True
+    measure = False
     with np.errstate(divide="ignore", invalid="ignore"):
         b = _logsumexp_kernel(row_part, axis=0)
         for iterations in range(1, budget + 1):
             a = _logsumexp_kernel(col_part - b, axis=1)
             rows = row_part - a
-            measure = measure or iterations in (rate_sweep, budget)
+            measure = measure or iterations == budget
             b_next = None
             if not measure:
                 gate = 4.0 * tolerance + 8.0 * eps * (size_and_osc + float(np.abs(b).max()))
@@ -197,11 +192,7 @@ def sinkhorn_bridge(
                 residual = _marginal_residual(coupling, ws, prior)
                 if residual <= tolerance or iterations == budget:
                     break
-                if iterations == 1:
-                    first = residual
-                elif iterations == rate_sweep and _sinkhorn_is_slow(first, residual, tolerance):
-                    newton_at = rate_sweep
-            measure = iterations == newton_at  # hand over now, measure the next sweep
+            measure = iterations == _WARM_UP  # hand over now, measure the next sweep
             if measure:
                 a = _semi_dual_newton(ks, ws, prior, a[:, 0], b[0], tolerance)[:, None]
                 b = _logsumexp_kernel(row_part - a, axis=0)
@@ -214,13 +205,6 @@ def sinkhorn_bridge(
     if not residual <= tolerance:
         raise BridgeNotConverged(iterations, residual, result)
     return result
-
-
-def _sinkhorn_is_slow(first, last, tolerance):
-    """True unless Sinkhorn, at the linear rate (last / first)^(1 / _RATE_SWEEPS)
-    measured over the rate window, passes tolerance within ``_NEWTON_COST``
-    more sweeps.  A rate of 1 or more, or a NaN residual, counts as slow."""
-    return not last * (last / first) ** (_NEWTON_COST / _RATE_SWEEPS) <= tolerance
 
 
 def _semi_dual_newton(ks, ws, prior, a, b, tolerance):

@@ -30,6 +30,7 @@ from .core import (
     InvalidInput,
     Problem,
     check_marginal,
+    check_number,
     gibbs_kernel,
     logsumexp,
     plateau_defect,
@@ -179,6 +180,12 @@ def _central(value_at, h: float):
     return (value_at(h) - back) / (2.0 * h)
 
 
+def _check_step(h) -> None:
+    check_number("h", h)
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidInput(f"h must be a finite real > 0, got {h!r}")
+
+
 def _inner_value(problem: Problem, weights: np.ndarray) -> float:
     if np.any(weights < 0) or np.any(problem.prior < 0):
         raise InvalidInput("difference step leaves the simplex; reduce h")
@@ -205,8 +212,9 @@ def gateaux_value_direction(
     is a(action) - E_nu[a].  The numeric route takes central differences of
     the inner value along nu + t (psi - nu), t = +-h, solved to 1e-12; every
     weight of nu + h (nu - psi) must stay nonnegative (for a point mass,
-    nu(action) >= h/(1+h)).
+    nu(action) >= h/(1+h)).  ``h`` must be a finite real > 0.
     """
+    _check_step(h)
     check_marginal(problem, psi)
     return _toward(problem, nu, psi, h, sinkhorn_bridge(problem, nu, _INNER))
 
@@ -219,8 +227,11 @@ def gateaux_value_state(
     Analytic route: b(state) - E_prior[b] at the solved potential pair;
     numeric route takes central differences of the inner value with the
     prior tilted toward the atom and away from it, which needs
-    prior(state) >= h/(1+h).
+    prior(state) >= h/(1+h).  ``state`` must be an integer index and ``h`` a
+    finite real > 0.
     """
+    _check_step(h)
+    check_number("state", state, integer=True)
     if not 0 <= state < problem.num_states:
         raise InvalidInput(f"state index {state} out of range")
     base = sinkhorn_bridge(problem, nu, _INNER)
@@ -331,11 +342,7 @@ def belief_feasibility(
     weights, _ = nnls(system, target)
     residual = float(np.abs(system @ weights - target).max())
     feasible = residual <= _FEASIBILITY_TOL
-    return BeliefFeasibility(
-        feasible=feasible,
-        weights=weights if feasible else None,
-        residual=residual,
-    )
+    return BeliefFeasibility(feasible, weights if feasible else None, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +496,11 @@ def run_diagnostics(
     1e-9 and marginal residuals near 1e-12.  ``seed`` draws the random
     directions of the ``gateaux_f`` check; its 10 directions are evaluated at
     once, as one stack on each route, and they are the same directions as
-    10 successive one-direction draws.  Raises InvalidInput for a negative
-    seed or a solution whose coupling is not the problem's m x n.
+    10 successive one-direction draws.  Raises InvalidInput for a seed that
+    is not an integer >= 0 or a solution whose coupling is not the problem's
+    m x n.
     """
+    check_number("seed", seed, integer=True)
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
     shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
@@ -509,13 +518,8 @@ def run_diagnostics(
         fresh, fresh_error = err.result, str(err)
     checks.append(_result("marginal_residual", fresh.residual, 1e-10, fresh_error))
     checks.append(_result("duality_gap", fresh.duality_gap, 1e-8))
-    checks.append(
-        _result(
-            "additive_separability",
-            additive_separability_gap(fresh, nu, problem.prior),
-            1e-8,
-        )
-    )
+    separability = additive_separability_gap(fresh, nu, problem.prior)
+    checks.append(_result("additive_separability", separability, 1e-8))
     res_a, res_b = schrodinger_residual(problem, nu, fresh.potentials)
     checks.append(_result("schrodinger_equations", max(res_a, res_b), 1e-9))
 
@@ -569,14 +573,8 @@ def run_diagnostics(
 
     try:
         touch_gap = abs(solution.f_value - ri_objective(problem, solution.coupling))
-        checks.append(
-            _result(
-                "envelope_touch",
-                touch_gap,
-                1e-6,
-                "f meets the attained objective at the optimum",
-            )
-        )
+        details = "f meets the attained objective at the optimum"
+        checks.append(_result("envelope_touch", touch_gap, 1e-6, details))
     except BridgeheadError as err:
         checks.append(CheckResult("envelope_touch", np.inf, 1e-6, False, str(err)))
     return DiagnosticReport(tuple(checks))

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ActionMarginal, BridgeheadError, Coupling, InvalidInput, Problem, shifted_gain
+from .core import ActionMarginal, BridgeheadError, Coupling, InvalidInput, Problem, check_number, shifted_gain
 
 __all__ = [
     "TooManyActions",
@@ -161,9 +161,9 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     m = problem.num_actions
     if m > _MAX_ACTIONS:
         raise TooManyActions(f"{m} actions exceeds the lattice cap of {_MAX_ACTIONS}")
-    if resolution is None:
-        resolution = 1e-3 if m == 2 else 1e-2
-    elif not 0.0 < resolution <= 0.5:
+    resolution = (1e-3 if m == 2 else 1e-2) if resolution is None else resolution
+    check_number("resolution", resolution)
+    if not 0.0 < resolution <= 0.5:
         raise InvalidInput("resolution must lie in (0, 0.5]")
     denom = max(1, round(1.0 / resolution))
 

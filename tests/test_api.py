@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import operator
 import pkgutil
 import re
 import types
@@ -68,6 +69,34 @@ def test_submodule_exports_resolve():
         module = importlib.import_module(f"bridgehead.{name}")
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_private_names_cited_in_docs_exist():
+    # a docstring, comment or README line that cites a private name in
+    # backticks, ``_newton`` or `_Ascent.step`, must not outlive the name
+    modules = [bh] + [
+        importlib.import_module(f"bridgehead.{m.name}")
+        for m in pkgutil.iter_modules(bh.__path__)
+        if m.name != "__main__"
+    ]
+
+    def exists(name):
+        for module in modules:
+            try:
+                operator.attrgetter(name)(module)
+                return True
+            except AttributeError:
+                pass
+        return False
+
+    files = sorted((ROOT / "src" / "bridgehead").glob("*.py")) + [ROOT / "README.md"]
+    cited = {
+        (path.name, name)
+        for path in files
+        for name in re.findall(r"`(_\w+(?:\.\w+)*)`", path.read_text())
+    }
+    assert len(cited) > 10
+    assert sorted(c for c in cited if not exists(c[1])) == []
 
 
 # Parameter names of every exported callable, dataclass constructors included,

@@ -126,7 +126,7 @@ class TestSinkhornBridge:
         p = bh.random_problem(1028712447, 16, 16, lam=0.01)
         nu = bh.ActionMarginal(weights)
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        # the warm-up measures Sinkhorn as slow by sweep 5 and hands over
+        # unconverged after sweep _WARM_UP, it hands over to Newton
         assert res.iterations <= 10
         assert res.residual <= 1e-12
         assert res.duality_gap <= 1e-8
@@ -293,20 +293,14 @@ def reference_bridge(problem, nu, cfg):
     sup = weights > 0
     ks, ws = kernel[sup], weights[sup]
     one_sweep = replace(cfg, max_iterations=1)
-    a, newton_at = np.zeros(sup.sum()), bridge._WARM_UP
+    a = np.zeros(sup.sum())
     for iterations in range(1, cfg.max_iterations + 1):
         a, b, coupling, mass, _, residual, converged = reference_sweep_log(
             ks, ws, prior, a, one_sweep
         )
         if converged or iterations == cfg.max_iterations:
             break
-        if iterations == 1:
-            first = residual
-        elif iterations == 1 + bridge._RATE_SWEEPS and bridge._sinkhorn_is_slow(
-            first, residual, cfg.tolerance
-        ):
-            newton_at = iterations
-        if iterations == newton_at:
+        if iterations == bridge._WARM_UP:
             a = bridge._semi_dual_newton(ks, ws, prior, a, b, cfg.tolerance)
     result = bridge._assemble(
         problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
@@ -371,7 +365,7 @@ class TestLeanSweep:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         bridge_instances(),
-        st.sampled_from([1, 2, 7]),
+        st.sampled_from([1, 2, 7, bridge._WARM_UP, bridge._WARM_UP + 1]),
         st.sampled_from([1e-16, 1e-15, 1e-14, 1e-12]),
     )
     def test_short_budgets_match_plain_loop(self, instance, budget, tolerance):
@@ -460,7 +454,7 @@ class TestNewtonPhase:
         # 12 x 2 with two supported actions: Newton runs on b, whose reduced
         # Hessian is 1 x 1 and exactly 0 because every row conditional is 0
         # or 1 in floating point.  A Newton phase that stops there leaves 141
-        # sweeps to Sinkhorn (174 with a 50-sweep warm-up)
+        # sweeps to Sinkhorn (174 with no Newton phase at all)
         weights = np.zeros(12)
         weights[[5, 1]] = [0.6759147289132628, 0.3240852710867373]
         problem = bh.random_problem(4198799368, 12, 2, lam=0.012181494613539642)
@@ -475,7 +469,7 @@ def _golden_problem(case):
         nu = bh.ActionMarginal(np.array([0.4, 0.0, 0.35, 0.0, 0.25]))
         return bh.random_problem(5, 5, 4, lam=0.3), nu, TIGHT
     if case == "exhausted":
-        # the budget ends with the rate window at sweep 5, before any Newton step
+        # the budget ends at sweep 5, before the hand-over after sweep _WARM_UP
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=5)
         return bh.random_problem(8, 6, 6, lam=0.01), bh.ActionMarginal.uniform(6), cfg
     if case == "200x50":
@@ -499,20 +493,20 @@ def _recording_platform():
 
 
 # Recorded from the plain per-sweep loop (NumPy 2.4, x86-64 with AVX-512),
-# with the Newton phase between its warm-up, which measures Sinkhorn as slow
-# at sweep 5, and its finish for 6x6 lam=0.01: iterations, float.hex of
-# residual, value_primal and value_dual, sha256 of the coupling.
+# with the Newton phase after sweep _WARM_UP for 6x6 lam=0.01 and zeros:
+# iterations, float.hex of residual, value_primal and value_dual, sha256 of
+# the coupling.
 GOLDEN = {
-    "6x6 lam=0.01": (6, "0x1.4980000000000p-46", "0x1.41b316b2428dcp+6", "0x1.41b316b242913p+6",
-                     "49dd643110533347ea9815531c279b97772385e7cdd2f37ebd9c711bca44eb9f"),
+    "6x6 lam=0.01": (9, "0x1.8800000000000p-47", "0x1.41b316b2428f9p+6", "0x1.41b316b242913p+6",
+                     "2205625e6a079e2b0121f137d32eb605c5ba5fb9838f5577556bf21f5b3a1503"),
     "6x6 lam=1": (7, "0x1.0d44000000000p-41", "0x1.124450e86e098p-1", "0x1.124450e86df70p-1",
                   "819b69e2084ff20c82d92388235d0cf31dd5042b9ab5c218155d1d8af7ef229f"),
     "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",
                     "367606b7bf05be452714322fa059aebd1cba77c30749028be28c6f21ebf04666"),
     "200x50": (4, "0x1.d61d800000000p-41", "0x1.133c14a5b600cp-1", "0x1.133c14a5b61b8p-1",
                "1947df60f4d4cb2a5ec62462cb32d81fd8eb4a8a436f820e5c54ded0faf9aed4"),
-    "zeros": (17, "0x1.aad0000000000p-42", "0x1.f865302b7fa0bp+0", "0x1.f865302b7f68ep+0",
-              "f7d4fd75906f9eec741d8bf30384e80d90a630102c5210c618715defa82dc27a"),
+    "zeros": (9, "0x1.5000000000000p-47", "0x1.f865302b7f698p+0", "0x1.f865302b7f68ep+0",
+              "976a3d43fa22bbe1ddd5b4d857da3161bcc8206e04b1efc0836b50ae3d6980fb"),
     "exhausted": (5, "0x1.88a3b0835fd5ap-3", "0x1.fb7065023bcfdp+5", "0x1.1d1b56522e7dap+6",
                   "4552c3e10ca31371fe2e6f14a241b896b5d0c3cf1cd64d5ec34b15b3faec19e6"),
 }
@@ -539,16 +533,16 @@ def test_golden_pins(case):
     assert got == GOLDEN[case]
 
 
-# Exact residuals built per solve: at sweep 1, the rate sweep, the first
-# sweep after Newton, the budget's last sweep, and the sweeps whose cheap
-# bound passes the gate; then the log-sum-exps, Newton's included
+# Exact residuals built per solve: at the first sweep after Newton, the
+# budget's last sweep, and the sweeps whose cheap bound passes the gate; then
+# the log-sum-exps, Newton's included
 CALL_COUNTS = {
-    "6x6 lam=0.01": (3, 25),
-    "6x6 lam=1": (3, 15),
-    "6x6 lam=1e4": (2, 5),
-    "200x50": (2, 9),
-    "zeros": (4, 35),
-    "exhausted": (2, 10),
+    "6x6 lam=0.01": (1, 31),
+    "6x6 lam=1": (1, 15),
+    "6x6 lam=1e4": (1, 5),
+    "200x50": (1, 9),
+    "zeros": (1, 21),
+    "exhausted": (1, 10),
 }
 
 
@@ -568,6 +562,7 @@ def test_golden_cases_build_few_exact_residuals(case):
 
 
 def test_solved_marginal_takes_one_sweep():
-    # a = 0 solves zero utility, so sweep 1 stops on its exact residual
+    # a = 0 solves zero utility, so sweep 1's cheap bound passes the gate
+    # and the sweep stops on its exact residual
     nu = bh.ActionMarginal(np.array([0.3, 0.7]))
-    assert _call_counts(zero_utility_problem(), nu, TIGHT) == (1, 2)
+    assert _call_counts(zero_utility_problem(), nu, TIGHT) == (1, 3)

@@ -161,8 +161,9 @@ class TestInnerValueDerivatives:
 
     def test_state_index_validated(self):
         p = bh.random_problem(25, 3, 4)
-        with pytest.raises(bh.InvalidInput):
-            gateaux_value_state(p, bh.ActionMarginal.uniform(3), 7)
+        for state in (7, -1, 1.0, True):
+            with pytest.raises(bh.InvalidInput, match="state"):
+                gateaux_value_state(p, bh.ActionMarginal.uniform(3), state)
 
 
 _DERIVATIVES = {
@@ -185,6 +186,10 @@ class TestDifferenceScheme:
         nu = bh.ActionMarginal(np.array([0.3, 0.4, 0.3]))
         with pytest.raises(bh.InvalidInput, match="leaves the simplex"):
             derivative(p, nu, h=0.9)
+        # a step that is not a finite real > 0 is rejected before any solve
+        for h in (0, -1e-5, float("inf"), float("nan"), True, "1e-5"):
+            with pytest.raises(bh.InvalidInput, match="h must be"):
+                derivative(p, nu, h=h)
 
 
 class TestIlrCheck:
@@ -387,6 +392,11 @@ class TestRunDiagnostics:
         _, solution = solved_suite[1]
         with pytest.raises(bh.InvalidInput, match="solution coupling"):
             bh.run_diagnostics(symmetric_2x2, solution)
+        # the seed, too, must be an integer >= 0
+        problem, solution = solved_suite[1]
+        for seed in (-1, 1.5, True):
+            with pytest.raises(bh.InvalidInput, match="seed"):
+                bh.run_diagnostics(problem, solution, seed=seed)
 
     def test_full_report_passes(self, solved_suite):
         problem, solution = solved_suite[1]

@@ -85,7 +85,7 @@ class TestGridSpec:
     def test_explicit_resolution_wins(self):
         assert bh.grid_search_f(bh.random_problem(1, 2, 2), resolution=0.05).resolution == 0.05
 
-    @pytest.mark.parametrize("resolution", [0, 0.7])
+    @pytest.mark.parametrize("resolution", [0, 0.7, float("nan"), "0.1", True])
     def test_resolution_outside_range_rejected(self, resolution):
         with pytest.raises(bh.InvalidInput, match="resolution"):
             bh.grid_search_f(bh.random_problem(1, 2, 2), resolution=resolution)
