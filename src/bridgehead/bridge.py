@@ -226,9 +226,14 @@ def _newton(kernel, p, q, y, tolerance):
     """Minimize g(y) = sum_i p_i log sum_j q_j exp(K_ij - y_j) + q . y.
 
     With pi the row-conditional of exp(K - y), the gradient is q - p pi and
-    the Hessian diag(p pi) - pi^T diag(p) pi.  g is invariant under y + c,
-    so the gauge holds the coordinate of the heaviest q fixed and the other
-    ones are solved for.  Steps are damped by Armijo backtracking on the exact
+    the Hessian is the graph Laplacian diag(C 1) - C of the conductances
+    C = pi^T diag(p) pi with their diagonal zeroed.  It equals
+    diag(p pi) - pi^T diag(p) pi, as the rows of pi sum to 1, but that
+    subtraction erases conductances far below the column sums, such as
+    those near 1e-25 between the nearly separate blocks of a small-lam
+    solve, and the step is then no descent direction.  g is invariant under
+    y + c, so the gauge holds the coordinate of the heaviest q fixed and the
+    other ones are solved for.  Steps are damped by Armijo backtracking on the exact
     decrease of g, from a first trial that moves no entry of y by more than
     ``_MAX_MOVE``.  Where the reduced Hessian is singular, the step is no
     descent direction or no step length decreases g, the step is the
@@ -248,7 +253,7 @@ def _newton(kernel, p, q, y, tolerance):
             grad = (q - colsum)[free]
             if np.all(np.abs(grad) <= tolerance / 4):
                 break
-            move = _newton_move(p, q, pi, colsum, grad, free)
+            move = _newton_move(p, q, pi, grad, free)
             if move is None:
                 # the Sinkhorn half-step on y, gauge held: it never increases g
                 y_half = _logsumexp_kernel(row_logits - rows, axis=0)[0]
@@ -259,10 +264,12 @@ def _newton(kernel, p, q, y, tolerance):
     return y, rows[:, 0]
 
 
-def _newton_move(p, q, pi, colsum, grad, free):
+def _newton_move(p, q, pi, grad, free):
     """The damped Newton move of ``_newton``, or None where the reduced Hessian
     is singular, the step is no descent direction or no length decreases g."""
-    hessian = np.diag(colsum) - (pi.T * p) @ pi
+    conductance = (pi.T * p) @ pi
+    np.fill_diagonal(conductance, 0.0)
+    hessian = np.diag(conductance.sum(axis=1)) - conductance
     try:
         step = np.linalg.solve(hessian[np.ix_(free, free)], grad)
     except np.linalg.LinAlgError:

@@ -308,12 +308,18 @@ def belief_feasibility(
     reported residual is the sup norm of the constraint violation, and the
     set is feasible when it is at most 1e-8.
 
-    Raises PosteriorNotNormalizable when an image has zero, non-finite, or
+    ``anchor`` and every entry of ``candidate_set`` must be integer action
+    indices in [0, m), or InvalidInput is raised.  Raises
+    PosteriorNotNormalizable when an image has zero, non-finite, or
     overflowing total mass.
     """
-    actions = [int(a) for a in candidate_set]
+    actions = list(candidate_set)
     if len(actions) == 0:
         raise InvalidInput("candidate set is empty")
+    for index in [anchor] + actions:
+        check_number("action index", index, integer=True)
+        if not 0 <= index < problem.num_actions:
+            raise InvalidInput(f"action index {index} out of range")
     if anchor not in actions:
         raise InvalidInput("anchor must belong to the candidate set")
     post = np.asarray(posterior_anchor, dtype=np.float64)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Problem
+from .core import InvalidInput, Problem, check_number
 
 __all__ = [
     "random_problem",
@@ -47,7 +47,14 @@ def random_problem(
 
     The prior is uniform(0.5, 1.5) renormalized, keeping every state's mass
     above roughly 1 / (3 * num_states) so log-domain residuals stay readable.
+    ``seed``, ``num_actions`` and ``num_states`` must be integers >= 0 and
+    ``lam`` a real number, or InvalidInput is raised.
     """
+    for name, value in (("seed", seed), ("num_actions", num_actions), ("num_states", num_states)):
+        check_number(name, value, integer=True)
+        if value < 0:
+            raise InvalidInput(f"{name} must be >= 0, got {value}")
+    check_number("lam", lam)
     rng = np.random.default_rng(seed)
     utility = rng.uniform(0.0, 1.0, size=(num_actions, num_states))
     prior = rng.uniform(0.5, 1.5, size=num_states)

@@ -93,7 +93,8 @@ def _lattice_pieces(prefix: tuple[int, ...], total: int, parts: int) -> Iterator
     A lattice too large for one batch is split on its leading coordinate:
     runs of consecutive values whose sub-lattices fit in a batch together
     make one piece, and a value whose sub-lattice alone is too large is split
-    again.
+    again.  ``grid_search_f`` evaluates each piece as it is yielded, so only
+    one piece is held at a time.
     """
     if math.comb(total + parts - 1, parts - 1) <= _BATCH_ROWS:
         head = np.array([prefix], dtype=np.int64).reshape(1, len(prefix))
@@ -116,31 +117,13 @@ def _lattice_pieces(prefix: tuple[int, ...], total: int, parts: int) -> Iterator
         k = stop
 
 
-def _lattice_blocks(num_actions: int, denominator: int) -> Iterator[np.ndarray]:
-    """``simplex_lattice`` as integer arrays of ``_BATCH_ROWS`` rows (the last
-    one shorter), without ever holding more than two blocks' worth of it."""
-    if num_actions < 1 or denominator < 1:
-        raise InvalidInput("need at least one action and a positive denominator")
-    pending: list[np.ndarray] = []
-    count = 0
-    for piece in _lattice_pieces((), denominator, num_actions):
-        pending.append(piece)
-        count += len(piece)
-        if count >= _BATCH_ROWS:
-            merged = np.concatenate(pending)
-            yield merged[:_BATCH_ROWS]
-            pending = [merged[_BATCH_ROWS:]]
-            count -= _BATCH_ROWS
-    if count:
-        yield np.concatenate(pending)
-
-
 def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSearchResult:
     """Maximize the envelope over a simplex lattice, with an error certificate.
 
     ``resolution`` is the lattice pitch 1/N, in (0, 0.5]; None picks 1e-3 for
     two actions and 1e-2 beyond that, keeping the point count near or below
-    a few hundred thousand.  More than four actions raise TooManyActions.
+    a few hundred thousand.  More than four actions raise TooManyActions, none
+    InvalidInput.
 
     f_best, the best lattice value of the envelope f(nu) =
     sum_omega prior(omega) log(sum_alpha nu(alpha) exp(u(alpha, omega)/lam)),
@@ -159,6 +142,8 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     every lattice point, InvalidInput is raised.
     """
     m = problem.num_actions
+    if m < 1:
+        raise InvalidInput("need at least one action")
     if m > _MAX_ACTIONS:
         raise TooManyActions(f"{m} actions exceeds the lattice cap of {_MAX_ACTIONS}")
     resolution = (1e-3 if m == 2 else 1e-2) if resolution is None else resolution
@@ -177,8 +162,8 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     best_point: np.ndarray | None = None
     least_bound = np.inf
     count = 0
-    for block in _lattice_blocks(m, denom):
-        pts = block / denom
+    for piece in _lattice_pieces((), denom, m):
+        pts = piece / denom
         z = pts @ gain
         # where z underflows (tiny lam) f is -inf and the bound inf or nan
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -190,7 +175,7 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
         if f_vals[idx] > best_f:
             best_f = float(f_vals[idx])
             best_point = pts[idx]
-        count += len(block)
+        count += len(piece)
 
     if best_point is None:
         raise InvalidInput(

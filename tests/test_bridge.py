@@ -463,6 +463,34 @@ class TestNewtonPhase:
         assert res.iterations <= 10
         assert_certificates(problem, nu, res)
 
+    @pytest.mark.parametrize("lam", [1e-2, 5e-3])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_probes_near_a_partition_converge(self, seed, lam):
+        # the Gateaux probes nu* +- 1e-5 (delta_alpha - nu*).  At small lam,
+        # nu* splits the states into blocks, one per supported action, and the
+        # Hessian's conductances between blocks sit near 1e-25.  Subtracted
+        # from the column sums they vanished: Newton then left 23 of these 58
+        # probes unconverged after 10,000 sweeps
+        problem = bh.random_problem(seed, 6, 6, lam)
+        star = bh.solve(problem, bh.SolverConfig(foc_tolerance=1e-9, sinkhorn=TIGHT)).marginal.weights
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
+        probes = 0
+        for alpha in range(6):
+            for sign in (1.0, -1.0):
+                weights = star + sign * 1e-5 * (np.eye(6)[alpha] - star)
+                if np.all(weights >= 0):
+                    res = bh.sinkhorn_bridge(problem, bh.ActionMarginal(weights), cfg)
+                    assert res.duality_gap <= 1e-8
+                    probes += 1
+        assert probes == 12 - (star == 0).sum()
+
+    def test_uniform_marginal_at_tiny_lambda(self):
+        # 1,332 sweeps with the subtracted Hessian
+        problem = bh.random_problem(4, 6, 6, lam=1e-3)
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
+        res = bh.sinkhorn_bridge(problem, bh.ActionMarginal.uniform(6), cfg)
+        assert res.duality_gap <= 1e-8
+
 
 def _golden_problem(case):
     if case == "zeros":
@@ -497,8 +525,8 @@ def _recording_platform():
 # iterations, float.hex of residual, value_primal and value_dual, sha256 of
 # the coupling.
 GOLDEN = {
-    "6x6 lam=0.01": (9, "0x1.8800000000000p-47", "0x1.41b316b2428f9p+6", "0x1.41b316b242913p+6",
-                     "2205625e6a079e2b0121f137d32eb605c5ba5fb9838f5577556bf21f5b3a1503"),
+    "6x6 lam=0.01": (9, "0x1.8c00000000000p-47", "0x1.41b316b2428fbp+6", "0x1.41b316b242912p+6",
+                     "da3e72fafcac4f2544c72ca4623f18864cf24865ad20f9e10b3d01acf0999fec"),
     "6x6 lam=1": (7, "0x1.0d44000000000p-41", "0x1.124450e86e098p-1", "0x1.124450e86df70p-1",
                   "819b69e2084ff20c82d92388235d0cf31dd5042b9ab5c218155d1d8af7ef229f"),
     "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import bridgehead as bh
 from bridgehead import diagnostics
-from bridgehead.core import Coupling
+from bridgehead.core import Coupling, Potentials
 from bridgehead.diagnostics import (
     PosteriorNotNormalizable,
     average_free_energy,
@@ -242,6 +242,14 @@ class TestBeliefFeasibility:
     def test_anchor_must_be_in_candidate_set(self, symmetric_2x2):
         with pytest.raises(bh.InvalidInput):
             bh.belief_feasibility(symmetric_2x2, [0], 1, symmetric_2x2.prior)
+        # indices must be integers in [0, m): a bool, a float, an index past
+        # m and a negative one are rejected, not used as NumPy would use them
+        problem = bh.random_problem(1, 3, 4)
+        posterior = np.full(4, 0.25)
+        bad = [([0, 1], True), ([0, 1], 1.0), ([0, 5], 0), ([0, 1.7], 0), ([0, -1], 0)]
+        for candidates, anchor in bad:
+            with pytest.raises(bh.InvalidInput):
+                bh.belief_feasibility(problem, candidates, anchor, posterior)
 
 
 class TestCumulants:
@@ -333,6 +341,17 @@ class TestGibbsPlateau:
         for problem, solution in solved_suite[:5]:
             assert gibbs_plateau_check(problem, solution).passed
 
+    def test_empty_state_column_reads_infinite(self, symmetric_2x2, solved_symmetric):
+        # conditionals do not exist for a state the coupling gives no mass;
+        # both coupling-level checks fail on it instead of dividing by zero
+        joint = np.array([[0.5, 0.0], [0.5, 0.0]])
+        emptied = dataclasses.replace(solved_symmetric, coupling=Coupling(joint))
+        for check in (free_energy_check, gibbs_plateau_check):
+            res = check(symmetric_2x2, emptied)
+            assert not res.passed
+            assert res.max_violation == np.inf
+            assert res.details == "coupling has empty states"
+
     def test_detects_coupling_edits(self, symmetric_2x2, solved_symmetric):
         # a singleton consideration set would be scale-invariant, so tamper a
         # coupling with two supported actions
@@ -397,6 +416,17 @@ class TestRunDiagnostics:
         for seed in (-1, 1.5, True):
             with pytest.raises(bh.InvalidInput, match="seed"):
                 bh.run_diagnostics(problem, solution, seed=seed)
+
+    def test_shifted_action_potentials_fail_coupling_consistency(self, solved_suite):
+        # a constant added to a leaves the conditionals but scales the
+        # rebuilt coupling's mass by exp(-1): PotentialsInconsistent, reported
+        problem, solution = solved_suite[1]
+        potentials = Potentials(solution.potentials.action + 1.0, solution.potentials.state)
+        report = bh.run_diagnostics(problem, dataclasses.replace(solution, potentials=potentials))
+        check = report.by_name("coupling_consistency")
+        assert not check.passed
+        assert check.max_violation == np.inf
+        assert check.details.startswith("potentials give total mass")
 
     def test_full_report_passes(self, solved_suite):
         problem, solution = solved_suite[1]

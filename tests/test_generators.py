@@ -1,6 +1,7 @@
 """Seeded instance factories used across the test corpus."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
@@ -28,6 +29,27 @@ class TestRandomProblem:
         assert p.states == ("s0", "s1", "s2", "s3")
         assert_allclose(p.prior.sum(), 1.0, atol=1e-15)
         assert np.all(p.prior > 0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.5, 3, 3),
+            (-1, 3, 3),
+            (1, True, 3),
+            (1, 3, -2),
+            (1, 3.0, 3),
+            (1, 3, 3, "1.0"),
+            (1, 3, 3, True),
+        ],
+    )
+    def test_rejects_malformed_arguments(self, args):
+        with pytest.raises(bh.InvalidInput):
+            bh.random_problem(*args)
+
+    def test_accepts_numpy_numbers(self):
+        p = bh.random_problem(np.int64(7), np.int64(3), np.int64(2), np.float64(0.5))
+        q = bh.random_problem(7, 3, 2, 0.5)
+        assert np.array_equal(p.utility, q.utility) and np.array_equal(p.prior, q.prior)
 
 
 class TestSuites:

@@ -12,7 +12,7 @@ from bridgehead.core import Coupling, mutual_information, shifted_gain
 from bridgehead.oracle import (
     _BATCH_ROWS,
     TooManyActions,
-    _lattice_blocks,
+    _lattice_pieces,
     exhaustive_mi,
     simplex_lattice,
 )
@@ -43,18 +43,21 @@ class TestSimplexLattice:
 
 
 class TestLatticeBlocks:
+    """The pieces grid_search_f evaluates: non-empty, at most _BATCH_ROWS rows
+    each, and simplex_lattice in order when concatenated; an empty lattice
+    is rejected by simplex_lattice."""
+
     @pytest.mark.parametrize("m, denom", [(1, 5), (2, 1000), (3, 7), (3, 100), (4, 100), (5, 20)])
     def test_blocks_concatenate_to_simplex_lattice(self, m, denom):
-        blocks = list(_lattice_blocks(m, denom))
-        assert all(len(block) == _BATCH_ROWS for block in blocks[:-1])
-        assert 0 < len(blocks[-1]) <= _BATCH_ROWS
-        points = [tuple(row) for row in np.concatenate(blocks).tolist()]
+        pieces = list(_lattice_pieces((), denom, m))
+        assert all(0 < len(piece) <= _BATCH_ROWS for piece in pieces)
+        points = [tuple(row) for row in np.concatenate(pieces).tolist()]
         assert points == list(simplex_lattice(m, denom))
 
     @pytest.mark.parametrize("m, denom", [(0, 5), (3, 0)])
     def test_empty_lattice_rejected(self, m, denom):
         with pytest.raises(bh.InvalidInput):
-            next(_lattice_blocks(m, denom))
+            next(simplex_lattice(m, denom))
 
 
 def _tuple_grid_search(problem):
@@ -107,6 +110,10 @@ class TestGridSearchF:
         p = bh.random_problem(1, 5, 3)
         with pytest.raises(TooManyActions):
             bh.grid_search_f(p)
+
+    def test_no_actions_rejected(self):
+        with pytest.raises(bh.InvalidInput):
+            bh.grid_search_f(bh.random_problem(1, 0, 3))
 
     def test_points_evaluated_matches_lattice(self):
         p = bh.random_problem(2, 3, 3)
