@@ -22,6 +22,13 @@ linear rate collapses at small lam, so a solve still unconverged after sweep
 side (``_semi_dual_newton``), whose rate is quadratic.  The sweeps go on
 from the Newton potentials.
 
+The loop (``_sweeps``) has a leading stack axis: it solves k marginals that
+share the kernel, the prior and one support at once, each row with its own
+gate, Newton hand-over and stopping sweep, and every row rounds as it does
+alone.  ``sinkhorn_bridge`` is its one-row case; ``_primal_values`` runs it
+on the Gateaux probe steps of ``diagnostics``, which need only the primal
+value.
+
 Convergence is measured as the worst sup-norm violation of the two marginal
 constraints by the implied unit-mass coupling, which is built only where a
 cheap bound says the residual can pass (see ``sinkhorn_bridge``), so no
@@ -150,61 +157,94 @@ def sinkhorn_bridge(
     exact residual is measured wherever c is within ``gate`` (4 tol plus
     rounding), at the first sweep after Newton and at the budget's last
     sweep, so c neither stops a sweep nor delays a stop.  Newton runs once,
-    after sweep ``_WARM_UP`` if that is not the budget's last.
+    after sweep ``_WARM_UP`` if that is not the budget's last.  The sweeps
+    are those of ``_sweeps`` on a stack of one row.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
     """
     cfg = config or SinkhornConfig()
     check_marginal(problem, nu)
-    budget, tolerance = cfg.max_iterations, cfg.tolerance
-
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
     prior = problem.prior / problem.prior.sum()
     sup = weights > 0
-    ks = kernel[sup]
-    ws = weights[sup]
+    ((a, b, coupling, mass, iterations, residual),) = _sweeps(
+        kernel[sup], weights[sup][None], prior, cfg
+    )
+    result = _assemble(
+        problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
+    )
+    if not residual <= cfg.tolerance:
+        raise BridgeNotConverged(iterations, residual, result)
+    return result
+
+
+def _sweeps(ks, ws, prior, cfg):
+    """The sweep loop of ``sinkhorn_bridge`` on a (k, s) stack ``ws`` of unit-mass
+    action weights that share the supported kernel rows ``ks`` and the prior.
+
+    Every row keeps its own gate, exact residual, Newton hand-over and stopping
+    sweep; a row that stops is frozen and leaves the stack.  Each half-update
+    is one log-sum-exp over the stack, whose every row rounds as it does alone,
+    so a row's results do not depend on the others.  Returns, row by row,
+    (a, b, coupling, mass, iterations, residual) at the row's last sweep.
+    """
+    budget, tolerance = cfg.max_iterations, cfg.tolerance
+    # C order, so that each row's sums run in the order they run alone (the
+    # rows of weights[:, sup] are strided, and K-order results follow them)
+    ws = np.ascontiguousarray(ws)
     log_prior = np.log(prior)
-    row_part = ks + np.log(ws)[:, None]       # log nu + u/lam
+    row_part = ks + np.log(ws)[:, :, None]    # log nu + u/lam, one slab per row
     col_part = ks + log_prior[None, :]        # log prior + u/lam
     # Cheap and exact residuals round apart on exponents up to |b| + osc(u/lam)
     # and sums of m + n terms, by under eps/4 times that on 600 instances, lam
     # 1e-4 to 1e4.  4 tol costs a few exact residuals.
     size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
     eps = np.finfo(float).eps
-    measure = False
+    live = list(range(len(ws)))  # the input row of each stack row
+    out = [None] * len(ws)
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = _logsumexp_kernel(row_part, axis=0)
+        b = _logsumexp_kernel(row_part, axis=1)
         for iterations in range(1, budget + 1):
-            a = _logsumexp_kernel(col_part - b, axis=1)
+            a = _logsumexp_kernel(col_part - b, axis=2)
             rows = row_part - a
-            measure = measure or iterations == budget
             b_next = None
-            if not measure:
-                gate = 4.0 * tolerance + 8.0 * eps * (size_and_osc + float(np.abs(b).max()))
-                b_next = _logsumexp_kernel(rows, axis=0)
-                measure = not np.abs(prior * np.expm1(b_next - b)).max() > gate  # NaN: measure
-            if measure:
-                coupling = np.exp(rows + (log_prior - b))
+            if iterations == budget or iterations == _WARM_UP + 1:
+                measure = range(len(live))
+            else:
+                bound = np.maximum.reduce(np.abs(b), axis=(1, 2)).tolist()
+                b_next = _logsumexp_kernel(rows, axis=1)
+                drift = np.abs(prior * np.expm1(b_next - b))
+                measure = []
+                for r, c in enumerate(np.maximum.reduce(drift, axis=(1, 2)).tolist()):
+                    gate = 4.0 * tolerance + 8.0 * eps * (size_and_osc + bound[r])
+                    if not c > gate:  # NaN: measure
+                        measure.append(r)
+            stopped = []
+            for r in measure:
+                coupling = np.exp(rows[r] + (log_prior - b[r]))
                 mass = float(coupling.sum())
                 coupling /= mass
-                residual = _marginal_residual(coupling, ws, prior)
+                residual = _marginal_residual(coupling, ws[r], prior)
                 if residual <= tolerance or iterations == budget:
+                    out[live[r]] = (a[r, :, 0], b[r, 0], coupling, mass, iterations, residual)
+                    stopped.append(r)
+            if stopped:
+                if len(stopped) == len(live):
                     break
-            measure = iterations == _WARM_UP  # hand over now, measure the next sweep
-            if measure:
-                a = _semi_dual_newton(ks, ws, prior, a[:, 0], b[0], tolerance)[:, None]
-                b = _logsumexp_kernel(row_part - a, axis=0)
+                keep = np.ones(len(live), dtype=bool)
+                keep[stopped] = False
+                live = [row for row, kept in zip(live, keep) if kept]
+                ws, row_part, rows, a, b = ws[keep], row_part[keep], rows[keep], a[keep], b[keep]
+                b_next = None if b_next is None else b_next[keep]
+            if iterations == _WARM_UP:  # hand over now, measure the next sweep
+                for r in range(len(live)):
+                    a[r, :, 0] = _semi_dual_newton(ks, ws[r], prior, a[r, :, 0], b[r, 0], tolerance)
+                b = _logsumexp_kernel(row_part - a, axis=1)
             else:
-                b = _logsumexp_kernel(rows, axis=0) if b_next is None else b_next
-
-    result = _assemble(
-        problem, weights, prior, kernel, sup, a[:, 0], b[0], coupling, mass, iterations, residual
-    )
-    if not residual <= tolerance:
-        raise BridgeNotConverged(iterations, residual, result)
-    return result
+                b = _logsumexp_kernel(rows, axis=1) if b_next is None else b_next
+    return out
 
 
 def _semi_dual_newton(ks, ws, prior, a, b, tolerance):
@@ -292,6 +332,48 @@ def _newton_move(p, q, pi, grad, free):
     return None
 
 
+def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):
+    """``value_primal`` of ``sinkhorn_bridge`` at each row of a (k, m) stack of
+    action weights, with no coupling, potentials or dual value assembled.
+
+    Rows on one support are solved as one stack of ``_sweeps``, so each row's
+    value, sweeps and residual are those of ``sinkhorn_bridge`` at that row
+    alone.  Returns the values and, row by row, None or the BridgeNotConverged
+    that ``sinkhorn_bridge`` raises at that row.
+    """
+    kernel = gibbs_kernel(problem)
+    weights = stack / stack.sum(axis=1, keepdims=True)
+    prior = problem.prior / problem.prior.sum()
+    values = np.empty(len(stack))
+    errors = [None] * len(stack)
+    supports: dict[bytes, list[int]] = {}
+    for i, sup in enumerate(weights > 0):
+        supports.setdefault(sup.tobytes(), []).append(i)
+    for members in supports.values():
+        sup = weights[members[0]] > 0
+        ks = kernel[sup]
+        solved = _sweeps(ks, weights[members][:, sup], prior, config)
+        for i, (a, b, coupling, mass, iterations, residual) in zip(members, solved):
+            values[i] = _value_primal(coupling, weights[i, sup], prior, ks)
+            if not residual <= config.tolerance:
+                result = _assemble(
+                    problem, weights[i], prior, kernel, sup,
+                    a, b, coupling, mass, iterations, residual,
+                )
+                errors[i] = BridgeNotConverged(iterations, residual, result)
+    return values, errors
+
+
+def _value_primal(coupling, ws, prior, ks) -> float:
+    """Integrate u/lam against the coupling of the supported actions and
+    subtract its divergence from ws x prior term by term."""
+    mask = coupling > 0
+    log_product = np.log(ws)[:, None] + np.log(prior)[None, :]
+    positive = coupling[mask]
+    kl = float(np.sum(positive * (np.log(positive) - log_product[mask])))
+    return float(np.sum(coupling * ks)) - kl
+
+
 def _marginal_residual(coupling, ws, prior) -> float:
     row = float(np.abs(coupling.sum(axis=1) - ws).max())
     col = float(np.abs(coupling.sum(axis=0) - prior).max())
@@ -314,18 +396,6 @@ def _assemble(problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, it
     full = np.zeros((problem.num_actions, problem.num_states))
     full[sup] = coupling_s
 
-    # primal: integrate u/lam and subtract the divergence term by term
-    mask = coupling_s > 0
-    log_product = np.log(weights[sup])[:, None] + np.log(prior)[None, :]
-    kl = float(
-        np.sum(
-            coupling_s[mask]
-            * (np.log(coupling_s[mask]) - log_product[mask])
-        )
-    )
-    payoff = float(np.sum(coupling_s * kernel[sup]))
-    value_primal = payoff - kl
-
     # dual: evaluate the potentials; mass is the pre-normalization total
     value_dual = (
         float(a_full @ weights) + float(b @ prior) + mass - 1.0
@@ -334,7 +404,7 @@ def _assemble(problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, it
     return BridgeResult(
         coupling=Coupling(full),
         potentials=Potentials(action=a_full, state=b),
-        value_primal=value_primal,
+        value_primal=_value_primal(coupling_s, weights[sup], prior, kernel[sup]),
         value_dual=value_dual,
         iterations=iterations,
         residual=residual,

@@ -19,6 +19,7 @@ import numpy as np
 from .bridge import (
     BridgeNotConverged,
     SinkhornConfig,
+    _primal_values,
     additive_separability_gap,
     coupling_from_potentials,
     schrodinger_residual,
@@ -173,8 +174,9 @@ def _central(value_at, h: float):
     """Central difference quotient of value_at(t) at t = 0, a float or, for a
     stack of values, one quotient per row.
 
-    The back step is evaluated first: it is the one that can leave the
-    simplex, and then fails before any solve at the forward step.
+    The back step is evaluated first: on the prior side it is the one that
+    can leave the simplex, and then fails before any solve at the forward
+    step.  ``_toward`` checks both of its steps before its one stacked solve.
     """
     back = value_at(-h)
     return (value_at(h) - back) / (2.0 * h)
@@ -186,19 +188,29 @@ def _check_step(h) -> None:
         raise InvalidInput(f"h must be a finite real > 0, got {h!r}")
 
 
-def _inner_value(problem: Problem, weights: np.ndarray) -> float:
-    if np.any(weights < 0) or np.any(problem.prior < 0):
+def _in_simplex(weights: np.ndarray) -> np.ndarray:
+    if np.any(weights < 0):
         raise InvalidInput("difference step leaves the simplex; reduce h")
-    return sinkhorn_bridge(problem, ActionMarginal(weights), _INNER).value_primal
+    return weights
 
 
-def _toward(problem, nu, psi, h, base) -> tuple[float, float]:
-    """Derivative of the inner value at nu toward psi, from nu's solve ``base``."""
+def _toward(problem, nu, psi, h, base):
+    """Derivatives of the inner value at nu toward each row of a (k, m) stack
+    of marginals psi, from nu's solve ``base``.
+
+    Returns the analytic derivatives, the central differences and, row by
+    row, None or the BridgeNotConverged of an unconverged step, the back
+    step's first.  The 2k steps nu -+ h (psi - nu) are checked, then solved
+    as one stack that yields only their primal values.
+    """
     a = base.potentials.action
-    analytic = float(psi.weights @ a) - float(nu.weights @ a)
-    direction = psi.weights - nu.weights
-    numeric = _central(lambda t: _inner_value(problem, nu.weights + t * direction), h)
-    return analytic, numeric
+    mean = float(nu.weights @ a)
+    analytic = [float(row @ a) - mean for row in psi]
+    steps = nu.weights + np.array([[-h], [h]])[:, :, None] * (psi - nu.weights)
+    values, errors = _primal_values(problem, _in_simplex(steps).reshape(-1, len(nu)), _INNER)
+    back, forward = values.reshape(2, -1)
+    failed = [errors[i] or errors[len(psi) + i] for i in range(len(psi))]
+    return analytic, (forward - back) / (2.0 * h), failed
 
 
 def gateaux_value_direction(
@@ -210,13 +222,20 @@ def gateaux_value_direction(
     perturbations, so the analytic route is E_psi[a] - E_nu[a] from the
     solved potential pair; toward a point mass ``ActionMarginal.dirac`` that
     is a(action) - E_nu[a].  The numeric route takes central differences of
-    the inner value along nu + t (psi - nu), t = +-h, solved to 1e-12; every
+    the inner value along nu + t (psi - nu), t = +-h, solved to 1e-12 as one
+    stack of two rows, the route of the ``gateaux_value`` check of
+    ``run_diagnostics``.  Both steps are checked before that solve: every
     weight of nu + h (nu - psi) must stay nonnegative (for a point mass,
-    nu(action) >= h/(1+h)).  ``h`` must be a finite real > 0.
+    nu(action) >= h/(1+h)).  ``h`` must be a finite real > 0.  Raises the
+    back step's BridgeNotConverged before the forward step's.
     """
     _check_step(h)
     check_marginal(problem, psi)
-    return _toward(problem, nu, psi, h, sinkhorn_bridge(problem, nu, _INNER))
+    base = sinkhorn_bridge(problem, nu, _INNER)
+    analytic, numeric, failed = _toward(problem, nu, psi.weights[None, :], h, base)
+    if failed[0] is not None:
+        raise failed[0]
+    return analytic[0], float(numeric[0])
 
 
 def gateaux_value_state(
@@ -241,7 +260,7 @@ def gateaux_value_state(
     def value_at(step: float) -> float:
         prior = (1.0 - step) * problem.prior
         prior[state] += step
-        return _inner_value(replace(problem, prior=prior), nu.weights)
+        return sinkhorn_bridge(replace(problem, prior=_in_simplex(prior)), nu, _INNER).value_primal
 
     return analytic, _central(value_at, h)
 
@@ -502,9 +521,14 @@ def run_diagnostics(
     1e-9 and marginal residuals near 1e-12.  ``seed`` draws the random
     directions of the ``gateaux_f`` check; its 10 directions are evaluated at
     once, as one stack on each route, and they are the same directions as
-    10 successive one-direction draws.  Raises InvalidInput for a seed that
-    is not an integer >= 0 or a solution whose coupling is not the problem's
-    m x n.
+    10 successive one-direction draws.  The ``gateaux_value`` check probes
+    up to three supported actions alpha with nu(alpha) >= 1e-4 toward the
+    point mass at alpha; its 2 steps per probe are solved as one stack.  At
+    a point-mass nu (one supported action) the direction delta_alpha - nu is
+    exactly 0, both steps solve at nu itself, and the check reads 0.0 by
+    construction: it certifies nothing there, and ``kt_plateau`` certifies
+    that solution.  Raises InvalidInput for a seed that is not an integer
+    >= 0 or a solution whose coupling is not the problem's m x n.
     """
     check_number("seed", seed, integer=True)
     if seed < 0:
@@ -564,17 +588,17 @@ def run_diagnostics(
     checks.append(_result("gateaux_f", worst_f, 1e-3, f"{_DIRECTIONS} random directions"))
 
     probe = [i for i in solution.consideration_set if weights[i] >= max(10.0 * _FD_STEP, 1e-4)][:3]
+    points = np.zeros((len(probe), problem.num_actions))
+    points[np.arange(len(probe)), probe] = 1.0
     worst_v = 0.0
     details = f"central differences at {probe}"
-    for alpha in probe:
-        psi = ActionMarginal.dirac(problem.num_actions, alpha)
-        try:
-            analytic, numeric = _toward(problem, nu, psi, _FD_STEP, fresh)
-        except BridgeNotConverged as err:
+    analytic, numeric, failed = _toward(problem, nu, points, _FD_STEP, fresh)
+    for alpha, exact, central, err in zip(probe, analytic, numeric, failed):
+        if err is not None:
             worst_v = np.inf
             details += f"; action {alpha}: {err}"
-            continue
-        worst_v = max(worst_v, abs(analytic - numeric))
+        else:
+            worst_v = max(worst_v, abs(exact - central))
     checks.append(_result("gateaux_value", worst_v, 1e-3, details))
 
     try:

@@ -492,6 +492,95 @@ class TestNewtonPhase:
         assert res.duality_gap <= 1e-8
 
 
+@st.composite
+def bridge_stacks(draw, max_lam):
+    """A ``bridge_instances`` draw and a (k, m) stack of 1 to 6 marginals on
+    its support: nu first, then seeded Dirichlet rows floored at 1e-3, whose
+    concentrations vary, so that rows stop at different sweeps."""
+    problem, nu = draw(bridge_instances(max_lam=max_lam))
+    sup = nu.weights > 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [nu.weights]
+    for _ in range(draw(st.integers(0, 5))):
+        row = np.zeros(len(nu))
+        concentration = draw(st.sampled_from([0.1, 1.0, 10.0]))
+        row[sup] = np.maximum(rng.dirichlet(np.full(sup.sum(), concentration)), 1e-3)
+        rows.append(row / row.sum() * (1.0 + draw(st.sampled_from([0.0, -9e-13, 9e-13]))))
+    return problem, np.array(rows)
+
+
+def _single_bytes(problem, row, cfg):
+    """(converged, iterations, residual, value_primal) of sinkhorn_bridge at one row."""
+    res, converged = _bridge(problem, bh.ActionMarginal(row), cfg)
+    return converged, res.iterations, float(res.residual).hex(), float(res.value_primal).hex()
+
+
+def _raise(err):
+    raise err
+
+
+class TestStackedSweeps:
+    """``_sweeps`` solves a stack of marginals on one support in one loop; every
+    row must come out as ``sinkhorn_bridge`` returns it at that row alone."""
+
+    @pytest.mark.parametrize("max_lam", [1e4, 0.05])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_match_single_solves(self, max_lam, data):
+        problem, stack = data.draw(bridge_stacks(max_lam))
+        warm_up = bridge._WARM_UP
+        budget = data.draw(st.sampled_from([1, 2, warm_up, warm_up + 1, 20, 10_000]))
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=budget)
+        weights = stack / stack.sum(axis=1, keepdims=True)
+        sup = weights[0] > 0
+        ks = gibbs_kernel(problem)[sup]
+        prior = problem.prior / problem.prior.sum()
+        rows = bridge._sweeps(ks, weights[:, sup], prior, cfg)
+        values, errors = bridge._primal_values(problem, stack, cfg)
+        for i, (_, _, coupling, _, iterations, residual) in enumerate(rows):
+            nu = bh.ActionMarginal(stack[i])
+            single = _single_bytes(problem, nu.weights, cfg)
+            primal = bridge._value_primal(coupling, weights[i, sup], prior, ks)
+            converged = residual <= cfg.tolerance
+            assert (converged, iterations, residual.hex(), primal.hex()) == single
+            assert values[i].hex() == single[3]
+            assert (errors[i] is None) == converged
+            if not converged:
+                # the error carries the single solve's best-so-far result
+                raised = _bridge_bytes(problem, nu, cfg, lambda *_: _raise(errors[i]))
+                assert raised == _bridge_bytes(problem, nu, cfg)
+
+    def test_frozen_rows_leave_the_stack(self):
+        # at lam = 1e-3 with a 20-sweep budget, the first two rows converge
+        # at sweep 9, after Newton, and the other four exhaust the budget
+        problem = bh.random_problem(4, 6, 6, lam=1e-3)
+        rng = np.random.default_rng(0)
+        stack = np.vstack([np.full(6, 1 / 6), rng.dirichlet(np.ones(6), size=5)])
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
+        values, errors = bridge._primal_values(problem, stack, cfg)
+        assert [err is None for err in errors] == [True, True, False, False, False, False]
+        for row, value, err in zip(stack, values, errors):
+            single = _single_bytes(problem, row, cfg)
+            assert value.hex() == single[3]
+            assert single[:2] == ((True, 9) if err is None else (False, 20))
+            if err is not None:
+                message = f"no convergence after 20 sweeps, marginal residual {err.residual:.3e}"
+                assert str(err) == message
+                assert float(err.residual).hex() == single[2]
+
+    def test_rows_on_other_supports_are_solved_apart(self):
+        # one stack per support: the rows on support {0, 1} and the row on
+        # {0, 1, 2} each match their single solve
+        problem = bh.random_problem(11, 3, 4, lam=0.3)
+        stack = np.array([[0.6, 0.4, 0.0], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
+        with mock.patch.object(bridge, "_sweeps", wraps=bridge._sweeps) as sweeps:
+            values, errors = bridge._primal_values(problem, stack, TIGHT)
+        assert [len(call.args[1]) for call in sweeps.call_args_list] == [2, 1]
+        assert errors == [None, None, None]
+        for row, value in zip(stack, values):
+            assert value.hex() == _single_bytes(problem, row, TIGHT)[3]
+
+
 def _golden_problem(case):
     if case == "zeros":
         nu = bh.ActionMarginal(np.array([0.4, 0.0, 0.35, 0.0, 0.25]))

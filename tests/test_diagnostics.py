@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
-from bridgehead import diagnostics
+from bridgehead import bridge, diagnostics
 from bridgehead.core import Coupling, Potentials
 from bridgehead.diagnostics import (
     PosteriorNotNormalizable,
@@ -495,7 +496,16 @@ class TestRunDiagnostics:
                         monkeypatch.setattr(module, attr, counted)
         problem, solution = solved_suite[1]
         bh.run_diagnostics(problem, solution)
-        assert 0 < len(calls) <= 21
+        assert 0 < len(calls) <= 20
+
+    def test_probe_steps_are_one_stacked_solve(self, solved_suite):
+        # 4 supported actions, probes at [0, 3, 8]: the fresh audit solve is
+        # one sweep loop and the 6 probe steps are another
+        problem, solution = solved_suite[9]
+        with mock.patch.object(bridge, "_sweeps", wraps=bridge._sweeps) as sweeps:
+            report = bh.run_diagnostics(problem, solution)
+        assert report.by_name("gateaux_value").details == "central differences at [0, 3, 8]"
+        assert [len(call.args[1]) for call in sweeps.call_args_list] == [1, 6]
 
     def test_unconverged_inner_solves_become_failed_checks(self, solved_suite, monkeypatch):
         # away from the optimum 2 sweeps cannot reach 1e-12: the fresh solve
