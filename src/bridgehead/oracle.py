@@ -56,8 +56,12 @@ def simplex_lattice(num_actions: int, denominator: int) -> Iterator[tuple[int, .
     """Yield all compositions of ``denominator`` into ``num_actions`` parts.
 
     Ascending lexicographic order, so ties during a strict-improvement scan
-    resolve to the lexicographically smallest weight vector.
+    resolve to the lexicographically smallest weight vector.  Both arguments
+    must be integers >= 1 (NumPy integers count, a bool does not), or
+    InvalidInput is raised.
     """
+    check_number("num_actions", num_actions, integer=True)
+    check_number("denominator", denominator, integer=True)
     if num_actions < 1 or denominator < 1:
         raise InvalidInput("need at least one action and a positive denominator")
 
@@ -71,59 +75,60 @@ def simplex_lattice(num_actions: int, denominator: int) -> Iterator[tuple[int, .
     yield from rec((), denominator, num_actions)
 
 
-def _compositions(head: np.ndarray, rest: np.ndarray, parts: int) -> np.ndarray:
-    """Each row of ``head`` followed by every composition of its ``rest``
-    into ``parts`` parts, one row each, in the order of ``simplex_lattice``.
+def _compositions(head: tuple[int, ...], total: int, parts: int) -> np.ndarray:
+    """``head`` followed by every composition of ``total`` into ``parts``
+    parts, as exact float64 integers in the order of ``simplex_lattice``.
 
     Built one coordinate at a time: each row fans out into one row per value
     its next coordinate can take, and the last coordinate takes what is left.
     """
+    rows, rest = np.array([head], dtype=np.int64).reshape(1, len(head)), np.array([total])
     for _ in range(parts - 1):
         choices = rest + 1
         value = np.arange(int(choices.sum())) - np.repeat(np.cumsum(choices) - choices, choices)
-        head = np.column_stack((np.repeat(head, choices, axis=0), value))
+        rows = np.column_stack((np.repeat(rows, choices, axis=0), value))
         rest = np.repeat(rest, choices) - value
-    return np.column_stack((head, rest))
+    return np.column_stack((rows, rest)).astype(np.float64)
 
 
-def _lattice_pieces(prefix: tuple[int, ...], total: int, parts: int) -> Iterator[np.ndarray]:
-    """``prefix`` followed by the compositions of ``total`` into ``parts``
-    parts, in order, as arrays of at most ``_BATCH_ROWS`` rows.
+def _lattice_pieces(total: int, parts: int) -> Iterator[np.ndarray]:
+    """The compositions of ``total`` into ``parts`` parts, in order, as
+    float64 pieces of ``_BATCH_ROWS`` rows (the last may have fewer).
 
-    A lattice too large for one batch is split on its leading coordinate:
-    runs of consecutive values whose sub-lattices fit in a batch together
-    make one piece, and a value whose sub-lattice alone is too large is split
-    again.  ``grid_search_f`` evaluates each piece as it is yielded, so only
-    one piece is held at a time.
+    The rows with leading value a are the last C(total - a + parts - 2,
+    parts - 2) rows of the template, 0 followed by the (parts - 1)-part
+    lattice of ``total``, with a moved from their second entry to their
+    first.  The template is built once, and each piece is one take from it;
+    a lattice of one piece is built directly.  So a caller that evaluates
+    each piece as it is yielded holds the template and one piece.
     """
     if math.comb(total + parts - 1, parts - 1) <= _BATCH_ROWS:
-        head = np.array([prefix], dtype=np.int64).reshape(1, len(prefix))
-        yield _compositions(head, np.array([total]), parts)
+        yield _compositions((), total, parts)
         return
-    sizes = [math.comb(total - k + parts - 2, parts - 2) for k in range(total + 1)]
-    k = 0
-    while k <= total:
-        if sizes[k] > _BATCH_ROWS:
-            yield from _lattice_pieces(prefix + (k,), total - k, parts - 1)
-            k += 1
-            continue
-        stop, rows = k, 0
-        while stop <= total and rows + sizes[stop] <= _BATCH_ROWS:
-            rows += sizes[stop]
-            stop += 1
-        values = np.arange(k, stop)
-        head = np.column_stack((np.tile(np.array(prefix, dtype=np.int64), (len(values), 1)), values))
-        yield _compositions(head, total - values, parts - 1)
-        k = stop
+    template = _compositions((0,), total, parts - 1)
+    # lattice row after the last one of each leading value
+    ends = np.cumsum(len(template) - np.searchsorted(template[:, 1], np.arange(total + 1)))
+    for lo in range(0, int(ends[-1]), _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, int(ends[-1]))
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")  # leading values in the piece
+        counts = np.diff(np.concatenate(((lo,), ends[first:last], (hi,))))
+        piece = template.take(np.arange(lo, hi) + np.repeat(len(template) - ends[first : last + 1], counts), axis=0)
+        values = np.repeat(np.arange(first, last + 1, dtype=np.float64), counts)
+        piece[:, 0] = values
+        piece[:, 1] -= values
+        yield piece
 
 
 def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSearchResult:
     """Maximize the envelope over a simplex lattice, with an error certificate.
 
-    ``resolution`` is the lattice pitch 1/N, in (0, 0.5]; None picks 1e-3 for
-    two actions and 1e-2 beyond that, keeping the point count near or below
-    a few hundred thousand.  More than four actions raise TooManyActions, none
-    InvalidInput.
+    ``resolution`` is the lattice pitch 1/N, in (0, 0.5] with 1/N finite;
+    None picks 1e-3 for two actions and 1e-2 beyond that, keeping the point
+    count near or below a few hundred thousand.  More than four actions raise
+    TooManyActions, none InvalidInput.  Far larger lattices (resolution
+    1e-300, say) are out of scope: NumPy refuses their arrays, or the call
+    does not finish.  A call holds one template of C(N + m - 2, m - 2) rows
+    and one piece of at most 4,096 points, never the lattice.
 
     f_best, the best lattice value of the envelope f(nu) =
     sum_omega prior(omega) log(sum_alpha nu(alpha) exp(u(alpha, omega)/lam)),
@@ -148,8 +153,8 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
         raise TooManyActions(f"{m} actions exceeds the lattice cap of {_MAX_ACTIONS}")
     resolution = (1e-3 if m == 2 else 1e-2) if resolution is None else resolution
     check_number("resolution", resolution)
-    if not 0.0 < resolution <= 0.5:
-        raise InvalidInput("resolution must lie in (0, 0.5]")
+    if not 0.0 < resolution <= 0.5 or not math.isfinite(1.0 / float(resolution)):
+        raise InvalidInput(f"resolution must lie in (0, 0.5] with a finite inverse, got {resolution!r}")
     denom = max(1, round(1.0 / resolution))
 
     gain, shift = shifted_gain(problem)  # rows: actions, columns: states
@@ -162,20 +167,25 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     best_point: np.ndarray | None = None
     least_bound = np.inf
     count = 0
-    for piece in _lattice_pieces((), denom, m):
-        pts = piece / denom
-        z = pts @ gain
-        # where z underflows (tiny lam) f is -inf and the bound inf or nan
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f_vals = (np.log(z) + shift[None, :]) @ prior
-            grad = gain @ (prior / z).T  # actions x batch, entries exp(a)
+    # prior and shift tiled to a piece's shape: contiguous elementwise operands
+    rows = min(math.comb(denom + m - 1, m - 1), _BATCH_ROWS)
+    prior_rows, shift_rows = np.tile(prior, (rows, 1)), np.tile(shift, (rows, 1))
+    # where z underflows (tiny lam) f is -inf and the bound inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for pts in _lattice_pieces(denom, m):
+            pts /= denom
+            rows = len(pts)
+            z = pts @ gain
+            ratio = prior_rows[:rows] / z
+            f_vals = np.add(np.log(z, out=z), shift_rows[:rows], out=z) @ prior
+            grad = gain @ ratio.T  # actions x batch, entries exp(a)
             bounds = f_vals + grad.max(axis=0) - 1.0
-        least_bound = min(least_bound, float(bounds[np.isfinite(bounds)].min(initial=np.inf)))
-        idx = int(np.argmax(f_vals))
-        if f_vals[idx] > best_f:
-            best_f = float(f_vals[idx])
-            best_point = pts[idx]
-        count += len(piece)
+            least_bound = min(least_bound, float(bounds[np.isfinite(bounds)].min(initial=np.inf)))
+            idx = int(np.argmax(f_vals))
+            if f_vals[idx] > best_f:
+                best_f = float(f_vals[idx])
+                best_point = pts[idx]
+            count += rows
 
     if best_point is None:
         raise InvalidInput(

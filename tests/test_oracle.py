@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
@@ -47,24 +50,54 @@ class TestLatticeBlocks:
     each, and simplex_lattice in order when concatenated; an empty lattice
     is rejected by simplex_lattice."""
 
-    @pytest.mark.parametrize("m, denom", [(1, 5), (2, 1000), (3, 7), (3, 100), (4, 100), (5, 20)])
-    def test_blocks_concatenate_to_simplex_lattice(self, m, denom):
-        pieces = list(_lattice_pieces((), denom, m))
+    @staticmethod
+    def check_pieces(m, denom):
+        pieces = list(_lattice_pieces(denom, m))
         assert all(0 < len(piece) <= _BATCH_ROWS for piece in pieces)
         points = [tuple(row) for row in np.concatenate(pieces).tolist()]
         assert points == list(simplex_lattice(m, denom))
+        return pieces
 
-    @pytest.mark.parametrize("m, denom", [(0, 5), (3, 0)])
+    @pytest.mark.parametrize("m, denom", [(1, 5), (2, 1000), (3, 7), (3, 100), (4, 100), (5, 20)])
+    def test_blocks_concatenate_to_simplex_lattice(self, m, denom):
+        self.check_pieces(m, denom)
+
+    # one direct piece up to 4,096 points (m=3 to denominator 89, m=4 to
+    # 27); beyond that, pieces that span several leading values, and for
+    # m >= 3 leading values whose rows are split over two pieces
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, (60, 9000, 150, 100)[m - 1]))))
+    @example((1, 1))
+    @example((2, 4095))
+    @example((2, 4096))
+    @example((3, 89))
+    @example((3, 150))
+    @example((4, 27))
+    @example((4, 100))
+    def test_pieces_concatenate_to_simplex_lattice(self, shape):
+        m, denom = shape
+        pieces = self.check_pieces(m, denom)
+        assert all(len(piece) == _BATCH_ROWS for piece in pieces[:-1])
+        assert (len(pieces) == 1) == (math.comb(denom + m - 1, m - 1) <= _BATCH_ROWS)
+
+    @pytest.mark.parametrize(
+        "m, denom",
+        [(0, 5), (3, 0), (2.5, 3), (3, 2.5), (2, "3"), (True, 3), (2, True), (np.float64(2.0), 3)],
+        ids=repr,
+    )
     def test_empty_lattice_rejected(self, m, denom):
         with pytest.raises(bh.InvalidInput):
             next(simplex_lattice(m, denom))
 
+    def test_numpy_integers_accepted(self):
+        assert list(simplex_lattice(np.int64(2), np.int32(2))) == [(0, 2), (1, 1), (2, 0)]
 
-def _tuple_grid_search(problem):
+
+def _tuple_grid_search(problem, denom=None):
     """grid_search_f's scan fed from simplex_lattice tuples, _BATCH_ROWS at a time,
     returning the least concavity bound without its rounding allowance."""
     m = problem.num_actions
-    denom = 1000 if m == 2 else 100
+    denom = (1000 if m == 2 else 100) if denom is None else denom
     gain, shift = shifted_gain(problem)
     best_f, best_point, least_bound, count = -np.inf, None, np.inf, 0
     points = simplex_lattice(m, denom)
@@ -88,7 +121,7 @@ class TestGridSpec:
     def test_explicit_resolution_wins(self):
         assert bh.grid_search_f(bh.random_problem(1, 2, 2), resolution=0.05).resolution == 0.05
 
-    @pytest.mark.parametrize("resolution", [0, 0.7, float("nan"), "0.1", True])
+    @pytest.mark.parametrize("resolution", [0, 0.7, float("nan"), "0.1", True, 5e-324, 1e-310])
     def test_resolution_outside_range_rejected(self, resolution):
         with pytest.raises(bh.InvalidInput, match="resolution"):
             bh.grid_search_f(bh.random_problem(1, 2, 2), resolution=resolution)
@@ -149,6 +182,36 @@ class TestGridSearchF:
             allowance = float(8.0 * np.finfo(np.float64).eps * sum(problem.utility.shape) * scale)
             assert float.hex(result.upper_bound) == float.hex(least_bound + allowance)
             assert result.points_evaluated == count
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [1e-3, 0.05, 1.0, 100.0])
+    def test_bit_identical_to_tuple_scan_on_random_problems(self, m, lam):
+        # at lam = 1e-3 z underflows at some points, where f is -inf and the
+        # bound inf or nan
+        problem = bh.random_problem(19 + m, m, 5, lam)
+        scale = 1.0 + float(np.abs(problem.utility / problem.lam).max())
+        allowance = float(8.0 * np.finfo(np.float64).eps * (m + 5) * scale)
+        for resolution, denom in ((None, None), (0.02, 50), (0.005, 200)):
+            result = bh.grid_search_f(problem, resolution=resolution)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                f_best, marginal, least_bound, count = _tuple_grid_search(problem, denom)
+            assert float.hex(result.f_best) == float.hex(f_best)
+            assert result.marginal.weights.tobytes() == marginal.tobytes()
+            assert float.hex(result.upper_bound) == float.hex(least_bound + allowance)
+            assert result.points_evaluated == count
+
+    def test_lattice_is_never_held_whole(self):
+        # 1,373,701 points, 44 MB as one float64 array; the template has
+        # 20,301 rows (0.5 MB) and a piece at most 4,096 (0.13 MB)
+        problem = bh.random_problem(7, 4, 5, 0.5)
+        tracemalloc.start()
+        try:
+            result = bh.grid_search_f(problem, resolution=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.points_evaluated == 1_373_701
+        assert peak < 4e6
 
     def test_nested_lattice_never_loosens_the_bracket(self):
         # the optimum is a vertex, so at every pitch the margin is the
