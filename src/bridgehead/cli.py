@@ -4,7 +4,8 @@ Exit codes follow one contract everywhere: 0 for a clean run, 1 for invalid
 input, 2 for a run that finished but did not certify (non-convergence, failed
 checks).  Commands raise InvalidInput before they write; ``main`` alone turns
 it into exit 1.  Partial results are still written on exit 2 so pipelines can
-inspect them.
+inspect them.  Each command imports the solver, the diagnostics and the
+thread pool only if it uses them, so ``bridge`` starts without them.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
-from .core import InvalidInput, Problem, check_problem, mutual_information
-from .diagnostics import run_diagnostics
+from .core import InvalidInput, Problem, check_marginal, check_problem, mutual_information
 from .io import (
     load_marginal,
     load_problem,
@@ -30,7 +30,9 @@ from .io import (
     write_csv,
     write_manifest,
 )
-from .solver import SolverConfig, SolverNotConverged, solve
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 __all__ = ["main"]
 
@@ -40,6 +42,8 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    from .solver import SolverConfig
+
     return SolverConfig(
         foc_tolerance=args.foc_tolerance,
         max_iterations=args.max_iters,
@@ -61,8 +65,14 @@ def _manifest(
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """Create the output directory; commands call this after their input
+    checks and before any solve, so a path that cannot be a directory exits 1
+    at once."""
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InvalidInput(f"cannot use {out} as output directory: {err.strerror}") from None
     return out
 
 
@@ -101,9 +111,12 @@ def _solution_files(problem: Problem, solution, out: Path, stem: str = "solution
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import SolverNotConverged, solve
+
     start = time.perf_counter()
     problem = load_problem(args.problem)
     config = _solver_config(args)
+    out = _out_dir(args)
     code = EXIT_OK
     try:
         solution = solve(problem, config)
@@ -112,7 +125,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         code = EXIT_NOT_CONVERGED
         print(f"warning: {err}", file=sys.stderr)
 
-    out = _out_dir(args)
     files = _solution_files(problem, solution, out)
     _manifest(args, out, files, start)
     labels = ", ".join(problem.actions[i] for i in solution.consideration_set)
@@ -129,6 +141,8 @@ def cmd_bridge(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     config = SinkhornConfig(tolerance=args.tolerance, max_iterations=args.max_iters)
     nu = load_marginal(args.marginal)
+    check_marginal(problem, nu)
+    out = _out_dir(args)
     code = EXIT_OK
     try:
         result = sinkhorn_bridge(problem, nu, config)
@@ -137,7 +151,6 @@ def cmd_bridge(args: argparse.Namespace) -> int:
         code = EXIT_NOT_CONVERGED
         print(f"warning: {err}", file=sys.stderr)
 
-    out = _out_dir(args)
     files = [save_bridge(result, out / "bridge.json")]
     _manifest(args, out, files, start)
     print(f"value_primal: {result.value_primal!r}")
@@ -148,11 +161,14 @@ def cmd_bridge(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    from .diagnostics import check_arguments, run_diagnostics
+
     start = time.perf_counter()
     problem = load_problem(args.problem)
     solution = load_solution(args.solution)
-    report = run_diagnostics(problem, solution, seed=args.seed)
+    check_arguments(problem, solution, args.seed)
     out = _out_dir(args)
+    report = run_diagnostics(problem, solution, seed=args.seed)
     files = [save_report(report, out / "report.json")]
     files.append(
         write_csv(
@@ -170,6 +186,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _sweep_one(problem: Problem, config: SolverConfig):
+    from .solver import SolverNotConverged, solve
+
     try:
         return solve(problem, config), None
     except SolverNotConverged as err:
@@ -177,6 +195,8 @@ def _sweep_one(problem: Problem, config: SolverConfig):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     start = time.perf_counter()
     problem = load_problem(args.problem)
     config = _solver_config(args)

@@ -62,6 +62,7 @@ __all__ = [
     "average_free_energy",
     "free_energy_check",
     "gibbs_plateau_check",
+    "check_arguments",
     "run_diagnostics",
 ]
 
@@ -509,6 +510,17 @@ _DIRECTIONS = 10  # random directions of the gateaux_f check
 _FD_STEP = 1e-5   # difference step of both Gateaux checks
 
 
+def check_arguments(problem: Problem, solution: Solution, seed: int) -> None:
+    """Raise InvalidInput unless ``seed`` is an integer >= 0 and the solution's
+    coupling is the problem's m x n: the argument checks of ``run_diagnostics``."""
+    check_number("seed", seed, integer=True)
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
+    if coupling != shape:
+        raise InvalidInput(f"solution coupling is {coupling}, problem is {shape}")
+
+
 def run_diagnostics(
     problem: Problem,
     solution: Solution,
@@ -530,12 +542,7 @@ def run_diagnostics(
     that solution.  Raises InvalidInput for a seed that is not an integer
     >= 0 or a solution whose coupling is not the problem's m x n.
     """
-    check_number("seed", seed, integer=True)
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
-    shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
-    if coupling != shape:
-        raise InvalidInput(f"solution coupling is {coupling}, problem is {shape}")
+    check_arguments(problem, solution, seed)
     rng = np.random.default_rng(seed)
     nu = solution.marginal
     weights = nu.weights

@@ -12,14 +12,16 @@ import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bridge import BridgeResult
 from .core import ActionMarginal, Coupling, InvalidInput, Potentials, Problem, check_problem, drop_zero_prior_states
-from .diagnostics import DiagnosticReport
-from .solver import Solution
+
+if TYPE_CHECKING:  # imported where used, so that reading a problem loads no solver
+    from .bridge import BridgeResult
+    from .diagnostics import DiagnosticReport
+    from .solver import Solution
 
 __all__ = [
     "problem_to_dict",
@@ -42,12 +44,11 @@ __all__ = [
 
 
 def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
 
 
 def _matrix(values) -> list[list[float]]:
-    arr = np.asarray(values, dtype=np.float64)
-    return [[float(v) for v in row] for row in arr]
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
 def _potentials(potentials: Potentials) -> dict[str, Any]:
@@ -84,9 +85,36 @@ def _read_json(path: str | Path) -> Any:
         raise InvalidInput(f"{path} is not valid JSON: {err}") from None
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(value: Any, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at ``indent``, a line
+    break and the spaces before the value's first line; dict keys are strings.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one call per item.
+    Here every container whose items are all scalars, such as a row of
+    floats, is one call to the C encoder, whose item separator carries the
+    line break and the indentation; only the containers above it recurse.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items())
+    else:
+        body = ("," + inner).join(_dumps(v, inner) for v in value)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{inner}{body}{indent}{closing}"
+
+
 def _write_json(document: dict[str, Any], path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(document, indent=2) + "\n")
+    path.write_text(_dumps(document) + "\n")
     return path
 
 
@@ -153,6 +181,8 @@ def solution_to_dict(problem: Problem, solution: Solution) -> dict[str, Any]:
 
 def solution_from_dict(data: dict[str, Any]) -> Solution:
     """Rebuild a solution; the stored consideration set must be the marginal's support."""
+    from .solver import Solution
+
     with _reading("solution"):
         potentials = Potentials(
             action=np.array(data["potentials"]["action"], dtype=np.float64),

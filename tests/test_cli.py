@@ -1,12 +1,17 @@
 """Command-line entry points: exit codes, output files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bridgehead as bh
+import bridgehead.io
 from bridgehead.cli import main
 from bridgehead.io import problem_to_dict, sha256_of
 
@@ -21,6 +26,24 @@ def write_problem(path, problem):
 @pytest.fixture()
 def problem_file(tmp_path):
     return write_problem(tmp_path / "problem.json", make_symmetric_2x2())
+
+
+@pytest.fixture(autouse=True)
+def json_is_indent_2(monkeypatch):
+    """Every JSON file a command writes here is the text of the standard
+    library's indenting encoder, read when written (some tests edit it later)."""
+    written = []
+    write = bridgehead.io._write_json
+
+    def recorded(document, path):
+        path = write(document, path)
+        written.append((path, path.read_text()))
+        return path
+
+    monkeypatch.setattr(bridgehead.io, "_write_json", recorded)
+    yield
+    for path, text in written:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 
 
 class TestSolveCommand:
@@ -406,6 +429,70 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.fixture()
+def command_inputs(tmp_path, problem_file):
+    """Argument lists of the four commands on the 2x2 problem."""
+    marginal = tmp_path / "nu.json"
+    marginal.write_text("[0.5, 0.5]")
+    solved = tmp_path / "solved"
+    assert main(["solve", problem_file, "--output-dir", str(solved)]) == 0
+    return {
+        "solve": ["solve", problem_file],
+        "bridge": ["bridge", problem_file, str(marginal)],
+        "diagnose": ["diagnose", problem_file, str(solved / "solution.json")],
+        "sweep": ["sweep", problem_file, "--lambdas", "1.0,2.0"],
+    }
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("command", ["solve", "bridge", "diagnose", "sweep"])
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_path_that_cannot_be_a_directory_exits_one(
+        self, tmp_path, command_inputs, capsys, command, where
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if where == "file" else blocker / "run"
+        capsys.readouterr()
+        assert main(command_inputs[command] + ["--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot use {out} as output directory")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # nothing was solved
+        assert blocker.read_text() == "not a directory"
+
+
+# what each command may not load: the modules it does not use, and SciPy
+_NOT_LOADED = {
+    "solve": ("bridgehead.diagnostics", "bridgehead.generators", "bridgehead.oracle", "concurrent.futures"),
+    "bridge": (
+        "bridgehead.solver", "bridgehead.diagnostics", "bridgehead.generators", "bridgehead.oracle",
+        "concurrent.futures",
+    ),
+    "diagnose": ("bridgehead.generators", "bridgehead.oracle"),
+    "sweep": ("bridgehead.diagnostics", "bridgehead.generators", "bridgehead.oracle"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_command_loads_only_what_it_runs(tmp_path, command_inputs, command):
+    argv = command_inputs[command] + ["--output-dir", str(tmp_path / "run")]
+    code = (
+        "import sys; from bridgehead.cli import main; "
+        f"code = main({argv!r}); print(); print(code, *sorted(sys.modules))"
+    )
+    src = str(Path(bh.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    exit_code, *modules = out.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    assert "bridgehead.cli" in modules
+    assert [m for m in _NOT_LOADED[command] if m in modules] == []
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 class TestManifest:

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bridgehead as bh
 from bridgehead.io import (
+    _dumps,
     load_problem,
     load_solution,
     problem_from_dict,
@@ -175,3 +178,34 @@ class TestCsvAndManifest:
         assert list(data["arguments"]) == ["a", "b"]
         assert data["wall_time_seconds"] == 0.5
         assert data["command"] == "solve"
+
+
+# floats that format differently: non-finite, signed zero, subnormal, and the
+# two exponents where repr switches between positional and scientific notation
+_EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5]
+_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f éλ→€😀, :[]{}'),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_DOCUMENTS)
+    @example({"a": [[], {"b": ()}], "c": {}})
+    def test_same_text_as_the_indenting_encoder(self, document):
+        assert _dumps(document) == json.dumps(document, indent=2)
