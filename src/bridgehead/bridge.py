@@ -17,10 +17,11 @@ system
 columns exactly.  The solve is one loop of Sinkhorn sweeps, alternating the
 two updates in the log domain, where each half-update is one log-sum-exp,
 overflow-safe for any lam.  Most solves end within a few sweeps.  Sinkhorn's
-linear rate collapses at small lam, so a solve still unconverged after sweep
-``_WARM_UP`` hands over once to damped Newton on the semi-dual of the smaller
-side (``_semi_dual_newton``), whose rate is quadratic.  The sweeps go on
-from the Newton potentials.
+linear rate collapses at small lam, so a solve hands over once to damped
+Newton on the semi-dual of the smaller side (``_semi_dual_newton``), whose
+rate is quadratic: after the first sweep k >= 2 whose column drift is more
+than ``_RATE`` times that of sweep k - 1, or else after sweep ``_WARM_UP``.
+The sweeps go on from the Newton potentials.
 
 The loop (``_sweeps``) has a leading stack axis: it solves k marginals that
 share the kernel, the prior and one support at once, each row with its own
@@ -74,8 +75,9 @@ __all__ = [
 ]
 
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
-_WARM_UP = 8  # Sinkhorn sweeps before the Newton phase
-_NEWTON_STEPS = 50  # cap on Newton steps; each is one m x n exp and a small solve
+_WARM_UP = 8  # Sinkhorn sweeps before the Newton phase, at most
+_RATE = 0.1  # hand over early once a sweep shrinks the drift by less than 1 / _RATE
+_NEWTON_STEPS = 200  # cap on Newton steps; each is one m x n exp and a small solve
 _MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
 
 
@@ -102,7 +104,7 @@ class SinkhornConfig:
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
         It bounds sweeps only: a loop that hands over to Newton (after
-        sweep ``_WARM_UP``, unless that is its last) also takes up to
+        sweep 2 to ``_WARM_UP``, unless that is its last) also takes up to
         ``_NEWTON_STEPS`` Newton steps, each costing about as much as
         min(m, n) sweeps.
     """
@@ -156,9 +158,13 @@ def sinkhorn_bridge(
     miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  The
     exact residual is measured wherever c is within ``gate`` (4 tol plus
     rounding), at the first sweep after Newton and at the budget's last
-    sweep, so c neither stops a sweep nor delays a stop.  Newton runs once,
-    after sweep ``_WARM_UP`` if that is not the budget's last.  The sweeps
-    are those of ``_sweeps`` on a stack of one row.
+    sweep, so c neither stops a sweep nor delays a stop.  c also decides
+    when Newton runs, once, unless the budget ends first: after the first
+    sweep k >= 2 at which Sinkhorn shrinks c by less than 1 / ``_RATE``,
+    c_k > ``_RATE`` c_(k-1), and after sweep ``_WARM_UP`` at the latest.  A
+    solve that Sinkhorn settles fast thus keeps sweeping, and one that
+    stalls hands over early.  The sweeps are those of ``_sweeps`` on a stack
+    of one row.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -184,11 +190,12 @@ def _sweeps(ks, ws, prior, cfg):
     """The sweep loop of ``sinkhorn_bridge`` on a (k, s) stack ``ws`` of unit-mass
     action weights that share the supported kernel rows ``ks`` and the prior.
 
-    Every row keeps its own gate, exact residual, Newton hand-over and stopping
-    sweep; a row that stops is frozen and leaves the stack.  Each half-update
-    is one log-sum-exp over the stack, whose every row rounds as it does alone,
-    so a row's results do not depend on the others.  Returns, row by row,
-    (a, b, coupling, mass, iterations, residual) at the row's last sweep.
+    Every row keeps its own gate, exact residual, drift, Newton hand-over and
+    stopping sweep; a row that stops is frozen and leaves the stack.  Each
+    half-update is one log-sum-exp over the stack, whose every row rounds as
+    it does alone, so a row's results do not depend on the others.  Returns,
+    row by row, (a, b, coupling, mass, iterations, residual) at the row's
+    last sweep.
     """
     budget, tolerance = cfg.max_iterations, cfg.tolerance
     # C order, so that each row's sums run in the order they run alone (the
@@ -203,24 +210,28 @@ def _sweeps(ks, ws, prior, cfg):
     size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
     eps = np.finfo(float).eps
     live = list(range(len(ws)))  # the input row of each stack row
+    handover = [None] * len(ws)    # the sweep after which each row ran Newton
+    last = [np.inf] * len(ws)      # the drift of each row's last sweep
     out = [None] * len(ws)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = _logsumexp_kernel(row_part, axis=1)
         for iterations in range(1, budget + 1):
             a = _logsumexp_kernel(col_part - b, axis=2)
             rows = row_part - a
-            b_next = None
-            if iterations == budget or iterations == _WARM_UP + 1:
+            if iterations == budget:
                 measure = range(len(live))
             else:
                 bound = np.maximum.reduce(np.abs(b), axis=(1, 2)).tolist()
                 b_next = _logsumexp_kernel(rows, axis=1)
                 drift = np.abs(prior * np.expm1(b_next - b))
-                measure = []
-                for r, c in enumerate(np.maximum.reduce(drift, axis=(1, 2)).tolist()):
-                    gate = 4.0 * tolerance + 8.0 * eps * (size_and_osc + bound[r])
-                    if not c > gate:  # NaN: measure
-                        measure.append(r)
+                drift = np.maximum.reduce(drift, axis=(1, 2)).tolist()
+                # the first sweep after Newton, and a drift within the gate
+                # (or NaN), measure
+                measure = [
+                    r for r, c in enumerate(drift)
+                    if handover[r] == iterations - 1
+                    or not c > 4.0 * tolerance + 8.0 * eps * (size_and_osc + bound[r])
+                ]
             stopped = []
             for r in measure:
                 coupling = np.exp(rows[r] + (log_prior - b[r]))
@@ -230,20 +241,28 @@ def _sweeps(ks, ws, prior, cfg):
                 if residual <= tolerance or iterations == budget:
                     out[live[r]] = (a[r, :, 0], b[r, 0], coupling, mass, iterations, residual)
                     stopped.append(r)
+            if len(stopped) == len(live):
+                break
+            # hand over where Sinkhorn shrinks the drift by less than
+            # 1 / _RATE per sweep, or the warm-up ends; measure the next sweep
+            newton = [
+                r for r, c in enumerate(drift)
+                if handover[r] is None and r not in stopped
+                and (c > _RATE * last[r] or iterations == _WARM_UP)
+            ]
+            for r in newton:
+                handover[r] = iterations
+                a[r, :, 0] = _semi_dual_newton(ks, ws[r], prior, a[r, :, 0], b[r, 0], tolerance)
+            if newton:
+                b_next[newton] = _logsumexp_kernel(row_part[newton] - a[newton], axis=1)
+            last, b = drift, b_next
             if stopped:
-                if len(stopped) == len(live):
-                    break
                 keep = np.ones(len(live), dtype=bool)
                 keep[stopped] = False
-                live = [row for row, kept in zip(live, keep) if kept]
-                ws, row_part, rows, a, b = ws[keep], row_part[keep], rows[keep], a[keep], b[keep]
-                b_next = None if b_next is None else b_next[keep]
-            if iterations == _WARM_UP:  # hand over now, measure the next sweep
-                for r in range(len(live)):
-                    a[r, :, 0] = _semi_dual_newton(ks, ws[r], prior, a[r, :, 0], b[r, 0], tolerance)
-                b = _logsumexp_kernel(row_part - a, axis=1)
-            else:
-                b = _logsumexp_kernel(rows, axis=1) if b_next is None else b_next
+                live, handover, last = (
+                    [v for v, kept in zip(values, keep) if kept] for values in (live, handover, last)
+                )
+                ws, row_part, b = ws[keep], row_part[keep], b[keep]
     return out
 
 
@@ -273,12 +292,13 @@ def _newton(kernel, p, q, y, tolerance):
     those near 1e-25 between the nearly separate blocks of a small-lam
     solve, and the step is then no descent direction.  g is invariant under
     y + c, so the gauge holds the coordinate of the heaviest q fixed and the
-    other ones are solved for.  Steps are damped by Armijo backtracking on the exact
-    decrease of g, from a first trial that moves no entry of y by more than
-    ``_MAX_MOVE``.  Where the reduced Hessian is singular, the step is no
-    descent direction or no step length decreases g, the step is the
-    Sinkhorn half-step y += log(colsum / q) instead, gauge held, which never
-    increases g.  Stops once the free coordinates' max|gradient| <=
+    other ones are solved for, by LAPACK or, where its step gives no move,
+    by GTH elimination (``_newton_move``).  Steps are damped by Armijo
+    backtracking on the exact decrease of g, from a first trial that moves
+    no entry of y by more than ``_MAX_MOVE``.  Where neither solve gives a
+    descent direction that some step length makes decrease g, the step is
+    the Sinkhorn half-step y += log(colsum / q) instead, gauge held, which
+    never increases g.  Stops once the free coordinates' max|gradient| <=
     tolerance / 4 or after ``_NEWTON_STEPS`` steps.  Returns y and the row
     log-sums log sum_j q_j exp(K_ij - y_j).
     """
@@ -305,15 +325,26 @@ def _newton(kernel, p, q, y, tolerance):
 
 
 def _newton_move(p, q, pi, grad, free):
-    """The damped Newton move of ``_newton``, or None where the reduced Hessian
-    is singular, the step is no descent direction or no length decreases g."""
+    """The damped Newton move of ``_newton``, or None where neither solve of
+    the reduced Hessian gives a descent direction that some length makes
+    decrease g.  LAPACK solves first; only where it gives no move (a
+    singular matrix, no descent direction or no Armijo length) does GTH
+    elimination of the same system, which subtracts nothing, take over."""
     conductance = (pi.T * p) @ pi
     np.fill_diagonal(conductance, 0.0)
     hessian = np.diag(conductance.sum(axis=1)) - conductance
     try:
-        step = np.linalg.solve(hessian[np.ix_(free, free)], grad)
+        move = _damped(p, q, pi, grad, free, np.linalg.solve(hessian[np.ix_(free, free)], grad))
     except np.linalg.LinAlgError:
-        return None
+        move = None
+    if move is None:
+        move = _damped(p, q, pi, grad, free, _gth_solve(conductance, free, grad))
+    return move
+
+
+def _damped(p, q, pi, grad, free, step):
+    """The Armijo move along the Newton step on the free coordinates, or None
+    where the step is no descent direction or no length decreases g."""
     # a tiny column sum gives a near-null Hessian direction and a huge
     # step; trials start at most _MAX_MOVE nats from y
     step *= min(1.0, _MAX_MOVE / np.abs(step).max())
@@ -330,6 +361,34 @@ def _newton_move(p, q, pi, grad, free):
         step *= 0.5
         slope *= 0.5
     return None
+
+
+def _gth_solve(conductance, free, grad):
+    """Solve the Laplacian system of the zero-diagonal ``conductance``,
+    grounded at the node off ``free``, by GTH elimination (Grassmann, Taksar
+    & Heyman, Oper. Res. 1985).  Eliminating a free node k adds
+    C_ik C_kj / D_k to the conductances that remain, and its pivot D_k is the
+    sum of k's remaining conductances, the ground's included, so no
+    subtraction erases a conductance far below the column sums.  A node
+    with no conductance left gives a non-finite step, which ``_damped``
+    rejects."""
+    c = conductance.copy()
+    rhs = np.zeros(len(c))
+    rhs[free] = grad
+    remaining = np.ones(len(c), dtype=bool)
+    nodes = np.flatnonzero(free)
+    links = np.zeros((len(nodes), len(c)))
+    pivots = np.empty(len(nodes))
+    for i, k in enumerate(nodes):
+        remaining[k] = False
+        links[i, remaining] = c[k, remaining]
+        pivots[i] = links[i].sum()
+        c += np.outer(links[i], links[i] / pivots[i])
+        rhs += links[i] * (rhs[k] / pivots[i])
+    x = np.zeros(len(c))
+    for i in range(len(nodes) - 1, -1, -1):
+        x[nodes[i]] = (rhs[nodes[i]] + links[i] @ x) / pivots[i]
+    return x[free]
 
 
 def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):

@@ -12,7 +12,7 @@ problem written as (c u, c lam) gets the same verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +52,8 @@ __all__ = [
     "DiagnosticReport",
     "BeliefFeasibility",
     "PosteriorNotNormalizable",
-    "envelope_raw",
     "gateaux_f",
     "gateaux_value_direction",
-    "gateaux_value_state",
     "ilr_check",
     "belief_feasibility",
     "cumulant_errors",
@@ -121,20 +119,6 @@ def _result(name: str, violation: float, tolerance: float, details: str = "") ->
 # ---------------------------------------------------------------------------
 
 
-def envelope_raw(problem: Problem, weights) -> float:
-    """The envelope f evaluated on a raw weight vector, plain domain.
-
-    Used by finite-difference oracles: differentiating f needs evaluations
-    just outside the simplex.  It runs on ``shifted_gain``, the route of the
-    solver's iteration, while ``gateaux_f`` and ``jensen_f`` take the
-    log-domain route, so the finite differences check one against the other.
-    It is one row of ``_plain_envelope``, which the ``gateaux_f`` check of
-    ``run_diagnostics`` runs on all its directions at once.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    return float(_plain_envelope(problem)(w[None, :])[0])
-
-
 def _plain_envelope(problem: Problem):
     """The map from a (k, m) stack of raw weights to f on each row; the gain
     is built once, for every stack it is called on."""
@@ -175,9 +159,9 @@ def _central(value_at, h: float):
     """Central difference quotient of value_at(t) at t = 0, a float or, for a
     stack of values, one quotient per row.
 
-    The back step is evaluated first: on the prior side it is the one that
-    can leave the simplex, and then fails before any solve at the forward
-    step.  ``_toward`` checks both of its steps before its one stacked solve.
+    The back step is evaluated first, so a back step that leaves the
+    simplex fails before any work at the forward step.  ``_toward`` checks
+    both of its steps before its one stacked solve.
     """
     back = value_at(-h)
     return (value_at(h) - back) / (2.0 * h)
@@ -237,33 +221,6 @@ def gateaux_value_direction(
     if failed[0] is not None:
         raise failed[0]
     return analytic[0], float(numeric[0])
-
-
-def gateaux_value_state(
-    problem: Problem, nu: ActionMarginal, state: int, h: float = 1e-5
-) -> tuple[float, float]:
-    """Same identity on the prior side: derivative toward a state atom.
-
-    Analytic route: b(state) - E_prior[b] at the solved potential pair;
-    numeric route takes central differences of the inner value with the
-    prior tilted toward the atom and away from it, which needs
-    prior(state) >= h/(1+h).  ``state`` must be an integer index and ``h`` a
-    finite real > 0.
-    """
-    _check_step(h)
-    check_number("state", state, integer=True)
-    if not 0 <= state < problem.num_states:
-        raise InvalidInput(f"state index {state} out of range")
-    base = sinkhorn_bridge(problem, nu, _INNER)
-    b = base.potentials.state
-    analytic = float(b[state]) - float(problem.prior @ b)
-
-    def value_at(step: float) -> float:
-        prior = (1.0 - step) * problem.prior
-        prior[state] += step
-        return sinkhorn_bridge(replace(problem, prior=_in_simplex(prior)), nu, _INNER).value_primal
-
-    return analytic, _central(value_at, h)
 
 
 # ---------------------------------------------------------------------------

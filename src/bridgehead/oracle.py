@@ -5,9 +5,7 @@ ever running the fixed-point iteration it is used to audit: from below by the
 best lattice value, from above by concavity at the lattice points.  It
 evaluates f on the same plain-domain ``shifted_gain`` the iteration climbs;
 the solver reports f through the log-domain route, so comparing the two
-crosses routes.  The mutual-information routine walks the joint entry by
-entry in plain Python floats as a foil for the vectorized version.
-Everything here trades speed for independence, so keep instances small.
+crosses routes.  Everything here trades speed for independence, so keep instances small.
 """
 
 from __future__ import annotations
@@ -18,14 +16,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ActionMarginal, BridgeheadError, Coupling, InvalidInput, Problem, check_number, shifted_gain
+from .core import ActionMarginal, BridgeheadError, InvalidInput, Problem, check_number, shifted_gain
 
 __all__ = [
     "TooManyActions",
     "GridSearchResult",
-    "simplex_lattice",
     "grid_search_f",
-    "exhaustive_mi",
 ]
 
 _BATCH_ROWS = 4096
@@ -52,32 +48,9 @@ class GridSearchResult:
         return self.upper_bound - self.f_best
 
 
-def simplex_lattice(num_actions: int, denominator: int) -> Iterator[tuple[int, ...]]:
-    """Yield all compositions of ``denominator`` into ``num_actions`` parts.
-
-    Ascending lexicographic order, so ties during a strict-improvement scan
-    resolve to the lexicographically smallest weight vector.  Both arguments
-    must be integers >= 1 (NumPy integers count, a bool does not), or
-    InvalidInput is raised.
-    """
-    check_number("num_actions", num_actions, integer=True)
-    check_number("denominator", denominator, integer=True)
-    if num_actions < 1 or denominator < 1:
-        raise InvalidInput("need at least one action and a positive denominator")
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + (k,), remaining - k, slots - 1)
-
-    yield from rec((), denominator, num_actions)
-
-
 def _compositions(head: tuple[int, ...], total: int, parts: int) -> np.ndarray:
     """``head`` followed by every composition of ``total`` into ``parts``
-    parts, as exact float64 integers in the order of ``simplex_lattice``.
+    parts, as exact float64 integers in ascending lexicographic order.
 
     Built one coordinate at a time: each row fans out into one row per value
     its next coordinate can take, and the last coordinate takes what is left.
@@ -199,22 +172,3 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
         resolution=1.0 / denom,
         points_evaluated=count,
     )
-
-
-def exhaustive_mi(coupling: Coupling) -> float:
-    """Mutual information by a plain double loop over joint entries.
-
-    Pure Python floats, marginals accumulated by running sums, zero entries
-    skipped under the 0 log 0 = 0 convention.  Deliberately shares no code
-    with the vectorized functional it cross-checks.
-    """
-    joint = coupling.joint
-    rows = [float(sum(joint[i, j] for j in range(joint.shape[1]))) for i in range(joint.shape[0])]
-    cols = [float(sum(joint[i, j] for i in range(joint.shape[0]))) for j in range(joint.shape[1])]
-    total = 0.0
-    for i in range(joint.shape[0]):
-        for j in range(joint.shape[1]):
-            p = float(joint[i, j])
-            if p > 0.0:
-                total += p * math.log(p / (rows[i] * cols[j]))
-    return max(total, 0.0)

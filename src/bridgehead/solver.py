@@ -47,7 +47,6 @@ from .core import (
     check_marginal,
     check_number,
     gibbs_kernel,
-    logsumexp,
     plateau_defect,
     shifted_gain,
     weighted_logsumexp,
@@ -61,7 +60,6 @@ __all__ = [
     "log_partition",
     "action_potential",
     "foc_residuals",
-    "ba_step",
     "logit_policy",
     "solve",
 ]
@@ -190,20 +188,6 @@ def foc_residuals(problem: Problem, nu: ActionMarginal) -> np.ndarray:
     matches sign(a_nu) bit for bit.
     """
     return np.expm1(action_potential(problem, nu))
-
-
-def ba_step(problem: Problem, nu: ActionMarginal) -> ActionMarginal:
-    """One multiplicative update: log nu' = log nu + a_nu, renormalized.
-
-    Equivalent to an augmented scaling sweep that refreshes the row marginal;
-    f(nu') >= f(nu) always, with equality only at fixed points, and fixed
-    points are exactly the marginals whose residuals form a plateau.
-    """
-    a = action_potential(problem, nu)
-    with np.errstate(divide="ignore"):
-        log_next = np.log(nu.weights) + a
-    log_next -= logsumexp(log_next)
-    return ActionMarginal(np.exp(log_next))
 
 
 def logit_policy(problem: Problem, nu: ActionMarginal) -> np.ndarray:

@@ -126,7 +126,8 @@ class TestSinkhornBridge:
         p = bh.random_problem(1028712447, 16, 16, lam=0.01)
         nu = bh.ActionMarginal(weights)
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        # unconverged after sweep _WARM_UP, it hands over to Newton
+        # Sinkhorn stalls from sweep 2 on, so it hands over to Newton then
+        # and stops at sweep 3 (at sweep 9 with the hand-over after sweep 8)
         assert res.iterations <= 10
         assert res.residual <= 1e-12
         assert res.duality_gap <= 1e-8
@@ -286,22 +287,29 @@ def reference_sweep_log(ks, ws, prior, a, cfg):
 def reference_bridge(problem, nu, cfg):
     """sinkhorn_bridge as the plain loop: one ``reference_sweep_log`` sweep at
     a time, so every sweep measures the exact residual, and the Newton
-    hand-over by the same rule.  ``sinkhorn_bridge`` must return its bytes."""
+    hand-over by the same drift rule.  ``sinkhorn_bridge`` must return its
+    bytes."""
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
     prior = problem.prior / problem.prior.sum()
     sup = weights > 0
     ks, ws = kernel[sup], weights[sup]
+    row_part = ks + np.log(ws)[:, None]
     one_sweep = replace(cfg, max_iterations=1)
     a = np.zeros(sup.sum())
+    warm, last = True, np.inf
     for iterations in range(1, cfg.max_iterations + 1):
         a, b, coupling, mass, _, residual, converged = reference_sweep_log(
             ks, ws, prior, a, one_sweep
         )
         if converged or iterations == cfg.max_iterations:
             break
-        if iterations == bridge._WARM_UP:
+        # the column drift: how far the next b-update moves the columns
+        drift = float(np.abs(prior * np.expm1(logsumexp(row_part - a[:, None], axis=0) - b)).max())
+        if warm and (drift > bridge._RATE * last or iterations == bridge._WARM_UP):
             a = bridge._semi_dual_newton(ks, ws, prior, a, b, cfg.tolerance)
+            warm = False
+        last = drift
     result = bridge._assemble(
         problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
     )
@@ -463,14 +471,17 @@ class TestNewtonPhase:
         assert res.iterations <= 10
         assert_certificates(problem, nu, res)
 
-    @pytest.mark.parametrize("lam", [1e-2, 5e-3])
+    @pytest.mark.parametrize("lam", [1e-2, 5e-3, 1e-3])
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_probes_near_a_partition_converge(self, seed, lam):
-        # the Gateaux probes nu* +- 1e-5 (delta_alpha - nu*).  At small lam,
-        # nu* splits the states into blocks, one per supported action, and the
-        # Hessian's conductances between blocks sit near 1e-25.  Subtracted
-        # from the column sums they vanished: Newton then left 23 of these 58
-        # probes unconverged after 10,000 sweeps
+        # the 88 Gateaux probes nu* +- 1e-5 (delta_alpha - nu*).  At small
+        # lam, nu* splits the states into blocks, one per supported action,
+        # and the Hessian's conductances between blocks sit near 1e-25.
+        # Subtracted from the column sums they vanished: Newton then left 23
+        # of the 58 probes at lam >= 5e-3 unconverged after 10,000 sweeps.
+        # With the subtraction-free Hessian, 50 Newton steps and a hand-over
+        # after sweep 8, 13 of the 30 at lam = 1e-3 still stalled at residuals
+        # of 1e-6 to 1e-5
         problem = bh.random_problem(seed, 6, 6, lam)
         star = bh.solve(problem, bh.SolverConfig(foc_tolerance=1e-9, sinkhorn=TIGHT)).marginal.weights
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
@@ -484,12 +495,36 @@ class TestNewtonPhase:
                     probes += 1
         assert probes == 12 - (star == 0).sum()
 
+    def test_gth_solve_matches_lapack_where_both_apply(self):
+        rng = np.random.default_rng(5)
+        conductance = rng.uniform(0.1, 1.0, (7, 7))
+        conductance += conductance.T
+        np.fill_diagonal(conductance, 0.0)
+        free = np.arange(7) != 2
+        grad = rng.normal(size=6)
+        laplacian = np.diag(conductance.sum(axis=1)) - conductance
+        lapack = np.linalg.solve(laplacian[np.ix_(free, free)], grad)
+        assert_allclose(bridge._gth_solve(conductance, free, grad), lapack, rtol=1e-12)
+
+    def test_gth_solve_keeps_a_tiny_conductance(self):
+        # ground - 1 - node 1 - 1e-25 - node 2 - 1 - node 3: a unit current
+        # into node 3 lifts nodes 2 and 3 by 1e25 + 1 and 1e25 + 2.  Summed
+        # diagonals round the 1e-25 away, and LAPACK finds the matrix singular
+        conductance = np.zeros((4, 4))
+        for i, j, c in [(0, 1, 1.0), (1, 2, 1e-25), (2, 3, 1.0)]:
+            conductance[i, j] = conductance[j, i] = c
+        free = np.arange(4) != 0
+        x = bridge._gth_solve(conductance, free, np.array([0.0, 0.0, 1.0]))
+        assert_allclose(x, [1.0, 1e25, 1e25], rtol=1e-15)
+
     def test_uniform_marginal_at_tiny_lambda(self):
-        # 1,332 sweeps with the subtracted Hessian
-        problem = bh.random_problem(4, 6, 6, lam=1e-3)
+        # 1,332 sweeps for seed 4 with the subtracted Hessian; 1,662 and
+        # 1,112 for seeds 6 and 7 with 50 Newton steps and no GTH fallback
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
-        res = bh.sinkhorn_bridge(problem, bh.ActionMarginal.uniform(6), cfg)
-        assert res.duality_gap <= 1e-8
+        for seed in (4, 6, 7):
+            problem = bh.random_problem(seed, 6, 6, lam=1e-3)
+            res = bh.sinkhorn_bridge(problem, bh.ActionMarginal.uniform(6), cfg)
+            assert res.duality_gap <= 1e-8
 
 
 @st.composite
@@ -529,7 +564,8 @@ class TestStackedSweeps:
     def test_rows_match_single_solves(self, max_lam, data):
         problem, stack = data.draw(bridge_stacks(max_lam))
         warm_up = bridge._WARM_UP
-        budget = data.draw(st.sampled_from([1, 2, warm_up, warm_up + 1, 20, 10_000]))
+        # 3: the budget ends on the sweep after the earliest hand-over
+        budget = data.draw(st.sampled_from([1, 2, 3, warm_up, warm_up + 1, 20, 10_000]))
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=budget)
         weights = stack / stack.sum(axis=1, keepdims=True)
         sup = weights[0] > 0
@@ -551,20 +587,22 @@ class TestStackedSweeps:
                 assert raised == _bridge_bytes(problem, nu, cfg)
 
     def test_frozen_rows_leave_the_stack(self):
-        # at lam = 1e-3 with a 20-sweep budget, the first two rows converge
-        # at sweep 9, after Newton, and the other four exhaust the budget
-        problem = bh.random_problem(4, 6, 6, lam=1e-3)
+        # at lam = 0.5 with a 5-sweep budget, four rows hand over to Newton
+        # after sweep 2 or 3 and converge at sweep 3 or 4, and the other two,
+        # which would hand over after sweeps 6 and 8, exhaust the budget
+        problem = bh.random_problem(0, 6, 6, lam=0.5)
         rng = np.random.default_rng(0)
         stack = np.vstack([np.full(6, 1 / 6), rng.dirichlet(np.ones(6), size=5)])
-        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=5)
         values, errors = bridge._primal_values(problem, stack, cfg)
-        assert [err is None for err in errors] == [True, True, False, False, False, False]
-        for row, value, err in zip(stack, values, errors):
+        assert [err is None for err in errors] == [True, False, True, True, False, True]
+        stops = [4, 5, 3, 3, 5, 3]
+        for row, value, err, stop in zip(stack, values, errors, stops):
             single = _single_bytes(problem, row, cfg)
             assert value.hex() == single[3]
-            assert single[:2] == ((True, 9) if err is None else (False, 20))
+            assert single[:2] == (err is None, stop)
             if err is not None:
-                message = f"no convergence after 20 sweeps, marginal residual {err.residual:.3e}"
+                message = f"no convergence after 5 sweeps, marginal residual {err.residual:.3e}"
                 assert str(err) == message
                 assert float(err.residual).hex() == single[2]
 
@@ -586,8 +624,8 @@ def _golden_problem(case):
         nu = bh.ActionMarginal(np.array([0.4, 0.0, 0.35, 0.0, 0.25]))
         return bh.random_problem(5, 5, 4, lam=0.3), nu, TIGHT
     if case == "exhausted":
-        # the budget ends at sweep 5, before the hand-over after sweep _WARM_UP
-        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=5)
+        # the budget ends at sweep 2, before the earliest hand-over
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=2)
         return bh.random_problem(8, 6, 6, lam=0.01), bh.ActionMarginal.uniform(6), cfg
     if case == "200x50":
         return bh.random_problem(200, 200, 50, lam=1.0), bh.ActionMarginal.uniform(200), TIGHT
@@ -610,22 +648,22 @@ def _recording_platform():
 
 
 # Recorded from the plain per-sweep loop (NumPy 2.4, x86-64 with AVX-512),
-# with the Newton phase after sweep _WARM_UP for 6x6 lam=0.01 and zeros:
+# with the Newton phase after sweep 2 for 6x6 lam=0.01 and zeros:
 # iterations, float.hex of residual, value_primal and value_dual, sha256 of
 # the coupling.
 GOLDEN = {
-    "6x6 lam=0.01": (9, "0x1.8c00000000000p-47", "0x1.41b316b2428fbp+6", "0x1.41b316b242912p+6",
-                     "da3e72fafcac4f2544c72ca4623f18864cf24865ad20f9e10b3d01acf0999fec"),
+    "6x6 lam=0.01": (3, "0x1.5800000000000p-50", "0x1.41b316b242911p+6", "0x1.41b316b242913p+6",
+                     "8d4f319e844eff75b24e66a272ebf3001225cd605ae8cdfd920b2ae1d7230360"),
     "6x6 lam=1": (7, "0x1.0d44000000000p-41", "0x1.124450e86e098p-1", "0x1.124450e86df70p-1",
                   "819b69e2084ff20c82d92388235d0cf31dd5042b9ab5c218155d1d8af7ef229f"),
     "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",
                     "367606b7bf05be452714322fa059aebd1cba77c30749028be28c6f21ebf04666"),
     "200x50": (4, "0x1.d61d800000000p-41", "0x1.133c14a5b600cp-1", "0x1.133c14a5b61b8p-1",
                "1947df60f4d4cb2a5ec62462cb32d81fd8eb4a8a436f820e5c54ded0faf9aed4"),
-    "zeros": (9, "0x1.5000000000000p-47", "0x1.f865302b7f698p+0", "0x1.f865302b7f68ep+0",
-              "976a3d43fa22bbe1ddd5b4d857da3161bcc8206e04b1efc0836b50ae3d6980fb"),
-    "exhausted": (5, "0x1.88a3b0835fd5ap-3", "0x1.fb7065023bcfdp+5", "0x1.1d1b56522e7dap+6",
-                  "4552c3e10ca31371fe2e6f14a241b896b5d0c3cf1cd64d5ec34b15b3faec19e6"),
+    "zeros": (3, "0x1.0000000000000p-53", "0x1.f865302b7f690p+0", "0x1.f865302b7f690p+0",
+              "b02fa39e441ee58b411fa950b0ac62b585623b0f203449189a2e892b64942c35"),
+    "exhausted": (2, "0x1.9f669da434b9ep-3", "0x1.f8a6c976b90ecp+5", "0x1.24450a5fa6560p+6",
+                  "541e5285d014853fc08d887ae2dfd49583fc2d13886d956eaa3fc1d9d0a5bcea"),
 }
 
 
@@ -654,12 +692,12 @@ def test_golden_pins(case):
 # budget's last sweep, and the sweeps whose cheap bound passes the gate; then
 # the log-sum-exps, Newton's included
 CALL_COUNTS = {
-    "6x6 lam=0.01": (1, 31),
+    "6x6 lam=0.01": (1, 20),
     "6x6 lam=1": (1, 15),
     "6x6 lam=1e4": (1, 5),
     "200x50": (1, 9),
-    "zeros": (1, 21),
-    "exhausted": (1, 10),
+    "zeros": (1, 12),
+    "exhausted": (1, 4),
 }
 
 
@@ -676,6 +714,20 @@ def _call_counts(problem, nu, cfg):
 @pytest.mark.parametrize("case", sorted(CALL_COUNTS))
 def test_golden_cases_build_few_exact_residuals(case):
     assert _call_counts(*_golden_problem(case)) == CALL_COUNTS[case]
+
+
+def test_sweep_count_guard():
+    # 60 seeded bridges to 1e-12 took 489 sweeps with the hand-over after
+    # sweep 8 alone, and take 249 with the drift rule
+    rng = np.random.default_rng(21)
+    total = 0
+    for m, n in [(6, 6), (16, 16), (64, 64), (64, 8), (8, 64)]:
+        for lam in (0.01, 0.1, 1.0):
+            for _ in range(4):
+                problem = bh.random_problem(int(rng.integers(2**31)), m, n, lam)
+                nu = bh.ActionMarginal(rng.dirichlet(np.ones(m)))
+                total += bh.sinkhorn_bridge(problem, nu, TIGHT).iterations
+    assert total <= 275
 
 
 def test_solved_marginal_takes_one_sweep():

@@ -159,16 +159,16 @@ class TestBridgeCommand:
         assert "does not match" in capsys.readouterr().err
 
     def test_budget_exhaustion_exits_two_but_writes(self, tmp_path, capsys):
-        # the budget ends at sweep 5, before the Newton hand-over
+        # the budget ends at sweep 2, before the earliest Newton hand-over
         path = write_problem(tmp_path / "p.json", bh.random_problem(8, 6, 6, lam=0.01))
         marginal = tmp_path / "nu.json"
         marginal.write_text(json.dumps([1 / 6] * 6))
         out = tmp_path / "run"
-        code = main(["bridge", path, str(marginal), "--max-iters", "5", "--output-dir", str(out)])
+        code = main(["bridge", path, str(marginal), "--max-iters", "2", "--output-dir", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("warning: no convergence after 5 sweeps")
+        assert capsys.readouterr().err.startswith("warning: no convergence after 2 sweeps")
         data = json.loads((out / "bridge.json").read_text())
-        assert data["iterations"] == 5 and data["residual"] > 1e-12
+        assert data["iterations"] == 2 and data["residual"] > 1e-12
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == {"bridge.json": sha256_of(out / "bridge.json")}
 

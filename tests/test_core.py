@@ -27,10 +27,8 @@ from bridgehead.core import (
     validate,
     weighted_logsumexp,
 )
-from bridgehead.oracle import exhaustive_mi
 from bridgehead.solver import (
     action_potential,
-    ba_step,
     foc_residuals,
     jensen_f,
     log_partition,
@@ -38,6 +36,7 @@ from bridgehead.solver import (
 )
 
 from conftest import random_plausible_coupling
+from reference import ba_step, exhaustive_mi
 
 
 def _issue_codes(problem):

@@ -18,17 +18,16 @@ from bridgehead.diagnostics import (
     PosteriorNotNormalizable,
     average_free_energy,
     cumulant_errors,
-    envelope_raw,
     free_energy_check,
     gateaux_f,
     gateaux_value_direction,
-    gateaux_value_state,
     gibbs_plateau_check,
     ilr_check,
 )
 from bridgehead.solver import jensen_f, logit_policy
 
 from conftest import TIGHT, random_simplex
+from reference import envelope_raw, gateaux_value_state
 
 SINKHORN = bh.SinkhornConfig(tolerance=1e-12)
 

@@ -12,15 +12,10 @@ from numpy.testing import assert_allclose
 
 import bridgehead as bh
 from bridgehead.core import Coupling, mutual_information, shifted_gain
-from bridgehead.oracle import (
-    _BATCH_ROWS,
-    TooManyActions,
-    _lattice_pieces,
-    exhaustive_mi,
-    simplex_lattice,
-)
+from bridgehead.oracle import _BATCH_ROWS, TooManyActions, _lattice_pieces
 
 from conftest import TIGHT, random_plausible_coupling
+from reference import exhaustive_mi, simplex_lattice
 
 
 class TestSimplexLattice:
