@@ -77,7 +77,7 @@ __all__ = [
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
 _WARM_UP = 8  # Sinkhorn sweeps before the Newton phase, at most
 _RATE = 0.1  # hand over early once a sweep shrinks the drift by less than 1 / _RATE
-_NEWTON_STEPS = 200  # cap on Newton steps; each is one m x n exp and a small solve
+_NEWTON_STEPS = 200  # cap on Newton steps; each costs about one sweep
 _MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
 
 
@@ -106,7 +106,7 @@ class SinkhornConfig:
         It bounds sweeps only: a loop that hands over to Newton (after
         sweep 2 to ``_WARM_UP``, unless that is its last) also takes up to
         ``_NEWTON_STEPS`` Newton steps, each costing about as much as
-        min(m, n) sweeps.
+        one sweep.
     """
 
     tolerance: float = 1e-10
@@ -299,8 +299,10 @@ def _newton(kernel, p, q, y, tolerance):
     descent direction that some step length makes decrease g, the step is
     the Sinkhorn half-step y += log(colsum / q) instead, gauge held, which
     never increases g.  Stops once the free coordinates' max|gradient| <=
-    tolerance / 4 or after ``_NEWTON_STEPS`` steps.  Returns y and the row
-    log-sums log sum_j q_j exp(K_ij - y_j).
+    tolerance / 4 or after ``_NEWTON_STEPS`` steps.  After a Newton step
+    the row log-sums are refreshed with one exp, centred on those of the
+    accepted Armijo trial; after a half-step, on a fresh log-sum-exp.
+    Returns y and the row log-sums log sum_j q_j exp(K_ij - y_j).
     """
     logits = kernel + np.log(q)
     row_logits = kernel + np.log(p)[:, None]
@@ -313,38 +315,50 @@ def _newton(kernel, p, q, y, tolerance):
             grad = (q - colsum)[free]
             if np.all(np.abs(grad) <= tolerance / 4):
                 break
-            move = _newton_move(p, q, pi, grad, free)
-            if move is None:
+            found = _newton_move(p, q, pi, grad, free)
+            if found is None:
                 # the Sinkhorn half-step on y, gauge held: it never increases g
                 y_half = _logsumexp_kernel(row_logits - rows, axis=0)[0]
-                move = y_half - y_half[~free] + y[~free] - y
-            y = y + move
-            rows = _logsumexp_kernel(logits - y, axis=1)
-            pi = np.exp(logits - y - rows)
+                y = y + (y_half - y_half[~free] + y[~free] - y)
+                centre = _logsumexp_kernel(logits - y, axis=1)
+            else:
+                move, shift = found
+                y = y + move
+                centre = rows + shift[:, None]
+            # one exp, centred near the new row log-sums and taken fresh from
+            # the logits, so the rows stay exact and underflowed entries revive
+            z = np.exp(logits - y - centre)
+            total = z.sum(axis=1, keepdims=True)
+            rows, pi = centre + np.log(total), z / total
     return y, rows[:, 0]
 
 
 def _newton_move(p, q, pi, grad, free):
-    """The damped Newton move of ``_newton``, or None where neither solve of
-    the reduced Hessian gives a descent direction that some length makes
-    decrease g.  LAPACK solves first; only where it gives no move (a
-    singular matrix, no descent direction or no Armijo length) does GTH
-    elimination of the same system, which subtracts nothing, take over."""
-    conductance = (pi.T * p) @ pi
+    """The damped Newton move of ``_newton`` and the row log-sum shift it
+    makes, or None where neither solve of the reduced Hessian gives a
+    descent direction that some length makes decrease g.  The conductances
+    are w^T w with w = pi sqrt(p), which NumPy hands to SYRK.  LAPACK
+    solves first; only where it gives no move (a singular matrix, no
+    descent direction or no Armijo length) does GTH elimination of the
+    same system, which subtracts nothing, take over."""
+    weighted = pi * np.sqrt(p)[:, None]
+    conductance = weighted.T @ weighted  # SYRK: each entry a sum of products
     np.fill_diagonal(conductance, 0.0)
-    hessian = np.diag(conductance.sum(axis=1)) - conductance
+    hessian = -conductance[free][:, free]
+    np.fill_diagonal(hessian, conductance.sum(axis=1)[free])
     try:
-        move = _damped(p, q, pi, grad, free, np.linalg.solve(hessian[np.ix_(free, free)], grad))
+        found = _damped(p, q, pi, grad, free, np.linalg.solve(hessian, grad))
     except np.linalg.LinAlgError:
-        move = None
-    if move is None:
-        move = _damped(p, q, pi, grad, free, _gth_solve(conductance, free, grad))
-    return move
+        found = None
+    if found is None:
+        found = _damped(p, q, pi, grad, free, _gth_solve(conductance, free, grad))
+    return found
 
 
 def _damped(p, q, pi, grad, free, step):
-    """The Armijo move along the Newton step on the free coordinates, or None
-    where the step is no descent direction or no length decreases g."""
+    """The Armijo move along the Newton step on the free coordinates and its
+    shift of the row log-sums, log1p(pi expm1(-move)), or None where the
+    step is no descent direction or no length decreases g."""
     # a tiny column sum gives a near-null Hessian direction and a huge
     # step; trials start at most _MAX_MOVE nats from y
     step *= min(1.0, _MAX_MOVE / np.abs(step).max())
@@ -355,9 +369,9 @@ def _damped(p, q, pi, grad, free, step):
     for _ in range(40):
         move[free] = -step
         # g(y + move) - g(y), from pi at y: exact to rounding of |move|
-        change = float(p @ np.log1p(pi @ np.expm1(-move)) + q @ move)
-        if change <= -1e-4 * slope:
-            return move
+        shift = np.log1p(pi @ np.expm1(-move))
+        if float(p @ shift + q @ move) <= -1e-4 * slope:
+            return move, shift
         step *= 0.5
         slope *= 0.5
     return None
