@@ -8,11 +8,20 @@ reconstructions.  ``run_diagnostics`` bundles the checks into a report whose
 entries carry the worst violation found and the tolerance it was held to.
 Every violation is dimensionless (nats or probability mass), so the same
 problem written as (c u, c lam) gets the same verdicts.
+
+A report builds what its checks share once (``_shared_inputs``): the kernel
+u/lam, lz = log Z(.; nu), the stored conditionals ``cond`` and the Gibbs log
+posterior ``log_formula`` with its underflow mask ``aside``.  The public
+checks wrap the same bodies.  Four routes stay deliberately independent: the
+fresh audit solve, the plain-domain envelope that gateaux_f differences
+against the log-domain one, the gateaux_value probe solves, and the
+cumulants' differences in t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +39,7 @@ from .core import (
     BridgeheadError,
     InvalidInput,
     Problem,
+    action_equation,
     check_marginal,
     check_number,
     gibbs_kernel,
@@ -39,13 +49,7 @@ from .core import (
     shifted_gain,
     weighted_logsumexp,
 )
-from .solver import (
-    Solution,
-    foc_residuals,
-    jensen_f,
-    log_partition,
-    logit_policy,
-)
+from .solver import Solution, _logit, log_partition
 
 __all__ = [
     "CheckResult",
@@ -71,6 +75,7 @@ _FEASIBILITY_TOL = 1e-8    # sup-norm residual of belief_feasibility
 _CUMULANT_STEP = 1e-4      # t-step of the cumulant differences
 _FREE_ENERGY_TOL = 1e-10   # free-energy gap of free_energy_check, nats
 _INNER = SinkhornConfig(tolerance=1e-12)  # inner solves of the audit and the Gateaux probes
+_STACK = 2**16             # entries of one stacked block of ilr ratio sums
 
 
 class PosteriorNotNormalizable(BridgeheadError):
@@ -142,17 +147,17 @@ def gateaux_f(problem: Problem, nu: ActionMarginal, psi: ActionMarginal) -> floa
     runs on all its directions at once.
     """
     check_marginal(problem, psi)
-    return float(_gateaux_rows(problem, nu, psi.weights[None, :])[0])
+    return float(_gateaux_rows(problem, log_partition(problem, nu), psi.weights[None, :])[0])
 
 
-def _gateaux_rows(problem: Problem, nu: ActionMarginal, psi: np.ndarray) -> np.ndarray:
+def _gateaux_rows(problem: Problem, lz: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """E_prior[Z(.; psi) / Z(.; nu)] - 1 for every row psi of a (k, m) stack,
-    log domain, with log Z(.; nu) computed once."""
+    log domain, from lz = log Z(.; nu)."""
     with np.errstate(divide="ignore"):
         log_psi = np.log(psi)
     lz_psi = logsumexp(gibbs_kernel(problem)[None, :, :] + log_psi[:, :, None], axis=1)
     # summed row by row, not as a product, so a row's bits do not depend on k
-    return (np.expm1(lz_psi - log_partition(problem, nu)) * problem.prior).sum(axis=1)
+    return (np.expm1(lz_psi - lz) * problem.prior).sum(axis=1)
 
 
 def _central(value_at, h: float):
@@ -236,28 +241,34 @@ def ilr_check(problem: Problem, solution: Solution) -> CheckResult:
     sum_omega exp((u(alpha,.) - u(alpha',.))/lam) P(omega|alpha') stay at or
     below one, exactly one when alpha is itself supported, for each supported
     alpha'.  Posteriors come from the stored coupling, so corrupted couplings
-    fail here; the ratio sums read the entries that ``_gibbs_log_posterior``
+    fail here; the ratio sums read the entries that ``_shared_inputs``
     sets aside off the formula.  The worst violation is held to 1e-7.
     """
-    kernel = gibbs_kernel(problem)
-    log_formula, aside = _gibbs_log_posterior(problem, solution)
-    formula = np.exp(log_formula)
-    joint = solution.coupling.joint
+    return _ilr(solution, _shared_inputs(problem, solution))
+
+
+def _ilr(solution: Solution, shared: SimpleNamespace) -> CheckResult:
     supported = list(solution.consideration_set)
-    worst = 0.0
-    for alpha in supported:
-        row_mass = joint[alpha].sum()
-        if row_mass <= 0:
-            return _result("ilr", np.inf, _ILR_TOL, f"supported action {alpha} has empty row")
-        posterior = joint[alpha] / row_mass
-        worst = max(worst, float(np.abs(posterior - formula[alpha]).max()))
-        with np.errstate(divide="ignore"):
-            log_posterior = np.where(aside[alpha], log_formula[alpha], np.log(posterior))
-        ratio_sums = np.exp(
-            logsumexp(kernel - kernel[alpha][None, :] + log_posterior[None, :], axis=1)
-        )
-        worst = max(worst, float(np.maximum(ratio_sums - 1.0, 0.0).max()))
-        worst = max(worst, float(np.abs(ratio_sums[supported] - 1.0).max()))
+    joint = solution.coupling.joint[supported]
+    row_mass = joint.sum(axis=1)
+    if np.any(row_mass <= 0):
+        alpha = supported[int(np.argmax(row_mass <= 0))]
+        return _result("ilr", np.inf, _ILR_TOL, f"supported action {alpha} has empty row")
+    posterior = joint / row_mass[:, None]
+    log_formula = shared.log_formula[supported]
+    with np.errstate(divide="ignore"):
+        log_posterior = np.where(shared.aside[supported], log_formula, np.log(posterior))
+    # row i, column alpha: alpha's ratio sum against supported action i, in
+    # blocks of at most _STACK entries, so that memory stays O(m n)
+    kernel, rows = shared.kernel, max(1, _STACK // shared.kernel.size)
+    ratio_sums = np.exp(np.concatenate([logsumexp(
+        kernel - kernel[supported[i:i + rows], None, :] + log_posterior[i:i + rows, None, :], axis=2
+    ) for i in range(0, len(supported), rows)]))
+    worst = max(
+        float(np.abs(posterior - np.exp(log_formula)).max()),
+        float(np.maximum(ratio_sums - 1.0, 0.0).max()),
+        float(np.abs(ratio_sums[:, supported] - 1.0).max()),
+    )
     return _result("ilr", worst, _ILR_TOL, f"{len(supported)} supported actions")
 
 
@@ -349,19 +360,21 @@ def cumulant_errors(problem: Problem, solution: Solution) -> tuple[float, float,
     curvature), the variance error to 5e-6 (the second difference loses
     about two orders to cancellation) and the gain error to 1e-5.
     """
+    return _cumulants(solution, _shared_inputs(problem, solution))
+
+
+def _cumulants(solution: Solution, shared: SimpleNamespace) -> tuple[float, float, float]:
     weights = solution.marginal.weights
-    kernel = gibbs_kernel(problem)
+    cond = _logit(weights, shared.kernel, shared.lz)
     # centre each column on its largest supported entry s: b(t) moves by t s,
     # which has no curvature and would only add eps |b| / h^2 of rounding
-    kernel = kernel - kernel[weights > 0].max(axis=0)
+    kernel = shared.kernel - shared.kernel[weights > 0].max(axis=0)
     h = _CUMULANT_STEP
-    b0, b_plus, b_minus = (
-        weighted_logsumexp(t * kernel, weights, axis=0) for t in (1.0, 1.0 + h, 1.0 - h)
-    )
+    t = np.array([1.0, 1.0 + h, 1.0 - h])
+    b0, b_plus, b_minus = weighted_logsumexp(t[:, None, None] * kernel, weights, axis=1)
     fd_mean = (b_plus - b_minus) / (2.0 * h)
     fd_var = (b_plus - 2.0 * b0 + b_minus) / (h * h)
 
-    cond = logit_policy(problem, solution.marginal)
     mean = (cond * kernel).sum(axis=0)
     var = (cond * kernel**2).sum(axis=0) - mean**2
     gain = (cond * (kernel - b0[None, :])).sum(axis=0)  # direct KL(P(.|w) || nu)
@@ -389,26 +402,22 @@ def average_free_energy(problem: Problem, conditionals, reference) -> float:
     return float(problem.prior @ (-mean_u + problem.lam * divergence))
 
 
-def _conditionals(solution: Solution) -> np.ndarray | None:
-    """P(alpha | omega) from the stored coupling; None when a state has no mass."""
-    joint = solution.coupling.joint
-    col = joint.sum(axis=0)
-    return None if np.any(col <= 0) else joint / col[None, :]
-
-
-def _gibbs_log_posterior(problem: Problem, solution: Solution) -> tuple[np.ndarray, np.ndarray]:
-    """log P(omega | alpha) = log prior + u/lam - log Z by the Gibbs formula,
-    and the entries set aside: those where both the stored joint and the
-    formula's joint nu * P(omega | alpha) lie below the smallest normal
-    double.  There the stored coupling has underflowed (at lam = 1e-3 a
-    converged solve stores supported entries as 0 or 1e-317), so its
-    logarithm measures rounding, not the solve."""
+def _shared_inputs(problem: Problem, solution: Solution):
+    """The shared inputs of the module docstring.  ``aside`` marks the entries
+    where both the stored joint and the Gibbs formula's lie below the smallest
+    normal double: there the stored coupling has underflowed (at lam = 1e-3,
+    to 0 or 1e-317), and its log measures rounding, not the solve."""
     lz = log_partition(problem, solution.marginal)
-    log_formula = np.log(problem.prior)[None, :] + gibbs_kernel(problem) - lz[None, :]
+    kernel = gibbs_kernel(problem)
+    log_formula = np.log(problem.prior)[None, :] + kernel - lz[None, :]
     with np.errstate(divide="ignore"):
         log_joint = np.log(solution.marginal.weights)[:, None] + log_formula
-    tiny = np.finfo(float).tiny
-    return log_formula, (solution.coupling.joint < tiny) & (log_joint < np.log(tiny))
+    joint, tiny = solution.coupling.joint, np.finfo(float).tiny
+    col = joint.sum(axis=0)
+    return SimpleNamespace(
+        kernel=kernel, lz=lz, cond=None if np.any(col <= 0) else joint / col[None, :],
+        log_formula=log_formula, aside=(joint < tiny) & (log_joint < np.log(tiny)),
+    )
 
 
 def free_energy_check(problem: Problem, solution: Solution) -> CheckResult:
@@ -419,14 +428,17 @@ def free_energy_check(problem: Problem, solution: Solution) -> CheckResult:
     F(Q) = lam * (E_prior KL(Q(.|omega) || G(.|omega)) - f(nu)), so no rival
     beats the stored conditionals P by more than lam * E_prior KL(P || G).
     The check reports that gap in nats, |F(P)/lam + f(nu)|: plain summation
-    (``average_free_energy``) against the log-domain envelope (``jensen_f``).
+    (``average_free_energy``) against the log-domain envelope E_prior[lz].
     Conditionals off the support of nu score +inf.  Held to 1e-10.
     """
-    cond = _conditionals(solution)
-    if cond is None:
+    return _free_energy(problem, solution, _shared_inputs(problem, solution))
+
+
+def _free_energy(problem: Problem, solution: Solution, shared: SimpleNamespace) -> CheckResult:
+    if shared.cond is None:
         return _result("free_energy", np.inf, _FREE_ENERGY_TOL, "coupling has empty states")
-    nu = solution.marginal
-    gap = average_free_energy(problem, cond, nu.weights) / problem.lam + jensen_f(problem, nu)
+    free = average_free_energy(problem, shared.cond, solution.marginal.weights)
+    gap = free / problem.lam + problem.prior @ shared.lz
     return _result("free_energy", abs(gap), _FREE_ENERGY_TOL, "E_prior KL(P || Gibbs), nats")
 
 
@@ -439,22 +451,23 @@ def gibbs_plateau_check(problem: Problem, solution: Solution) -> CheckResult:
     """State by state, u/lam - log(P(alpha|omega)/nu(alpha)) sits at b(omega).
 
     Evaluated on the stored coupling across the consideration set, so edits
-    to the coupling surface here; the entries that ``_gibbs_log_posterior``
+    to the coupling surface here; the entries that ``_shared_inputs``
     sets aside are skipped.  The worst deviation is held to 1e-7.
     """
-    cond = _conditionals(solution)
-    if cond is None:
+    return _gibbs_plateau(solution, _shared_inputs(problem, solution))
+
+
+def _gibbs_plateau(solution: Solution, shared: SimpleNamespace) -> CheckResult:
+    if shared.cond is None:
         return _result("gibbs_plateau", np.inf, _PLATEAU_TOL, "coupling has empty states")
     sup = list(solution.consideration_set)
-    cond = cond[sup]
+    cond = shared.cond[sup]
     weights = solution.marginal.weights[sup]
-    kernel = gibbs_kernel(problem)[sup]
     with np.errstate(divide="ignore"):
-        values = kernel - np.log(cond) + np.log(weights)[:, None]
+        values = shared.kernel[sup] - np.log(cond) + np.log(weights)[:, None]
     values = np.where(np.isfinite(values), values, np.inf)
     deviation = np.abs(values - solution.potentials.state[None, :])
-    aside = _gibbs_log_posterior(problem, solution)[1][sup]
-    worst = float(np.where(aside, 0.0, deviation).max())
+    worst = float(np.where(shared.aside[sup], 0.0, deviation).max())
     details = f"{len(sup)} actions x {cond.shape[1]} states"
     return _result("gibbs_plateau", worst, _PLATEAU_TOL, details)
 
@@ -494,9 +507,9 @@ def run_diagnostics(
     up to three supported actions alpha with nu(alpha) >= 1e-4 toward the
     point mass at alpha; its 2 steps per probe are solved as one stack.  At
     a point-mass nu (one supported action) the direction delta_alpha - nu is
-    exactly 0, both steps solve at nu itself, and the check reads 0.0 by
-    construction: it certifies nothing there, and ``kt_plateau`` certifies
-    that solution.  Raises InvalidInput for a seed that is not an integer
+    exactly 0: the probe is not solved, and the check reads 0.0 by
+    construction.  It certifies nothing there; ``kt_plateau`` certifies that
+    solution.  Raises InvalidInput for a seed that is not an integer
     >= 0 or a solution whose coupling is not the problem's m x n.
     """
     check_arguments(problem, solution, seed)
@@ -524,7 +537,8 @@ def run_diagnostics(
     except BridgeheadError as err:
         checks.append(CheckResult("coupling_consistency", np.inf, 1e-8, False, str(err)))
 
-    residuals = foc_residuals(problem, nu)
+    shared = _shared_inputs(problem, solution)
+    residuals = np.expm1(action_equation(shared.kernel, problem.prior, shared.lz))
     defect = plateau_defect(residuals, weights)
     witness = int(np.argmax(defect))
     # solve stored these residuals and wrote them to solution_actions.csv
@@ -534,17 +548,17 @@ def run_diagnostics(
         details += f"; stored foc_residuals off by {stored_gap:.3e}"
     violation = np.maximum(defect[witness], stored_gap)  # np.maximum, unlike max, keeps a NaN
     checks.append(_result("kt_plateau", violation, _PLATEAU_TOL, details))
-    checks.append(gibbs_plateau_check(problem, solution))
-    checks.append(ilr_check(problem, solution))
-    mean_err, var_err, gain_err = cumulant_errors(problem, solution)
+    checks.append(_gibbs_plateau(solution, shared))
+    checks.append(_ilr(solution, shared))
+    mean_err, var_err, gain_err = _cumulants(solution, shared)
     checks.append(_result("cumulant_mean", mean_err, 1e-7))
     checks.append(_result("cumulant_variance", var_err, 5e-6))
     checks.append(_result("cumulant_gain", gain_err, 1e-5))
-    checks.append(free_energy_check(problem, solution))
+    checks.append(_free_energy(problem, solution, shared))
 
     # the same directions as _DIRECTIONS successive draws of one marginal each
     psi = rng.dirichlet(np.ones(problem.num_actions), size=_DIRECTIONS)
-    analytic = _gateaux_rows(problem, nu, psi)
+    analytic = _gateaux_rows(problem, shared.lz, psi)
     envelope = _plain_envelope(problem)
     direction = psi - weights
     numeric = _central(lambda t: envelope(weights + t * direction), _FD_STEP)
@@ -554,15 +568,16 @@ def run_diagnostics(
     probe = [i for i in solution.consideration_set if weights[i] >= max(10.0 * _FD_STEP, 1e-4)][:3]
     points = np.zeros((len(probe), problem.num_actions))
     points[np.arange(len(probe)), probe] = 1.0
-    worst_v = 0.0
-    details = f"central differences at {probe}"
-    analytic, numeric, failed = _toward(problem, nu, points, _FD_STEP, fresh)
-    for alpha, exact, central, err in zip(probe, analytic, numeric, failed):
-        if err is not None:
-            worst_v = np.inf
-            details += f"; action {alpha}: {err}"
-        else:
-            worst_v = max(worst_v, abs(exact - central))
+    worst_v, details = 0.0, f"central differences at {probe}"
+    # at a point-mass nu, delta_alpha - nu is exactly 0 and the check reads 0.0 unsolved
+    if not np.array_equal(points, weights[None, :]):
+        analytic, numeric, failed = _toward(problem, nu, points, _FD_STEP, fresh)
+        for alpha, exact, central, err in zip(probe, analytic, numeric, failed):
+            if err is not None:
+                worst_v = np.inf
+                details += f"; action {alpha}: {err}"
+            else:
+                worst_v = max(worst_v, abs(exact - central))
     checks.append(_result("gateaux_value", worst_v, 1e-3, details))
 
     try:

@@ -195,10 +195,12 @@ def logit_policy(problem: Problem, nu: ActionMarginal) -> np.ndarray:
 
     Columns index states and each sums to one.
     """
-    lz = log_partition(problem, nu)
+    return _logit(nu.weights, gibbs_kernel(problem), log_partition(problem, nu))
+
+
+def _logit(weights: np.ndarray, kernel: np.ndarray, lz: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        log_cond = np.log(nu.weights)[:, None] + gibbs_kernel(problem) - lz[None, :]
-    return np.exp(log_cond)
+        return np.exp(np.log(weights)[:, None] + kernel - lz[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +399,9 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     w = np.where(w < 1e-300, 0.0, w)
     w = w / w.sum()
     nu_star = ActionMarginal(w)
-    residuals = foc_residuals(problem, nu_star)
-    converged = (
-        float(plateau_defect(residuals, w).max()) <= cfg.foc_tolerance
-        and not exhausted
-    )
+    lz = log_partition(problem, nu_star)
+    residuals = np.expm1(action_equation(gibbs_kernel(problem), problem.prior, lz))
+    converged = not exhausted and float(plateau_defect(residuals, w).max()) <= cfg.foc_tolerance
     try:
         inner, inner_error = sinkhorn_bridge(problem, nu_star, cfg.sinkhorn), None
     except BridgeNotConverged as err:
@@ -410,7 +410,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         marginal=nu_star,
         coupling=inner.coupling,
         potentials=inner.potentials,
-        f_value=jensen_f(problem, nu_star),
+        f_value=float(problem.prior @ lz),
         foc_residuals=residuals,
         iterations=iterations,
         converged=converged and inner_error is None,

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import bridgehead as bh
 from bridgehead import bridge, diagnostics
-from bridgehead.core import Coupling, Potentials
+from bridgehead.core import Coupling, Potentials, gibbs_kernel, weighted_logsumexp
 from bridgehead.diagnostics import (
     PosteriorNotNormalizable,
     average_free_energy,
@@ -24,7 +24,7 @@ from bridgehead.diagnostics import (
     gibbs_plateau_check,
     ilr_check,
 )
-from bridgehead.solver import jensen_f, logit_policy
+from bridgehead.solver import jensen_f, log_partition, logit_policy
 
 from conftest import TIGHT, random_simplex
 from reference import envelope_raw, gateaux_value_state
@@ -74,7 +74,7 @@ class TestStackedGateauxCheck:
     @staticmethod
     def _assert_rows_match_one_direction_calls(problem, nu, seed):
         psi = np.random.default_rng(seed).dirichlet(np.ones(problem.num_actions), size=10)
-        analytic = diagnostics._gateaux_rows(problem, nu, psi)
+        analytic = diagnostics._gateaux_rows(problem, log_partition(problem, nu), psi)
         one = [gateaux_f(problem, nu, bh.ActionMarginal(w)) for w in psi]
         assert_allclose(analytic, one, rtol=1e-15, atol=0)
         envelope = diagnostics._plain_envelope(problem)
@@ -274,6 +274,20 @@ class TestCumulants:
         assert [c.tolerance for c in triple] == [1e-7, 5e-6, 1e-5]
         assert all(c.passed for c in triple)
 
+    def test_stacked_temperatures_keep_the_bits(self, solved_suite):
+        # b(t) at the three temperatures is one stacked log-sum-exp; each of
+        # its rows must carry the bits of a call at that temperature alone
+        h = diagnostics._CUMULANT_STEP
+        t = np.array([1.0, 1.0 + h, 1.0 - h])
+        for problem, solution in solved_suite:
+            weights = solution.marginal.weights
+            kernel = gibbs_kernel(problem)
+            kernel = kernel - kernel[weights > 0].max(axis=0)
+            stacked = weighted_logsumexp(t[:, None, None] * kernel, weights, axis=1)
+            for row, temperature in zip(stacked, t):
+                alone = weighted_logsumexp(temperature * kernel, weights, axis=0)
+                assert [x.hex() for x in row] == [x.hex() for x in alone]
+
     def test_passes_across_suite(self, solved_suite):
         for problem, solution in solved_suite[:5]:
             report = bh.run_diagnostics(problem, solution)
@@ -398,12 +412,31 @@ class TestUnderflowedCouplings:
         assert not gibbs_plateau_check(problem, tampered).passed
         assert not ilr_check(problem, tampered).passed
 
+    @pytest.mark.parametrize("seed", range(3, 23))
+    def test_report_entries_are_the_public_checks(self, seed):
+        problem = bh.random_problem(seed, 6, 6, 1e-3)
+        _assert_report_reads_the_public_checks(problem, bh.solve(problem, TIGHT))
+
     def test_only_the_gateaux_value_check_fails(self):
         # gateaux_value still fails here: its probe solves exhaust the
         # bridge's 10,000 sweeps (ROADMAP item 3b); every other check passes
         problem = bh.random_problem(3, 6, 6, 1e-3)
         report = bh.run_diagnostics(problem, bh.solve(problem, TIGHT))
         assert [c.name for c in report if not c.passed and c.name != "gateaux_value"] == []
+
+
+def _assert_report_reads_the_public_checks(problem, solution):
+    """The report's posterior, cumulant and free-energy entries are what the
+    public checks return, bit for bit."""
+    report = bh.run_diagnostics(problem, solution)
+    public = [ilr_check(problem, solution), gibbs_plateau_check(problem, solution),
+              free_energy_check(problem, solution)]
+    for check in public:
+        assert report.by_name(check.name) == check
+        assert report.by_name(check.name).max_violation.hex() == check.max_violation.hex()
+    errors = cumulant_errors(problem, solution)
+    for name, error in zip(("cumulant_mean", "cumulant_variance", "cumulant_gain"), errors):
+        assert report.by_name(name).max_violation.hex() == error.hex()
 
 
 class TestRunDiagnostics:
@@ -482,20 +515,56 @@ class TestRunDiagnostics:
         # counted as perfbench's tracer counts them: wrapped in every module
         # that imports it, so shifted_gain's call inside core counts too
         calls = []
-        kernel = bh.core.gibbs_kernel
+        for counted_name in ("gibbs_kernel", "log_partition"):
+            function = getattr(bh.solver, counted_name)
 
-        def counted(problem):
-            calls.append(1)
-            return kernel(problem)
+            def counted(*args, _name=counted_name, _function=function):
+                calls.append(_name)
+                return _function(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name == "bridgehead" or name.startswith("bridgehead."):
-                for attr, value in list(vars(module).items()):
-                    if value is kernel:
-                        monkeypatch.setattr(module, attr, counted)
+            for name, module in list(sys.modules.items()):
+                if name == "bridgehead" or name.startswith("bridgehead."):
+                    for attr, value in list(vars(module).items()):
+                        if value is function:
+                            monkeypatch.setattr(module, attr, counted)
         problem, solution = solved_suite[1]
         bh.run_diagnostics(problem, solution)
-        assert 0 < len(calls) <= 20
+        assert 0 < calls.count("gibbs_kernel") <= 8
+        assert calls.count("log_partition") == 1
+
+    def test_point_mass_probe_is_not_solved(self, solved_suite):
+        # delta_alpha - nu is exactly 0: only the fresh audit solve runs
+        problem, solution = solved_suite[0]
+        (alpha,) = solution.consideration_set
+        with mock.patch.object(bridge, "_sweeps", wraps=bridge._sweeps) as sweeps:
+            check = bh.run_diagnostics(problem, solution).by_name("gateaux_value")
+        assert [len(call.args[1]) for call in sweeps.call_args_list] == [1]
+        assert check.max_violation == 0.0 and check.passed
+        assert check.details == f"central differences at [{alpha}]"
+
+    def test_almost_point_mass_probe_is_solved(self, solved_suite):
+        # nu = [1.0, 1e-20] has nu(alpha) == 1.0 but a nonzero direction
+        problem, solution = solved_suite[0]
+        (alpha,) = solution.consideration_set
+        weights = np.zeros(problem.num_actions)
+        weights[alpha], weights[alpha - 1] = 1.0, 1e-20
+        moved = dataclasses.replace(solution, marginal=bh.ActionMarginal(weights))
+        assert moved.consideration_set == (alpha,) and moved.marginal.weights[alpha] == 1.0
+        with mock.patch.object(bridge, "_sweeps", wraps=bridge._sweeps) as sweeps:
+            check = bh.run_diagnostics(problem, moved).by_name("gateaux_value")
+        assert [len(call.args[1]) for call in sweeps.call_args_list] == [1, 2]
+        assert check.details == f"central differences at [{alpha}]"
+
+    def test_report_entries_are_the_public_checks(self, solved_suite):
+        for problem, solution in solved_suite:
+            _assert_report_reads_the_public_checks(problem, solution)
+
+    def test_ilr_blocks_keep_the_bits(self, solved_suite, monkeypatch):
+        # the ratio sums are stacked in blocks of _STACK entries; one row per
+        # block must give the same bits as the one block the suite fits in
+        whole = [ilr_check(p, s).max_violation.hex() for p, s in solved_suite]
+        monkeypatch.setattr(diagnostics, "_STACK", 1)
+        assert [ilr_check(p, s).max_violation.hex() for p, s in solved_suite] == whole
 
     def test_probe_steps_are_one_stacked_solve(self, solved_suite):
         # 4 supported actions, probes at [0, 3, 8]: the fresh audit solve is
