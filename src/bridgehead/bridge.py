@@ -17,11 +17,11 @@ system
 columns exactly.  The solve is one loop of Sinkhorn sweeps, alternating the
 two updates in the log domain, where each half-update is one log-sum-exp,
 overflow-safe for any lam.  Most solves end within a few sweeps.  Sinkhorn's
-linear rate collapses at small lam, so a solve hands over once to damped
-Newton on the semi-dual of the smaller side (``_semi_dual_newton``), whose
-rate is quadratic: after the first sweep k >= 2 whose column drift is more
-than ``_RATE`` times that of sweep k - 1, or else after sweep ``_WARM_UP``.
-The sweeps go on from the Newton potentials.
+linear rate collapses at small lam, so a solve whose column drift shows it
+stalling hands over once to damped Newton on the semi-dual of the smaller
+side (``_semi_dual_newton``), whose rate is quadratic.  Newton closes with a
+Sinkhorn half-step in its own variables, and that pair is measured at once:
+it ends the solve where it passes, and the sweeps go on from it otherwise.
 
 The loop (``_sweeps``) has a leading stack axis: it solves k marginals that
 share the kernel, the prior and one support at once, each row with its own
@@ -33,8 +33,8 @@ value.
 Convergence is measured as the worst sup-norm violation of the two marginal
 constraints by the implied unit-mass coupling, which is built only where a
 cheap bound says the residual can pass (see ``sinkhorn_bridge``), so no
-output depends on the bound.  ``iterations`` counts sweeps only; Newton
-steps are not counted against the budget.
+output depends on the bound.  ``iterations`` counts sweeps only, and
+``newton_steps`` the Newton steps, which the budget does not count.
 
 Actions with nu(alpha) = 0 are excluded before iterating and reinserted as
 zero coupling rows afterwards; their action potential is defined by reading
@@ -106,7 +106,7 @@ class SinkhornConfig:
         It bounds sweeps only: a loop that hands over to Newton (after
         sweep 2 to ``_WARM_UP``, unless that is its last) also takes up to
         ``_NEWTON_STEPS`` Newton steps, each costing about as much as
-        one sweep.
+        one sweep, and stops at that sweep where Newton's pair passes.
     """
 
     tolerance: float = 1e-10
@@ -129,7 +129,8 @@ class BridgeResult:
     divergence from the product measure term by term; value_dual evaluates the
     dual objective sum(a nu) + sum(b prior) + mass - 1 at the potentials.  The
     two are computed along independent arithmetic paths, so their gap is a
-    genuine convergence certificate.
+    genuine convergence certificate.  newton_steps counts the steps of the
+    Newton phase, 0 where the solve never handed over.
     """
 
     coupling: Coupling
@@ -138,6 +139,7 @@ class BridgeResult:
     value_dual: float
     iterations: int
     residual: float
+    newton_steps: int
 
     @property
     def duality_gap(self) -> float:
@@ -157,14 +159,14 @@ def sinkhorn_bridge(
     prior * exp(b_next - b), b_next being the next b-update, so its columns
     miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  The
     exact residual is measured wherever c is within ``gate`` (4 tol plus
-    rounding), at the first sweep after Newton and at the budget's last
-    sweep, so c neither stops a sweep nor delays a stop.  c also decides
-    when Newton runs, once, unless the budget ends first: after the first
-    sweep k >= 2 at which Sinkhorn shrinks c by less than 1 / ``_RATE``,
-    c_k > ``_RATE`` c_(k-1), and after sweep ``_WARM_UP`` at the latest.  A
-    solve that Sinkhorn settles fast thus keeps sweeping, and one that
-    stalls hands over early.  The sweeps are those of ``_sweeps`` on a stack
-    of one row.
+    rounding), at Newton's closing pair or else the first sweep after it,
+    and at the budget's last sweep, so c neither stops a sweep nor delays a
+    stop.  c also decides when Newton runs, once, unless the budget ends
+    first: after the first sweep k >= 2 at which Sinkhorn shrinks c by less
+    than 1 / ``_RATE``, c_k > ``_RATE`` c_(k-1), and after sweep ``_WARM_UP``
+    at the latest.  A solve that Sinkhorn settles fast thus keeps sweeping,
+    one that stalls hands over early, and one whose Newton pair passes stops
+    at sweep k.  The sweeps are those of ``_sweeps`` on a stack of one row.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -175,14 +177,10 @@ def sinkhorn_bridge(
     weights = nu.weights / nu.weights.sum()
     prior = problem.prior / problem.prior.sum()
     sup = weights > 0
-    ((a, b, coupling, mass, iterations, residual),) = _sweeps(
-        kernel[sup], weights[sup][None], prior, cfg
-    )
-    result = _assemble(
-        problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
-    )
-    if not residual <= cfg.tolerance:
-        raise BridgeNotConverged(iterations, residual, result)
+    (solved,) = _sweeps(kernel[sup], weights[sup][None], prior, cfg)
+    result = _assemble(problem, weights, prior, kernel, sup, solved)
+    if not result.residual <= cfg.tolerance:
+        raise BridgeNotConverged(result.iterations, result.residual, result)
     return result
 
 
@@ -194,8 +192,8 @@ def _sweeps(ks, ws, prior, cfg):
     stopping sweep; a row that stops is frozen and leaves the stack.  Each
     half-update is one log-sum-exp over the stack, whose every row rounds as
     it does alone, so a row's results do not depend on the others.  Returns,
-    row by row, (a, b, coupling, mass, iterations, residual) at the row's
-    last sweep.
+    row by row, (a, b, coupling, mass, iterations, residual, newton_steps) at
+    the row's last sweep or at the closing pair of its Newton phase.
     """
     budget, tolerance = cfg.max_iterations, cfg.tolerance
     # C order, so that each row's sums run in the order they run alone (the
@@ -212,6 +210,7 @@ def _sweeps(ks, ws, prior, cfg):
     live = list(range(len(ws)))  # the input row of each stack row
     handover = [None] * len(ws)    # the sweep after which each row ran Newton
     last = [np.inf] * len(ws)      # the drift of each row's last sweep
+    steps = [0] * len(ws)          # the Newton steps of each input row
     out = [None] * len(ws)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = _logsumexp_kernel(row_part, axis=1)
@@ -234,17 +233,14 @@ def _sweeps(ks, ws, prior, cfg):
                 ]
             stopped = []
             for r in measure:
-                coupling = np.exp(rows[r] + (log_prior - b[r]))
-                mass = float(coupling.sum())
-                coupling /= mass
-                residual = _marginal_residual(coupling, ws[r], prior)
+                coupling, mass, residual = _measure(rows[r], b[r], log_prior, ws[r], prior)
                 if residual <= tolerance or iterations == budget:
                     out[live[r]] = (a[r, :, 0], b[r, 0], coupling, mass, iterations, residual)
                     stopped.append(r)
             if len(stopped) == len(live):
                 break
-            # hand over where Sinkhorn shrinks the drift by less than
-            # 1 / _RATE per sweep, or the warm-up ends; measure the next sweep
+            # hand over where a sweep shrinks the drift by less than 1 / _RATE,
+            # or the warm-up ends, and measure Newton's closing pair at once
             newton = [
                 r for r, c in enumerate(drift)
                 if handover[r] is None and r not in stopped
@@ -252,9 +248,16 @@ def _sweeps(ks, ws, prior, cfg):
             ]
             for r in newton:
                 handover[r] = iterations
-                a[r, :, 0] = _semi_dual_newton(ks, ws[r], prior, a[r, :, 0], b[r, 0], tolerance)
-            if newton:
-                b_next[newton] = _logsumexp_kernel(row_part[newton] - a[newton], axis=1)
+                a[r, :, 0], b_r, steps[live[r]] = _semi_dual_newton(
+                    row_part[r], col_part, ws[r], prior, a[r, :, 0], b[r, 0], b_next[r, 0], tolerance
+                )
+                if b_r is not None:
+                    coupling, mass, residual = _measure(row_part[r] - a[r], b_r, log_prior, ws[r], prior)
+                    if residual <= tolerance:
+                        out[live[r]] = (a[r, :, 0], b_r, coupling, mass, iterations, residual)
+                        stopped.append(r)
+            if missed := [r for r in newton if r not in stopped]:
+                b_next[missed] = _logsumexp_kernel(row_part[missed] - a[missed], axis=1)
             last, b = drift, b_next
             if stopped:
                 keep = np.ones(len(live), dtype=bool)
@@ -263,29 +266,46 @@ def _sweeps(ks, ws, prior, cfg):
                     [v for v, kept in zip(values, keep) if kept] for values in (live, handover, last)
                 )
                 ws, row_part, b = ws[keep], row_part[keep], b[keep]
-    return out
+                if not live:
+                    break
+    return [row + (n,) for row, n in zip(out, steps)]
 
 
-def _semi_dual_newton(ks, ws, prior, a, b, tolerance):
-    """Action potentials from damped Newton on the smaller side's semi-dual.
+def _measure(rows, b, log_prior, ws, prior):
+    """The unit-mass coupling of the pair (a, b), rows being log nu + u/lam - a,
+    its mass and its exact residual, the worst violation of its marginals."""
+    coupling = np.exp(rows + (log_prior - b))
+    mass = float(coupling.sum())
+    coupling /= mass
+    row = float(np.abs(coupling.sum(axis=1) - ws).max())
+    col = float(np.abs(coupling.sum(axis=0) - prior).max())
+    return coupling, mass, max(row, col)
+
+
+def _semi_dual_newton(row_part, col_part, ws, prior, a, b, b_next, tolerance):
+    """Damped Newton on the smaller side's semi-dual, from a sweep's a-update
+    a at b, its next b-update b_next and its logits ``row_part`` and ``col_part``.
 
     Eliminating a leaves the convex semi-dual in b,
     g(b) = sum_alpha nu log sum_omega prior exp(u/lam - b) + prior . b, whose
     gradient is prior minus the coupling's column sums; eliminating b gives
     the same form in a with the roles of nu and prior swapped.  Newton runs
-    on whichever potential has fewer entries and returns a, read off the
-    fixed-point equation when it ran on b.
+    on whichever potential has fewer entries.  Returns a, the b of Newton's
+    closing pair (None where it did not close) and the Newton steps.
     """
-    if ks.shape[1] <= ks.shape[0]:
-        return _newton(ks, ws, prior, b, tolerance)[1]
-    return _newton(ks.T, prior, ws, a, tolerance)[0]
+    if col_part.shape[1] <= col_part.shape[0]:
+        b, a, steps, closed = _newton(col_part, row_part, ws, prior, b, a[:, None], tolerance)
+    else:
+        a, b, steps, closed = _newton(row_part.T, col_part.T, prior, ws, a, b_next[:, None], tolerance)
+    return a, (b if closed else None), steps
 
 
-def _newton(kernel, p, q, y, tolerance):
-    """Minimize g(y) = sum_i p_i log sum_j q_j exp(K_ij - y_j) + q . y.
+def _newton(logits, row_logits, p, q, y, rows, tolerance):
+    """Minimize g(y) = sum_i p_i log sum_j q_j exp(K_ij - y_j) + q . y from y and
+    its row log-sums ``rows`` (a column), the logits being K + log q.
 
-    With pi the row-conditional of exp(K - y), the gradient is q - p pi and
-    the Hessian is the graph Laplacian diag(C 1) - C of the conductances
+    With pi the row-conditional of exp(logits - y), the gradient is q - p pi
+    and the Hessian is the graph Laplacian diag(C 1) - C of the conductances
     C = pi^T diag(p) pi with their diagonal zeroed.  It equals
     diag(p pi) - pi^T diag(p) pi, as the rows of pi sum to 1, but that
     subtraction erases conductances far below the column sums, such as
@@ -298,39 +318,43 @@ def _newton(kernel, p, q, y, tolerance):
     no entry of y by more than ``_MAX_MOVE``.  Where neither solve gives a
     descent direction that some step length makes decrease g, the step is
     the Sinkhorn half-step y += log(colsum / q) instead, gauge held, which
-    never increases g.  Stops once the free coordinates' max|gradient| <=
-    tolerance / 4 or after ``_NEWTON_STEPS`` steps.  After a Newton step
-    the row log-sums are refreshed with one exp, centred on those of the
-    accepted Armijo trial; after a half-step, on a fresh log-sum-exp.
-    Returns y and the row log-sums log sum_j q_j exp(K_ij - y_j).
+    never increases g.  After a Newton step the row log-sums are refreshed
+    with one exp, centred on those of the accepted Armijo trial; after a
+    half-step, on a fresh log-sum-exp.  Once the free coordinates'
+    max|gradient| <= tolerance / 4, Newton closes with that half-step,
+    ungauged and refreshed around rows + log(pi (q / colsum)), where every
+    column sum is a normal float (a subnormal one has lost its precision).
+    Returns y, its row log-sums, the steps taken (at most ``_NEWTON_STEPS``,
+    the closing half-step aside) and whether Newton closed.
     """
-    logits = kernel + np.log(q)
-    row_logits = kernel + np.log(p)[:, None]
     free = np.arange(len(q)) != np.argmax(q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = _logsumexp_kernel(logits - y, axis=1)
         pi = np.exp(logits - y - rows)
-        for _ in range(_NEWTON_STEPS):
+        for steps in range(_NEWTON_STEPS + 1):
             colsum = p @ pi
             grad = (q - colsum)[free]
-            if np.all(np.abs(grad) <= tolerance / 4):
+            closed = bool(np.all(np.abs(grad) <= tolerance / 4))
+            if closed or steps == _NEWTON_STEPS:
                 break
-            found = _newton_move(p, q, pi, grad, free)
-            if found is None:
+            if (found := _newton_move(p, q, pi, grad, free)) is None:
                 # the Sinkhorn half-step on y, gauge held: it never increases g
                 y_half = _logsumexp_kernel(row_logits - rows, axis=0)[0]
                 y = y + (y_half - y_half[~free] + y[~free] - y)
                 centre = _logsumexp_kernel(logits - y, axis=1)
             else:
-                move, shift = found
-                y = y + move
-                centre = rows + shift[:, None]
+                y = y + found[0]
+                centre = rows + found[1][:, None]
             # one exp, centred near the new row log-sums and taken fresh from
             # the logits, so the rows stay exact and underflowed entries revive
             z = np.exp(logits - y - centre)
             total = z.sum(axis=1, keepdims=True)
             rows, pi = centre + np.log(total), z / total
-    return y, rows[:, 0]
+        # the closing half-step, from pi: exact only where no column sum is subnormal
+        if closed := closed and bool(np.all(colsum >= np.finfo(float).tiny)):
+            y = y + np.log(colsum / q)
+            centre = rows + np.log(pi @ (q / colsum))[:, None]
+            rows = centre + np.log(np.exp(logits - y - centre).sum(axis=1, keepdims=True))
+    return y, rows[:, 0], steps, closed
 
 
 def _newton_move(p, q, pi, grad, free):
@@ -426,14 +450,11 @@ def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):
         sup = weights[members[0]] > 0
         ks = kernel[sup]
         solved = _sweeps(ks, weights[members][:, sup], prior, config)
-        for i, (a, b, coupling, mass, iterations, residual) in zip(members, solved):
-            values[i] = _value_primal(coupling, weights[i, sup], prior, ks)
-            if not residual <= config.tolerance:
-                result = _assemble(
-                    problem, weights[i], prior, kernel, sup,
-                    a, b, coupling, mass, iterations, residual,
-                )
-                errors[i] = BridgeNotConverged(iterations, residual, result)
+        for i, row in zip(members, solved):
+            values[i] = _value_primal(row[2], weights[i, sup], prior, ks)
+            if not row[5] <= config.tolerance:
+                result = _assemble(problem, weights[i], prior, kernel, sup, row)
+                errors[i] = BridgeNotConverged(result.iterations, result.residual, result)
     return values, errors
 
 
@@ -447,13 +468,8 @@ def _value_primal(coupling, ws, prior, ks) -> float:
     return float(np.sum(coupling * ks)) - kl
 
 
-def _marginal_residual(coupling, ws, prior) -> float:
-    row = float(np.abs(coupling.sum(axis=1) - ws).max())
-    col = float(np.abs(coupling.sum(axis=0) - prior).max())
-    return max(row, col)
-
-
-def _assemble(problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, iterations, residual):
+def _assemble(problem, weights, prior, kernel, sup, solved):
+    a_s, b, coupling_s, mass, iterations, residual, newton_steps = solved
     # extend a to excluded actions by reading the fixed-point equation at b
     a_full = np.empty(problem.num_actions)
     a_full[sup] = a_s
@@ -470,9 +486,7 @@ def _assemble(problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, it
     full[sup] = coupling_s
 
     # dual: evaluate the potentials; mass is the pre-normalization total
-    value_dual = (
-        float(a_full @ weights) + float(b @ prior) + mass - 1.0
-    )
+    value_dual = float(a_full @ weights) + float(b @ prior) + mass - 1.0
 
     return BridgeResult(
         coupling=Coupling(full),
@@ -481,6 +495,7 @@ def _assemble(problem, weights, prior, kernel, sup, a_s, b, coupling_s, mass, it
         value_dual=value_dual,
         iterations=iterations,
         residual=residual,
+        newton_steps=newton_steps,
     )
 
 

@@ -1,6 +1,7 @@
 """Inner problem: Sinkhorn scaling, potentials, duality, certificates."""
 
 import hashlib
+import itertools
 import math
 import platform
 from dataclasses import replace
@@ -126,8 +127,8 @@ class TestSinkhornBridge:
         p = bh.random_problem(1028712447, 16, 16, lam=0.01)
         nu = bh.ActionMarginal(weights)
         res = bh.sinkhorn_bridge(p, nu, TIGHT)
-        # Sinkhorn stalls from sweep 2 on, so it hands over to Newton then
-        # and stops at sweep 3 (at sweep 9 with the hand-over after sweep 8)
+        # Sinkhorn stalls from sweep 2 on, so it hands over to Newton then,
+        # and Newton's own pair stops the solve at sweep 2
         assert res.iterations <= 10
         assert res.residual <= 1e-12
         assert res.duality_gap <= 1e-8
@@ -264,6 +265,18 @@ class TestAdditiveSeparability:
         assert additive_separability_gap(res, nu, p.prior) <= 1e-8
 
 
+def reference_measure(row_part, ws, prior, a, b):
+    """(coupling, mass, exact residual) of the potential pair (a, b)."""
+    raw = np.exp(row_part - a[:, None] + (np.log(prior) - b)[None, :])
+    mass = float(raw.sum())
+    coupling = raw / mass
+    residual = max(
+        float(np.abs(coupling.sum(axis=1) - ws).max()),
+        float(np.abs(coupling.sum(axis=0) - prior).max()),
+    )
+    return coupling, mass, residual
+
+
 def reference_sweep_log(ks, ws, prior, a, cfg):
     """Plain Sinkhorn sweeps from ``a``: every sweep builds the coupling and
     measures the exact residual; no Newton step."""
@@ -272,13 +285,7 @@ def reference_sweep_log(ks, ws, prior, a, cfg):
     for iterations in range(1, cfg.max_iterations + 1):
         b = logsumexp(row_part - a[:, None], axis=0)
         a = logsumexp(col_part - b[None, :], axis=1)
-        raw = np.exp(row_part - a[:, None] + (np.log(prior) - b)[None, :])
-        mass = float(raw.sum())
-        coupling = raw / mass
-        residual = max(
-            float(np.abs(coupling.sum(axis=1) - ws).max()),
-            float(np.abs(coupling.sum(axis=0) - prior).max()),
-        )
+        coupling, mass, residual = reference_measure(row_part, ws, prior, a, b)
         if residual <= cfg.tolerance:
             break
     return a, b, coupling, mass, iterations, residual, residual <= cfg.tolerance
@@ -287,17 +294,18 @@ def reference_sweep_log(ks, ws, prior, a, cfg):
 def reference_bridge(problem, nu, cfg):
     """sinkhorn_bridge as the plain loop: one ``reference_sweep_log`` sweep at
     a time, so every sweep measures the exact residual, and the Newton
-    hand-over by the same drift rule.  ``sinkhorn_bridge`` must return its
-    bytes."""
+    hand-over by the same drift rule, whose own pair is measured before the
+    next sweep.  ``sinkhorn_bridge`` must return its bytes."""
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
     prior = problem.prior / problem.prior.sum()
     sup = weights > 0
     ks, ws = kernel[sup], weights[sup]
     row_part = ks + np.log(ws)[:, None]
+    col_part = ks + np.log(prior)[None, :]
     one_sweep = replace(cfg, max_iterations=1)
     a = np.zeros(sup.sum())
-    warm, last = True, np.inf
+    warm, last, steps = True, np.inf, 0
     for iterations in range(1, cfg.max_iterations + 1):
         a, b, coupling, mass, _, residual, converged = reference_sweep_log(
             ks, ws, prior, a, one_sweep
@@ -305,13 +313,21 @@ def reference_bridge(problem, nu, cfg):
         if converged or iterations == cfg.max_iterations:
             break
         # the column drift: how far the next b-update moves the columns
-        drift = float(np.abs(prior * np.expm1(logsumexp(row_part - a[:, None], axis=0) - b)).max())
+        b_next = logsumexp(row_part - a[:, None], axis=0)
+        drift = float(np.abs(prior * np.expm1(b_next - b)).max())
         if warm and (drift > bridge._RATE * last or iterations == bridge._WARM_UP):
-            a = bridge._semi_dual_newton(ks, ws, prior, a, b, cfg.tolerance)
+            a, closed, steps = bridge._semi_dual_newton(
+                row_part, col_part, ws, prior, a, b, b_next, cfg.tolerance
+            )
             warm = False
+            if closed is not None:
+                measured = reference_measure(row_part, ws, prior, a, closed)
+                if measured[2] <= cfg.tolerance:
+                    b, (coupling, mass, residual), converged = closed, measured, True
+                    break
         last = drift
     result = bridge._assemble(
-        problem, weights, prior, kernel, sup, a, b, coupling, mass, iterations, residual
+        problem, weights, prior, kernel, sup, (a, b, coupling, mass, iterations, residual, steps)
     )
     if not converged:
         raise BridgeNotConverged(iterations, residual, result)
@@ -549,6 +565,30 @@ class TestNewtonPhase:
         x = bridge._gth_solve(conductance, free, np.array([0.0, 0.0, 1.0]))
         assert_allclose(x, [1.0, 1e25, 1e25], rtol=1e-15)
 
+    @pytest.mark.parametrize("tiny, stop", [(1e-20, 2), (1e-315, 3)])
+    def test_tiny_weight_at_tiny_lambda(self, tiny, stop):
+        # 4 x 8, so Newton runs on a, whose column sums carry nu.  With a
+        # 1e-20 weight they stay normal floats, and Newton's closing
+        # half-step ends the solve at the hand-over sweep 2.  With a
+        # subnormal weight the tiny action's column sum is subnormal too, so
+        # Newton takes no closing half-step and sweep 3 measures; a half-step
+        # from that column sum missed the action equation by 2.6e-9
+        problem = bh.random_problem(0, 4, 8, lam=1e-3)
+        nu = bh.ActionMarginal(np.array([1.0, tiny, 1.0, 1.0]) / 3.0)
+        res = bh.sinkhorn_bridge(problem, nu, TIGHT)
+        assert (res.iterations, res.newton_steps > 0) == (stop, True)
+        assert res.residual <= 1e-12
+        assert res.duality_gap <= 1e-8
+        assert max(bh.schrodinger_residual(problem, nu, res.potentials)) <= 1e-9
+
+    def test_newton_steps_are_reported(self):
+        # 0 where Newton never ran; else its damped moves and half-step
+        # fallbacks, one per _newton_move call, the closing half-step aside
+        assert _bridge(*_golden_problem("6x6 lam=1"))[0].newton_steps == 0
+        for case, steps in [("6x6 lam=0.01", 11), ("zeros", 3)]:
+            problem, nu, _ = _golden_problem(case)
+            assert _assert_newton_rows_exact(problem, nu) == steps
+
     def test_uniform_marginal_at_tiny_lambda(self):
         # 1,332 sweeps for seed 4 with the subtracted Hessian; 1,662 and
         # 1,112 for seeds 6 and 7 with 50 Newton steps and no GTH fallback
@@ -562,24 +602,27 @@ class TestNewtonPhase:
 def _assert_newton_rows_exact(problem, nu):
     """Solve to 1e-12 and check that every ``_newton`` run returns the row
     log-sums of the logits at the y it returns, to rounding.  Each step's
-    refresh is centred on the Armijo trial's row log-sums but takes its exp
-    fresh from the logits; summing the trial shifts instead drifts by about
-    eps e^10 per step.  Returns the number of Newton steps taken."""
+    refresh, the closing half-step's included, is centred on row log-sums
+    that it moves (the Armijo trial's, say) but takes its exp fresh from the
+    logits; summing the trial shifts instead drifts by about eps e^10 per
+    step.  Returns the number of Newton steps taken, which the result
+    reports."""
     runs, solve = [], bridge._newton
 
-    def newton(kernel, p, q, y, tolerance):
-        runs.append((kernel, q, *solve(kernel, p, q, y, tolerance)))
-        return runs[-1][2:]
+    def newton(logits, row_logits, p, q, y, rows, tolerance):
+        runs.append((logits, solve(logits, row_logits, p, q, y, rows, tolerance)))
+        return runs[-1][1]
 
     cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
     with (
         mock.patch.object(bridge, "_newton", newton),
         mock.patch.object(bridge, "_newton_move", wraps=bridge._newton_move) as move,
     ):
-        _bridge(problem, nu, cfg)
+        res, _ = _bridge(problem, nu, cfg)
+    assert res.newton_steps == move.call_count
     eps = np.finfo(float).eps
-    for kernel, q, y, rows in runs:
-        fresh = logsumexp(kernel + np.log(q) - y, axis=1)
+    for logits, (y, rows, _, _) in runs:
+        fresh = logsumexp(logits - y, axis=1)
         assert np.all(np.abs(rows - fresh) <= 8 * eps * (1 + np.abs(rows)))
     return move.call_count
 
@@ -638,7 +681,7 @@ class TestStackedSweeps:
         prior = problem.prior / problem.prior.sum()
         rows = bridge._sweeps(ks, weights[:, sup], prior, cfg)
         values, errors = bridge._primal_values(problem, stack, cfg)
-        for i, (_, _, coupling, _, iterations, residual) in enumerate(rows):
+        for i, (_, _, coupling, _, iterations, residual, _) in enumerate(rows):
             nu = bh.ActionMarginal(stack[i])
             single = _single_bytes(problem, nu.weights, cfg)
             primal = bridge._value_primal(coupling, weights[i, sup], prior, ks)
@@ -653,15 +696,16 @@ class TestStackedSweeps:
 
     def test_frozen_rows_leave_the_stack(self):
         # at lam = 0.5 with a 5-sweep budget, four rows hand over to Newton
-        # after sweep 2 or 3 and converge at sweep 3 or 4, and the other two,
-        # which would hand over after sweeps 6 and 8, exhaust the budget
+        # after sweep 2 or 3 and stop there on Newton's own pair, while the
+        # other two, which would hand over after sweeps 6 and 8, go on and
+        # exhaust the budget
         problem = bh.random_problem(0, 6, 6, lam=0.5)
         rng = np.random.default_rng(0)
         stack = np.vstack([np.full(6, 1 / 6), rng.dirichlet(np.ones(6), size=5)])
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=5)
         values, errors = bridge._primal_values(problem, stack, cfg)
         assert [err is None for err in errors] == [True, False, True, True, False, True]
-        stops = [4, 5, 3, 3, 5, 3]
+        stops = [3, 5, 2, 2, 5, 2]
         for row, value, err, stop in zip(stack, values, errors, stops):
             single = _single_bytes(problem, row, cfg)
             assert value.hex() == single[3]
@@ -713,20 +757,21 @@ def _recording_platform():
 
 
 # Recorded from the plain per-sweep loop (NumPy 2.4, x86-64 with AVX-512),
-# with the Newton phase after sweep 2 for 6x6 lam=0.01 and zeros:
+# with the Newton phase after sweep 2 for 6x6 lam=0.01 and zeros, each
+# ending there on Newton's own pair:
 # iterations, float.hex of residual, value_primal and value_dual, sha256 of
 # the coupling.
 GOLDEN = {
-    "6x6 lam=0.01": (3, "0x1.2800000000000p-50", "0x1.41b316b242913p+6", "0x1.41b316b242913p+6",
-                     "66e9f946cd85f662aada622d6091be5c53ac534652fd4ac59715e5d37c0d3d01"),
+    "6x6 lam=0.01": (2, "0x1.a000000000000p-50", "0x1.41b316b242914p+6", "0x1.41b316b242912p+6",
+                     "176e4e7fddde3c68030c2498a44fa5e113f540f294a82315fddd7b3aad094442"),
     "6x6 lam=1": (7, "0x1.0d44000000000p-41", "0x1.124450e86e098p-1", "0x1.124450e86df70p-1",
                   "819b69e2084ff20c82d92388235d0cf31dd5042b9ab5c218155d1d8af7ef229f"),
     "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",
                     "367606b7bf05be452714322fa059aebd1cba77c30749028be28c6f21ebf04666"),
     "200x50": (4, "0x1.d61d800000000p-41", "0x1.133c14a5b600cp-1", "0x1.133c14a5b61b8p-1",
                "1947df60f4d4cb2a5ec62462cb32d81fd8eb4a8a436f820e5c54ded0faf9aed4"),
-    "zeros": (3, "0x1.0000000000000p-53", "0x1.f865302b7f690p+0", "0x1.f865302b7f690p+0",
-              "b02fa39e441ee58b411fa950b0ac62b585623b0f203449189a2e892b64942c35"),
+    "zeros": (2, "0x1.0000000000000p-53", "0x1.f865302b7f68fp+0", "0x1.f865302b7f68ep+0",
+              "99b94596987a954ef68df38c715286214927a5a9522b484e2944e78eefb2dd2a"),
     "exhausted": (2, "0x1.9f669da434b9ep-3", "0x1.f8a6c976b90ecp+5", "0x1.24450a5fa6560p+6",
                   "541e5285d014853fc08d887ae2dfd49583fc2d13886d956eaa3fc1d9d0a5bcea"),
 }
@@ -753,15 +798,15 @@ def test_golden_pins(case):
     assert got == GOLDEN[case]
 
 
-# Exact residuals built per solve: at the first sweep after Newton, the
-# budget's last sweep, and the sweeps whose cheap bound passes the gate; then
-# the log-sum-exps, Newton's included
+# Exact residuals built per solve: at Newton's closing pair or else the first
+# sweep after Newton, the budget's last sweep, and the sweeps whose cheap
+# bound passes the gate; then the log-sum-exps, Newton's included
 CALL_COUNTS = {
-    "6x6 lam=0.01": (1, 9),
+    "6x6 lam=0.01": (1, 5),
     "6x6 lam=1": (1, 15),
     "6x6 lam=1e4": (1, 5),
     "200x50": (1, 9),
-    "zeros": (1, 9),
+    "zeros": (1, 5),
     "exhausted": (1, 4),
 }
 
@@ -769,7 +814,7 @@ CALL_COUNTS = {
 def _call_counts(problem, nu, cfg):
     """(exact residuals built, log-sum-exps taken) by one sinkhorn_bridge."""
     with (
-        mock.patch.object(bridge, "_marginal_residual", wraps=bridge._marginal_residual) as exact,
+        mock.patch.object(bridge, "_measure", wraps=bridge._measure) as exact,
         mock.patch.object(bridge, "_logsumexp_kernel", wraps=bridge._logsumexp_kernel) as lse,
     ):
         _bridge(problem, nu, cfg)
@@ -781,9 +826,36 @@ def test_golden_cases_build_few_exact_residuals(case):
     assert _call_counts(*_golden_problem(case)) == CALL_COUNTS[case]
 
 
+def test_newton_pair_ends_a_wide_small_lambda_solve():
+    # op inner[50x400,lam=0.01] of perfbench's inner workload, pass 21 at
+    # seed 703, drawn in the order of its inner_ops.  Newton runs on a, and
+    # its gradient test bounds |nu - colsum| absolutely, that is
+    # (nu - colsum) / nu in log units: its raw pair (y and the row log-sums)
+    # passed the marginal residual but missed the Schrodinger equations by
+    # 2.55e-9.  The closing Sinkhorn half-step's pair ends the solve at the
+    # hand-over sweep with every certificate
+    rng = np.random.default_rng([703, 21])
+    shapes = ((6, 6), (16, 16), (64, 64), (200, 50), (50, 400))
+    for (m, n), lam in itertools.product(shapes, (0.01, 0.05, 0.1, 0.25, 1.0)):
+        seed = int(rng.integers(2**31))
+        weights = rng.dirichlet(np.ones(m))
+        if rng.random() < 0.5:
+            weights[rng.choice(m, size=max(1, m // 4), replace=False)] = 0.0
+            weights /= weights.sum()
+        if (m, n, lam) == (50, 400, 0.01):
+            break
+    problem, nu = bh.random_problem(seed, m, n, lam), bh.ActionMarginal(weights)
+    res = bh.sinkhorn_bridge(problem, nu, bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000))
+    assert res.residual <= 1e-12
+    assert res.duality_gap <= 1e-8
+    assert max(bh.schrodinger_residual(problem, nu, res.potentials)) <= 1e-9
+    assert res.iterations == 2
+
+
 def test_sweep_count_guard():
     # 60 seeded bridges to 1e-12 took 489 sweeps with the hand-over after
-    # sweep 8 alone, and take 249 with the drift rule
+    # sweep 8 alone, 249 with the drift rule, and take 209 where Newton's
+    # own pair can stop a solve
     rng = np.random.default_rng(21)
     total = 0
     for m, n in [(6, 6), (16, 16), (64, 64), (64, 8), (8, 64)]:

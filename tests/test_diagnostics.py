@@ -418,8 +418,9 @@ class TestUnderflowedCouplings:
         _assert_report_reads_the_public_checks(problem, bh.solve(problem, TIGHT))
 
     def test_only_the_gateaux_value_check_fails(self):
-        # gateaux_value still fails here: its probe solves exhaust the
-        # bridge's 10,000 sweeps (ROADMAP item 3b); every other check passes
+        # gateaux_value still fails here, though its probe solves converge:
+        # it reads 83.2 with details "central differences at [0, 1, 2]", the
+        # finite-difference defect of ROADMAP item 2; every other check passes
         problem = bh.random_problem(3, 6, 6, 1e-3)
         report = bh.run_diagnostics(problem, bh.solve(problem, TIGHT))
         assert [c.name for c in report if not c.passed and c.name != "gateaux_value"] == []
