@@ -17,9 +17,10 @@ system
 columns exactly.  The solve is one loop of Sinkhorn sweeps, alternating the
 two updates in the log domain, where each half-update is one log-sum-exp,
 overflow-safe for any lam.  Most solves end within a few sweeps.  Sinkhorn's
-linear rate collapses at small lam, so a solve whose column drift shows it
-stalling hands over once to damped Newton on the semi-dual of the smaller
-side (``_semi_dual_newton``), whose rate is quadratic.  Newton closes with a
+linear rate collapses at small lam, so a solve whose column drift predicts
+that Sinkhorn, at its last measured rate, needs more than two more sweeps
+hands over once to damped Newton on the semi-dual of the smaller side
+(``_semi_dual_newton``), whose rate is quadratic.  Newton closes with a
 Sinkhorn half-step in its own variables, and that pair is measured at once:
 it ends the solve where it passes, and the sweeps go on from it otherwise.
 
@@ -76,7 +77,6 @@ __all__ = [
 
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
 _WARM_UP = 8  # Sinkhorn sweeps before the Newton phase, at most
-_RATE = 0.1  # hand over early once a sweep shrinks the drift by less than 1 / _RATE
 _NEWTON_STEPS = 200  # cap on Newton steps; each costs about one sweep
 _MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
 
@@ -104,7 +104,8 @@ class SinkhornConfig:
     tolerance: sup-norm marginal violation at which iteration stops.
     max_iterations: full sweeps (one b-update plus one a-update) allowed.
         It bounds sweeps only: a loop that hands over to Newton (after
-        sweep 2 to ``_WARM_UP``, unless that is its last) also takes up to
+        sweep 2 to ``_WARM_UP``, where its drift predicts more than two
+        more sweeps, unless that sweep is its last) also takes up to
         ``_NEWTON_STEPS`` Newton steps, each costing about as much as
         one sweep, and stops at that sweep where Newton's pair passes.
     """
@@ -130,7 +131,9 @@ class BridgeResult:
     dual objective sum(a nu) + sum(b prior) + mass - 1 at the potentials.  The
     two are computed along independent arithmetic paths, so their gap is a
     genuine convergence certificate.  newton_steps counts the steps of the
-    Newton phase, 0 where the solve never handed over.
+    Newton phase, 0 where the solve never handed over; gth_steps counts
+    those whose move GTH elimination found after LAPACK gave none, and
+    half_steps those that fell back to a Sinkhorn half-step.
     """
 
     coupling: Coupling
@@ -140,6 +143,8 @@ class BridgeResult:
     iterations: int
     residual: float
     newton_steps: int
+    gth_steps: int
+    half_steps: int
 
     @property
     def duality_gap(self) -> float:
@@ -162,11 +167,13 @@ def sinkhorn_bridge(
     rounding), at Newton's closing pair or else the first sweep after it,
     and at the budget's last sweep, so c neither stops a sweep nor delays a
     stop.  c also decides when Newton runs, once, unless the budget ends
-    first: after the first sweep k >= 2 at which Sinkhorn shrinks c by less
-    than 1 / ``_RATE``, c_k > ``_RATE`` c_(k-1), and after sweep ``_WARM_UP``
-    at the latest.  A solve that Sinkhorn settles fast thus keeps sweeping,
-    one that stalls hands over early, and one whose Newton pair passes stops
-    at sweep k.  The sweeps are those of ``_sweeps`` on a stack of one row.
+    first: after the first sweep k >= 2 at which Sinkhorn, shrinking c at
+    its last rate c_k / c_(k-1), would need more than two more sweeps,
+    c_k (c_k / c_(k-1))^2 > tol, tested as c_k^3 > tol c_(k-1)^2, and after
+    sweep ``_WARM_UP`` at the latest.  A solve that two more sweeps settle
+    thus keeps sweeping, any other hands over, and one whose Newton pair
+    passes stops at sweep k.  The sweeps are those of ``_sweeps`` on a stack
+    of one row.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -189,11 +196,15 @@ def _sweeps(ks, ws, prior, cfg):
     action weights that share the supported kernel rows ``ks`` and the prior.
 
     Every row keeps its own gate, exact residual, drift, Newton hand-over and
-    stopping sweep; a row that stops is frozen and leaves the stack.  Each
-    half-update is one log-sum-exp over the stack, whose every row rounds as
-    it does alone, so a row's results do not depend on the others.  Returns,
-    row by row, (a, b, coupling, mass, iterations, residual, newton_steps) at
-    the row's last sweep or at the closing pair of its Newton phase.
+    stopping sweep: it hands over after the first sweep k >= 2 whose drift
+    c_k predicts more than two more sweeps at its last rate,
+    c_k^3 > tol c_(k-1)^2, or after ``_WARM_UP``, and once it stops it is
+    frozen and leaves the stack.  Each half-update is one log-sum-exp over
+    the stack, whose every row rounds as it does alone, so a row's results
+    do not depend on the others.  Returns,
+    row by row, (a, b, coupling, mass, iterations, residual, newton) at the
+    row's last sweep or at the closing pair of its Newton phase, newton being
+    the (steps, GTH moves, half-steps) counts of ``_newton``.
     """
     budget, tolerance = cfg.max_iterations, cfg.tolerance
     # C order, so that each row's sums run in the order they run alone (the
@@ -210,7 +221,7 @@ def _sweeps(ks, ws, prior, cfg):
     live = list(range(len(ws)))  # the input row of each stack row
     handover = [None] * len(ws)    # the sweep after which each row ran Newton
     last = [np.inf] * len(ws)      # the drift of each row's last sweep
-    steps = [0] * len(ws)          # the Newton steps of each input row
+    counts = [(0, 0, 0)] * len(ws)  # the Newton counts of each input row
     out = [None] * len(ws)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = _logsumexp_kernel(row_part, axis=1)
@@ -239,16 +250,18 @@ def _sweeps(ks, ws, prior, cfg):
                     stopped.append(r)
             if len(stopped) == len(live):
                 break
-            # hand over where a sweep shrinks the drift by less than 1 / _RATE,
-            # or the warm-up ends, and measure Newton's closing pair at once
+            # hand over where Sinkhorn, at its last rate c / last, would need
+            # more than two more sweeps, c (c / last)^2 > tol (never at sweep
+            # 1, whose last is inf), or the warm-up ends; and measure Newton's
+            # closing pair at once
             newton = [
                 r for r, c in enumerate(drift)
                 if handover[r] is None and r not in stopped
-                and (c > _RATE * last[r] or iterations == _WARM_UP)
+                and (c * c * c > tolerance * last[r] * last[r] or iterations == _WARM_UP)
             ]
             for r in newton:
                 handover[r] = iterations
-                a[r, :, 0], b_r, steps[live[r]] = _semi_dual_newton(
+                a[r, :, 0], b_r, counts[live[r]] = _semi_dual_newton(
                     row_part[r], col_part, ws[r], prior, a[r, :, 0], b[r, 0], b_next[r, 0], tolerance
                 )
                 if b_r is not None:
@@ -268,7 +281,7 @@ def _sweeps(ks, ws, prior, cfg):
                 ws, row_part, b = ws[keep], row_part[keep], b[keep]
                 if not live:
                     break
-    return [row + (n,) for row, n in zip(out, steps)]
+    return [row + (n,) for row, n in zip(out, counts)]
 
 
 def _measure(rows, b, log_prior, ws, prior):
@@ -291,13 +304,13 @@ def _semi_dual_newton(row_part, col_part, ws, prior, a, b, b_next, tolerance):
     gradient is prior minus the coupling's column sums; eliminating b gives
     the same form in a with the roles of nu and prior swapped.  Newton runs
     on whichever potential has fewer entries.  Returns a, the b of Newton's
-    closing pair (None where it did not close) and the Newton steps.
+    closing pair (None where it did not close) and the Newton counts.
     """
     if col_part.shape[1] <= col_part.shape[0]:
-        b, a, steps, closed = _newton(col_part, row_part, ws, prior, b, a[:, None], tolerance)
+        b, a, counts, closed = _newton(col_part, row_part, ws, prior, b, a[:, None], tolerance)
     else:
-        a, b, steps, closed = _newton(row_part.T, col_part.T, prior, ws, a, b_next[:, None], tolerance)
-    return a, (b if closed else None), steps
+        a, b, counts, closed = _newton(row_part.T, col_part.T, prior, ws, a, b_next[:, None], tolerance)
+    return a, (b if closed else None), counts
 
 
 def _newton(logits, row_logits, p, q, y, rows, tolerance):
@@ -324,10 +337,13 @@ def _newton(logits, row_logits, p, q, y, rows, tolerance):
     max|gradient| <= tolerance / 4, Newton closes with that half-step,
     ungauged and refreshed around rows + log(pi (q / colsum)), where every
     column sum is a normal float (a subnormal one has lost its precision).
-    Returns y, its row log-sums, the steps taken (at most ``_NEWTON_STEPS``,
-    the closing half-step aside) and whether Newton closed.
+    Returns y, its row log-sums, the counts (steps, GTH moves, half-steps),
+    steps being at most ``_NEWTON_STEPS`` with the closing half-step not
+    counted, and whether Newton closed.
     """
     free = np.arange(len(q)) != np.argmax(q)
+    root_p = np.sqrt(p)[:, None]
+    gth = half = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pi = np.exp(logits - y - rows)
         for steps in range(_NEWTON_STEPS + 1):
@@ -336,36 +352,43 @@ def _newton(logits, row_logits, p, q, y, rows, tolerance):
             closed = bool(np.all(np.abs(grad) <= tolerance / 4))
             if closed or steps == _NEWTON_STEPS:
                 break
-            if (found := _newton_move(p, q, pi, grad, free)) is None:
+            if (found := _newton_move(p, root_p, q, pi, grad, free)) is None:
                 # the Sinkhorn half-step on y, gauge held: it never increases g
+                half += 1
                 y_half = _logsumexp_kernel(row_logits - rows, axis=0)[0]
                 y = y + (y_half - y_half[~free] + y[~free] - y)
                 centre = _logsumexp_kernel(logits - y, axis=1)
             else:
+                gth += found[2]
                 y = y + found[0]
                 centre = rows + found[1][:, None]
             # one exp, centred near the new row log-sums and taken fresh from
-            # the logits, so the rows stay exact and underflowed entries revive
-            z = np.exp(logits - y - centre)
-            total = z.sum(axis=1, keepdims=True)
-            rows, pi = centre + np.log(total), z / total
+            # the logits, so the rows stay exact and underflowed entries
+            # revive; it runs in pi's buffer, which the move has done with
+            np.subtract(logits, y, out=pi)
+            np.subtract(pi, centre, out=pi)
+            np.exp(pi, out=pi)
+            total = pi.sum(axis=1, keepdims=True)
+            rows = centre + np.log(total)
+            np.divide(pi, total, out=pi)
         # the closing half-step, from pi: exact only where no column sum is subnormal
         if closed := closed and bool(np.all(colsum >= np.finfo(float).tiny)):
             y = y + np.log(colsum / q)
             centre = rows + np.log(pi @ (q / colsum))[:, None]
             rows = centre + np.log(np.exp(logits - y - centre).sum(axis=1, keepdims=True))
-    return y, rows[:, 0], steps, closed
+    return y, rows[:, 0], (steps, gth, half), closed
 
 
-def _newton_move(p, q, pi, grad, free):
-    """The damped Newton move of ``_newton`` and the row log-sum shift it
-    makes, or None where neither solve of the reduced Hessian gives a
-    descent direction that some length makes decrease g.  The conductances
-    are w^T w with w = pi sqrt(p), which NumPy hands to SYRK.  LAPACK
-    solves first; only where it gives no move (a singular matrix, no
-    descent direction or no Armijo length) does GTH elimination of the
-    same system, which subtracts nothing, take over."""
-    weighted = pi * np.sqrt(p)[:, None]
+def _newton_move(p, root_p, q, pi, grad, free):
+    """The damped Newton move of ``_newton``, the row log-sum shift it makes
+    and whether GTH found it, or None where neither solve of the reduced
+    Hessian gives a descent direction that some length makes decrease g.
+    The conductances are w^T w with w = pi sqrt(p), sqrt(p) being the column
+    ``root_p``, which NumPy hands to SYRK.  LAPACK solves first; only where
+    it gives no move (a singular matrix, no descent direction or no Armijo
+    length) does GTH elimination of the same system, which subtracts
+    nothing, take over."""
+    weighted = pi * root_p
     conductance = weighted.T @ weighted  # SYRK: each entry a sum of products
     np.fill_diagonal(conductance, 0.0)
     hessian = -conductance[free][:, free]
@@ -374,9 +397,10 @@ def _newton_move(p, q, pi, grad, free):
         found = _damped(p, q, pi, grad, free, np.linalg.solve(hessian, grad))
     except np.linalg.LinAlgError:
         found = None
-    if found is None:
-        found = _damped(p, q, pi, grad, free, _gth_solve(conductance, free, grad))
-    return found
+    if found is not None:
+        return (*found, False)
+    found = _damped(p, q, pi, grad, free, _gth_solve(conductance, free, grad))
+    return None if found is None else (*found, True)
 
 
 def _damped(p, q, pi, grad, free, step):
@@ -460,16 +484,23 @@ def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):
 
 def _value_primal(coupling, ws, prior, ks) -> float:
     """Integrate u/lam against the coupling of the supported actions and
-    subtract its divergence from ws x prior term by term."""
-    mask = coupling > 0
+    subtract its divergence from ws x prior term by term.  A coupling with
+    no zero entry sums the m x n arrays as they are; one that holds an
+    exact 0 (underflow at small lam) sums its positive entries only, as
+    0 log 0 = 0.  A C-order array sums as its flat copy does, so the two
+    forms agree bit for bit where both apply."""
     log_product = np.log(ws)[:, None] + np.log(prior)[None, :]
-    positive = coupling[mask]
-    kl = float(np.sum(positive * (np.log(positive) - log_product[mask])))
+    if coupling.min() > 0:
+        kl = float(np.sum(coupling * (np.log(coupling) - log_product)))
+    else:
+        mask = coupling > 0
+        positive = coupling[mask]
+        kl = float(np.sum(positive * (np.log(positive) - log_product[mask])))
     return float(np.sum(coupling * ks)) - kl
 
 
 def _assemble(problem, weights, prior, kernel, sup, solved):
-    a_s, b, coupling_s, mass, iterations, residual, newton_steps = solved
+    a_s, b, coupling_s, mass, iterations, residual, (newton_steps, gth_steps, half_steps) = solved
     # extend a to excluded actions by reading the fixed-point equation at b
     a_full = np.empty(problem.num_actions)
     a_full[sup] = a_s
@@ -496,6 +527,8 @@ def _assemble(problem, weights, prior, kernel, sup, solved):
         iterations=iterations,
         residual=residual,
         newton_steps=newton_steps,
+        gth_steps=gth_steps,
+        half_steps=half_steps,
     )
 
 

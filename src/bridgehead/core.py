@@ -368,17 +368,18 @@ def _logsumexp_kernel(a: np.ndarray, axis) -> np.ndarray:
     """``logsumexp`` of a nonempty float64 array, reduced axes kept.
 
     log1p(s / m) + log(m) + max, where m counts the entries at the max and s
-    sums exp(a - max) over the others (SciPy's s == 0 guard is moot: m = 0
-    only at a NaN max, where s is NaN).  The direct log(sum(exp(a))) stands
-    in where that is not finite.  The caller holds np.errstate(divide=
-    "ignore", invalid="ignore"), so a hot loop enters it once.
+    sums exp(a - max) over the others, the max's own terms zeroed after the
+    exp (SciPy's s == 0 guard is moot: m = 0 only at a NaN max, where s is
+    NaN).  The direct log(sum(exp(a))) stands in where that is not finite.
+    The caller holds np.errstate(divide="ignore", invalid="ignore"), so a
+    hot loop enters it once.
     """
     a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     at_max = a == a_max
     m = np.add.reduce(at_max, axis=axis, keepdims=True, dtype=a.dtype)
-    shifted = np.where(at_max, -np.inf, a)
-    np.subtract(shifted, a_max, out=shifted)
+    shifted = np.subtract(a, a_max)
     np.exp(shifted, out=shifted)
+    np.copyto(shifted, 0.0, where=at_max)
     s = np.add.reduce(shifted, axis=axis, keepdims=True)
     out = np.log1p(s / m) + np.log(m) + a_max
     finite = np.isfinite(out)
