@@ -22,7 +22,8 @@ that Sinkhorn, at its last measured rate, needs more than two more sweeps
 hands over once to damped Newton on the semi-dual of the smaller side
 (``_semi_dual_newton``), whose rate is quadratic.  Newton closes with a
 Sinkhorn half-step in its own variables, and that pair is measured at once:
-it ends the solve where it passes, and the sweeps go on from it otherwise.
+it ends the solve where it passes.  Otherwise, and where neither LAPACK nor
+GTH elimination finds Newton a move, the sweeps go on from Newton's iterate.
 
 The loop (``_sweeps``) has a leading stack axis: it solves k marginals that
 share the kernel, the prior and one support at once, each row with its own
@@ -131,9 +132,8 @@ class BridgeResult:
     dual objective sum(a nu) + sum(b prior) + mass - 1 at the potentials.  The
     two are computed along independent arithmetic paths, so their gap is a
     genuine convergence certificate.  newton_steps counts the steps of the
-    Newton phase, 0 where the solve never handed over; gth_steps counts
-    those whose move GTH elimination found after LAPACK gave none, and
-    half_steps those that fell back to a Sinkhorn half-step.
+    Newton phase, 0 where the solve never handed over, and gth_steps those
+    whose move GTH elimination found after LAPACK gave none.
     """
 
     coupling: Coupling
@@ -144,7 +144,6 @@ class BridgeResult:
     residual: float
     newton_steps: int
     gth_steps: int
-    half_steps: int
 
     @property
     def duality_gap(self) -> float:
@@ -164,9 +163,8 @@ def sinkhorn_bridge(
     prior * exp(b_next - b), b_next being the next b-update, so its columns
     miss prior by c = max|prior * expm1(b_next - b)| up to rounding.  The
     exact residual is measured wherever c is within ``gate`` (4 tol plus
-    rounding), at Newton's closing pair or else the first sweep after it,
-    and at the budget's last sweep, so c neither stops a sweep nor delays a
-    stop.  c also decides when Newton runs, once, unless the budget ends
+    rounding), at Newton's closing pair and at the budget's last sweep, so
+    c neither stops a sweep nor delays a stop.  c also decides when Newton runs, once, unless the budget ends
     first: after the first sweep k >= 2 at which Sinkhorn, shrinking c at
     its last rate c_k / c_(k-1), would need more than two more sweeps,
     c_k (c_k / c_(k-1))^2 > tol, tested as c_k^3 > tol c_(k-1)^2, and after
@@ -201,10 +199,10 @@ def _sweeps(ks, ws, prior, cfg):
     c_k^3 > tol c_(k-1)^2, or after ``_WARM_UP``, and once it stops it is
     frozen and leaves the stack.  Each half-update is one log-sum-exp over
     the stack, whose every row rounds as it does alone, so a row's results
-    do not depend on the others.  Returns,
-    row by row, (a, b, coupling, mass, iterations, residual, newton) at the
-    row's last sweep or at the closing pair of its Newton phase, newton being
-    the (steps, GTH moves, half-steps) counts of ``_newton``.
+    do not depend on the others.  Returns, row by row, (a, b, coupling,
+    mass, iterations, residual, newton) at the row's last sweep or at the
+    closing pair of its Newton phase, newton being the (steps, GTH moves)
+    counts of ``_newton``, or (0, 0) where the row never handed over.
     """
     budget, tolerance = cfg.max_iterations, cfg.tolerance
     # C order, so that each row's sums run in the order they run alone (the
@@ -219,9 +217,8 @@ def _sweeps(ks, ws, prior, cfg):
     size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
     eps = np.finfo(float).eps
     live = list(range(len(ws)))  # the input row of each stack row
-    handover = [None] * len(ws)    # the sweep after which each row ran Newton
-    last = [np.inf] * len(ws)      # the drift of each row's last sweep
-    counts = [(0, 0, 0)] * len(ws)  # the Newton counts of each input row
+    last = [np.inf] * len(ws)  # the drift of each row's last sweep
+    counts = [None] * len(ws)  # the Newton counts of each input row that handed over
     out = [None] * len(ws)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = _logsumexp_kernel(row_part, axis=1)
@@ -235,12 +232,10 @@ def _sweeps(ks, ws, prior, cfg):
                 b_next = _logsumexp_kernel(rows, axis=1)
                 drift = np.abs(prior * np.expm1(b_next - b))
                 drift = np.maximum.reduce(drift, axis=(1, 2)).tolist()
-                # the first sweep after Newton, and a drift within the gate
-                # (or NaN), measure
+                # a drift within the gate (or NaN) measures
                 measure = [
                     r for r, c in enumerate(drift)
-                    if handover[r] == iterations - 1
-                    or not c > 4.0 * tolerance + 8.0 * eps * (size_and_osc + bound[r])
+                    if not c > 4.0 * tolerance + 8.0 * eps * (size_and_osc + bound[r])
                 ]
             stopped = []
             for r in measure:
@@ -256,11 +251,10 @@ def _sweeps(ks, ws, prior, cfg):
             # closing pair at once
             newton = [
                 r for r, c in enumerate(drift)
-                if handover[r] is None and r not in stopped
+                if counts[live[r]] is None and r not in stopped
                 and (c * c * c > tolerance * last[r] * last[r] or iterations == _WARM_UP)
             ]
             for r in newton:
-                handover[r] = iterations
                 a[r, :, 0], b_r, counts[live[r]] = _semi_dual_newton(
                     row_part[r], col_part, ws[r], prior, a[r, :, 0], b[r, 0], b_next[r, 0], tolerance
                 )
@@ -273,15 +267,12 @@ def _sweeps(ks, ws, prior, cfg):
                 b_next[missed] = _logsumexp_kernel(row_part[missed] - a[missed], axis=1)
             last, b = drift, b_next
             if stopped:
-                keep = np.ones(len(live), dtype=bool)
-                keep[stopped] = False
-                live, handover, last = (
-                    [v for v, kept in zip(values, keep) if kept] for values in (live, handover, last)
-                )
+                keep = [r for r in range(len(live)) if r not in stopped]
+                live, last = [live[r] for r in keep], [last[r] for r in keep]
                 ws, row_part, b = ws[keep], row_part[keep], b[keep]
                 if not live:
                     break
-    return [row + (n,) for row, n in zip(out, counts)]
+    return [row + (n or (0, 0),) for row, n in zip(out, counts)]
 
 
 def _measure(rows, b, log_prior, ws, prior):
@@ -307,13 +298,13 @@ def _semi_dual_newton(row_part, col_part, ws, prior, a, b, b_next, tolerance):
     closing pair (None where it did not close) and the Newton counts.
     """
     if col_part.shape[1] <= col_part.shape[0]:
-        b, a, counts, closed = _newton(col_part, row_part, ws, prior, b, a[:, None], tolerance)
+        b, a, counts, closed = _newton(col_part, ws, prior, b, a[:, None], tolerance)
     else:
-        a, b, counts, closed = _newton(row_part.T, col_part.T, prior, ws, a, b_next[:, None], tolerance)
+        a, b, counts, closed = _newton(row_part.T, prior, ws, a, b_next[:, None], tolerance)
     return a, (b if closed else None), counts
 
 
-def _newton(logits, row_logits, p, q, y, rows, tolerance):
+def _newton(logits, p, q, y, rows, tolerance):
     """Minimize g(y) = sum_i p_i log sum_j q_j exp(K_ij - y_j) + q . y from y and
     its row log-sums ``rows`` (a column), the logits being K + log q.
 
@@ -329,21 +320,20 @@ def _newton(logits, row_logits, p, q, y, rows, tolerance):
     by GTH elimination (``_newton_move``).  Steps are damped by Armijo
     backtracking on the exact decrease of g, from a first trial that moves
     no entry of y by more than ``_MAX_MOVE``.  Where neither solve gives a
-    descent direction that some step length makes decrease g, the step is
-    the Sinkhorn half-step y += log(colsum / q) instead, gauge held, which
-    never increases g.  After a Newton step the row log-sums are refreshed
-    with one exp, centred on those of the accepted Armijo trial; after a
-    half-step, on a fresh log-sum-exp.  Once the free coordinates'
-    max|gradient| <= tolerance / 4, Newton closes with that half-step,
-    ungauged and refreshed around rows + log(pi (q / colsum)), where every
-    column sum is a normal float (a subnormal one has lost its precision).
-    Returns y, its row log-sums, the counts (steps, GTH moves, half-steps),
+    descent direction that some step length makes decrease g, Newton ends
+    unclosed, and the caller's Sinkhorn sweeps go on from y.  After a step
+    the row log-sums are refreshed with one exp, centred on those of the
+    accepted Armijo trial.  Once the free coordinates' max|gradient| <=
+    tolerance / 4, Newton closes with the Sinkhorn half-step
+    y += log(colsum / q), refreshed around rows + log(pi (q / colsum)),
+    where every column sum is a normal float (a subnormal one has lost its
+    precision).  Returns y, its row log-sums, the counts (steps, GTH moves),
     steps being at most ``_NEWTON_STEPS`` with the closing half-step not
     counted, and whether Newton closed.
     """
     free = np.arange(len(q)) != np.argmax(q)
     root_p = np.sqrt(p)[:, None]
-    gth = half = 0
+    gth = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pi = np.exp(logits - y - rows)
         for steps in range(_NEWTON_STEPS + 1):
@@ -353,15 +343,10 @@ def _newton(logits, row_logits, p, q, y, rows, tolerance):
             if closed or steps == _NEWTON_STEPS:
                 break
             if (found := _newton_move(p, root_p, q, pi, grad, free)) is None:
-                # the Sinkhorn half-step on y, gauge held: it never increases g
-                half += 1
-                y_half = _logsumexp_kernel(row_logits - rows, axis=0)[0]
-                y = y + (y_half - y_half[~free] + y[~free] - y)
-                centre = _logsumexp_kernel(logits - y, axis=1)
-            else:
-                gth += found[2]
-                y = y + found[0]
-                centre = rows + found[1][:, None]
+                break
+            gth += found[2]
+            y = y + found[0]
+            centre = rows + found[1][:, None]
             # one exp, centred near the new row log-sums and taken fresh from
             # the logits, so the rows stay exact and underflowed entries
             # revive; it runs in pi's buffer, which the move has done with
@@ -376,7 +361,7 @@ def _newton(logits, row_logits, p, q, y, rows, tolerance):
             y = y + np.log(colsum / q)
             centre = rows + np.log(pi @ (q / colsum))[:, None]
             rows = centre + np.log(np.exp(logits - y - centre).sum(axis=1, keepdims=True))
-    return y, rows[:, 0], (steps, gth, half), closed
+    return y, rows[:, 0], (steps, gth), closed
 
 
 def _newton_move(p, root_p, q, pi, grad, free):
@@ -500,7 +485,7 @@ def _value_primal(coupling, ws, prior, ks) -> float:
 
 
 def _assemble(problem, weights, prior, kernel, sup, solved):
-    a_s, b, coupling_s, mass, iterations, residual, (newton_steps, gth_steps, half_steps) = solved
+    a_s, b, coupling_s, mass, iterations, residual, (newton_steps, gth_steps) = solved
     # extend a to excluded actions by reading the fixed-point equation at b
     a_full = np.empty(problem.num_actions)
     a_full[sup] = a_s
@@ -528,7 +513,6 @@ def _assemble(problem, weights, prior, kernel, sup, solved):
         residual=residual,
         newton_steps=newton_steps,
         gth_steps=gth_steps,
-        half_steps=half_steps,
     )
 
 

@@ -223,7 +223,11 @@ def validate(problem: Problem) -> list[ValidationIssue]:
 
     Returns an empty list when the instance is solvable.  Codes:
     ``EmptyActionSet``, ``NonPositiveLambda``, ``LambdaTooSmall`` (u/lam
-    overflows), ``PriorNotSimplex``, ``NonFiniteUtility``.
+    overflows), ``PriorNotSimplex``, ``NonFiniteUtility``.  An accepted
+    problem can still be out of the inner bridge's reach, which is set by
+    osc(u)/lam = (max u - min u)/lam in nats: it converges up to about
+    1,400 nats, and past about 10,000 its Newton Hessian is 0 in floating
+    point and it sweeps until its budget ends.
     """
     issues: list[ValidationIssue] = []
     if problem.num_actions == 0:

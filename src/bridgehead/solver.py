@@ -347,7 +347,9 @@ class _Ascent:
             cand[free] = np.maximum(w[free] + t * d, 0.0)
             cand /= cand.sum()
             z_cand = cand @ self.gain
-            if self.prior @ np.log(z_cand / z) >= -self.slack:
+            with np.errstate(divide="ignore"):  # an underflowed z_cand reads -inf: rejected
+                rise = self.prior @ np.log(z_cand / z)
+            if rise >= -self.slack:
                 self._move(cand, z_cand)
                 return True
             t *= 0.5

@@ -305,7 +305,7 @@ def reference_bridge(problem, nu, cfg):
     col_part = ks + np.log(prior)[None, :]
     one_sweep = replace(cfg, max_iterations=1)
     a = np.zeros(sup.sum())
-    warm, last, steps = True, np.inf, (0, 0, 0)
+    warm, last, steps = True, np.inf, (0, 0)
     for iterations in range(1, cfg.max_iterations + 1):
         a, b, coupling, mass, _, residual, converged = reference_sweep_log(
             ks, ws, prior, a, one_sweep
@@ -337,6 +337,22 @@ def reference_bridge(problem, nu, cfg):
     return result
 
 
+def plain_bridge(problem, nu, cfg):
+    """sinkhorn_bridge as ``reference_sweep_log`` alone: Sinkhorn sweeps with
+    no Newton phase, every sweep measured."""
+    kernel = gibbs_kernel(problem)
+    weights = nu.weights / nu.weights.sum()
+    prior = problem.prior / problem.prior.sum()
+    sup = weights > 0
+    *solved, converged = reference_sweep_log(
+        kernel[sup], weights[sup], prior, np.zeros(sup.sum()), cfg
+    )
+    result = bridge._assemble(problem, weights, prior, kernel, sup, (*solved, (0, 0)))
+    if not converged:
+        raise BridgeNotConverged(result.iterations, result.residual, result)
+    return result
+
+
 def _bridge(problem, nu, cfg, solve=bh.sinkhorn_bridge):
     """(result, converged), the result of an exhausted budget included."""
     try:
@@ -358,10 +374,10 @@ def _bridge_bytes(problem, nu, cfg, solve=bh.sinkhorn_bridge):
 
 
 @st.composite
-def bridge_instances(draw, max_lam=1e4):
+def bridge_instances(draw, max_lam=1e4, min_lam=5e-3):
     m = draw(st.integers(1, 29))
     n = draw(st.integers(1, 29))
-    lam = math.exp(draw(st.floats(math.log(5e-3), math.log(max_lam))))
+    lam = math.exp(draw(st.floats(math.log(min_lam), math.log(max_lam))))
     seed = draw(st.integers(0, 2**32 - 1))
     weights = np.array(
         draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=m, max_size=m))
@@ -478,11 +494,10 @@ class TestNewtonPhase:
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
         assert_certificates(problem, nu, bh.sinkhorn_bridge(problem, nu, cfg))
 
-    def test_singular_hessian_takes_sinkhorn_half_steps(self):
-        # 12 x 2 with two supported actions: Newton runs on b, whose reduced
-        # Hessian is 1 x 1 and exactly 0 because every row conditional is 0
-        # or 1 in floating point.  A Newton phase that stops there leaves 141
-        # sweeps to Sinkhorn (174 with no Newton phase at all)
+    def test_two_action_bridge_ends_within_ten_sweeps(self):
+        # 12 x 2 with two supported actions at lam = 0.012: Newton runs on b,
+        # whose reduced Hessian is 1 x 1, and its 13 LAPACK moves end the
+        # solve at the hand-over sweep 2.  Sinkhorn alone takes 174 sweeps
         weights = np.zeros(12)
         weights[[5, 1]] = [0.6759147289132628, 0.3240852710867373]
         problem = bh.random_problem(4198799368, 12, 2, lam=0.012181494613539642)
@@ -588,8 +603,8 @@ class TestNewtonPhase:
     def test_newton_steps_are_reported(self):
         # 0 where Newton never ran (200x50 at lam = 1 sweeps to sweep 4, its
         # drift predicting each time that two more sweeps settle it); else
-        # its damped moves and half-step fallbacks, one per _newton_move
-        # call, the closing half-step aside
+        # its damped moves, one per _newton_move call, the closing
+        # half-step aside
         assert _bridge(*_golden_problem("200x50"))[0].newton_steps == 0
         for case, steps in [("6x6 lam=0.01", 11), ("zeros", 3)]:
             problem, nu, _ = _golden_problem(case)
@@ -599,13 +614,14 @@ class TestNewtonPhase:
         "case, counts",
         [
             # a golden case: LAPACK finds every move
-            ("6x6 lam=0.01", (11, 0, 0)),
+            ("6x6 lam=0.01", (11, 0)),
             # the lam = 1e-3 Gateaux probe nu* + 1e-5 (delta_5 - nu*) of
             # random_problem(5, 6, 6, 1e-3): LAPACK gives no move on 33 steps
-            ("probe", (51, 33, 0)),
+            ("probe", (51, 33)),
             # lam = 1e-5: every row conditional is 0 or 1, so the Hessian is
-            # 0 and GTH has no pivot; all 200 steps are half-steps
-            ("lam=1e-5", (200, 0, 200)),
+            # 0 and GTH has no pivot; Newton ends at its first step, moveless,
+            # and Sinkhorn sweeps out the budget
+            ("lam=1e-5", (0, 0)),
         ],
     )
     def test_fallback_steps_are_reported(self, case, counts):
@@ -629,13 +645,31 @@ class TestNewtonPhase:
             mock.patch.object(bridge, "_newton_move", move),
             mock.patch.object(bridge, "_gth_solve", wraps=bridge._gth_solve) as gth,
         ):
+            res, converged = _bridge(problem, nu, cfg)
+        assert (res.newton_steps, res.gth_steps) == counts
+        # GTH runs only where LAPACK gave no move, and a call where GTH gave
+        # none either ends the Newton phase
+        missed = sum(found is None for found in moves)
+        assert res.gth_steps + missed == gth.call_count
+        assert missed == int(case == "lam=1e-5")
+        assert res.newton_steps == len(moves) - missed
+        if case == "lam=1e-5":
+            assert (converged, res.iterations) == (False, 20)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bridge_instances(max_lam=10.0, min_lam=1e-3))
+    def test_moveless_newton_hands_back_to_the_sweeps(self, instance):
+        # where neither LAPACK nor GTH finds a move, Newton ends at once, and
+        # the sweeps go on from the hand-over sweep's own potentials: the
+        # solve is plain Sinkhorn, bit for bit
+        problem, nu = instance
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=300)
+        with mock.patch.object(bridge, "_newton_move", return_value=None) as move:
             res, _ = _bridge(problem, nu, cfg)
-        assert (res.newton_steps, res.gth_steps, res.half_steps) == counts
-        # GTH runs only where LAPACK gave no move, and the half-step only
-        # where GTH gave none either
-        assert res.gth_steps + res.half_steps == gth.call_count
-        assert res.half_steps == sum(found is None for found in moves)
-        assert res.newton_steps == len(moves)
+            assert _bridge_bytes(problem, nu, cfg) == _bridge_bytes(problem, nu, cfg, plain_bridge)
+        assert (res.newton_steps, res.gth_steps) == (0, 0)
+        # the first moveless call ends the Newton phase of each of the two solves
+        assert move.call_count <= 2
 
     def test_uniform_marginal_at_tiny_lambda(self):
         # 1,332 sweeps for seed 4 with the subtracted Hessian; 1,662 and
@@ -657,8 +691,8 @@ def _assert_newton_rows_exact(problem, nu):
     reports."""
     runs, solve = [], bridge._newton
 
-    def newton(logits, row_logits, p, q, y, rows, tolerance):
-        runs.append((logits, solve(logits, row_logits, p, q, y, rows, tolerance)))
+    def newton(logits, p, q, y, rows, tolerance):
+        runs.append((logits, solve(logits, p, q, y, rows, tolerance)))
         return runs[-1][1]
 
     cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100_000)
@@ -903,9 +937,9 @@ def test_golden_pins(case):
     assert got == GOLDEN[case]
 
 
-# Exact residuals built per solve: at Newton's closing pair or else the first
-# sweep after Newton, the budget's last sweep, and the sweeps whose cheap
-# bound passes the gate; then the log-sum-exps, Newton's included
+# Exact residuals built per solve: at Newton's closing pair, the budget's
+# last sweep, and the sweeps whose cheap bound passes the gate; then the
+# log-sum-exps, Newton's included
 CALL_COUNTS = {
     "6x6 lam=0.01": (1, 5),
     "6x6 lam=1": (1, 5),

@@ -1,6 +1,7 @@
 """Outer problem: envelope functionals, multiplicative updates, solve loop."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,16 @@ def test_flat_support_instances_converge(seed):
 )
 def test_stress_instances_converge(shape, lam):
     _assert_certified(bh.solve(bh.random_problem(3, *shape, lam), TIGHT))
+
+
+@pytest.mark.parametrize("args", [(509468365, 6, 16, 2e-4), (506423875, 7, 11, 1.18e-4)])
+def test_underflowed_newton_candidate_warns_nothing(args):
+    # a projected Newton candidate of _Ascent whose z underflows to 0 has
+    # log(z_cand / z) = -inf, which the acceptance test rejects; NumPy's
+    # divide-by-zero warning must not leak out of solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bh.solve(bh.random_problem(*args)).converged
 
 
 def _plain_ba_value(problem: bh.Problem, steps: int) -> float:
