@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
-from .core import InvalidInput, Problem, check_marginal, check_problem, mutual_information
+from .core import InvalidInput, Problem, check_marginal, mutual_information
 from .io import (
     load_marginal,
     load_problem,
@@ -212,8 +212,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         Problem(problem.actions, problem.states, problem.utility, lam, problem.prior)
         for lam in lambdas
     ]
-    for scaled in problems:
-        check_problem(scaled, f"lambda {scaled.lam!r}")
     out = _out_dir(args)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(lambda scaled: _sweep_one(scaled, config), problems))

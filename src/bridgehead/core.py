@@ -7,6 +7,9 @@ information between action and state.  Everything downstream (the inner
 matrix-scaling solver, the outer marginal iteration, the diagnostics) consumes
 the immutable types defined in this module.
 
+Each type checks its input when it is built, so a Problem, ActionMarginal
+or Coupling that exists is valid and no entry point checks it again.
+
 Conventions: utilities are in utils, information in nats, and ``lam`` converts
 between them (utils per nat).  ``0 * log 0`` is 0 throughout.  Probability
 sums are enforced at 1e-12 on construction; cross-checks between
@@ -16,7 +19,6 @@ independently computed quantities use looser, documented tolerances.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,6 @@ __all__ = [
     "ActionMarginal",
     "Coupling",
     "Potentials",
-    "ValidationIssue",
-    "validate",
-    "drop_zero_prior_states",
     "gibbs_kernel",
     "logsumexp",
     "weighted_logsumexp",
@@ -63,6 +62,48 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise InvalidInput unless ``value`` is a real number, or an integer
+    where ``integer``; NumPy scalars count, a bool is neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a real number"
+        raise InvalidInput(f"{name} must be {noun}, got {value!r}")
+
+
+def _domain_issues(problem: Problem) -> list[str]:
+    """Every violated domain condition of a well-shaped problem, as "Code: message"."""
+    issues = []
+    if problem.num_actions == 0:
+        issues.append("EmptyActionSet: problem has no actions")
+    lam_ok = np.isfinite(problem.lam) and problem.lam > 0
+    if not lam_ok:
+        issues.append(f"NonPositiveLambda: information cost must be finite and > 0, got {problem.lam!r}")
+    prior = problem.prior
+    if not np.all(np.isfinite(prior)):
+        issues.append("PriorNotSimplex: prior has non-finite entries")
+    else:
+        if np.any(prior <= 0):
+            issues.append(
+                "PriorNotSimplex: prior must be strictly positive "
+                "(problem_from_dict drops exact zeros)"
+            )
+        total = float(prior.sum())
+        if abs(total - 1.0) > SIMPLEX_ATOL:
+            issues.append(f"PriorNotSimplex: prior must sum to 1 within {SIMPLEX_ATOL}, got {total!r}")
+    if problem.num_states == 0:
+        # surfaces as a degenerate prior rather than a dedicated code
+        issues.append("PriorNotSimplex: problem has no states")
+    if not np.all(np.isfinite(problem.utility)):
+        issues.append("NonFiniteUtility: utility has non-finite entries")
+    elif lam_ok:
+        with np.errstate(over="ignore"):
+            kernel_finite = np.all(np.isfinite(problem.utility / problem.lam))
+        if not kernel_finite:
+            issues.append(f"LambdaTooSmall: utility / lambda overflows at lambda {problem.lam!r}")
+    return issues
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -73,15 +114,24 @@ class Problem:
     """A finite choice problem with an information-processing cost.
 
     Attributes:
-        actions: action labels, length m.
+        actions: action labels, length m >= 1.
         states: state labels, length n.
-        utility: m x n payoff matrix in utils; row = action, column = state.
-        lam: information cost in utils per nat; must be > 0 to be solvable.
+        utility: m x n finite payoff matrix in utils; row = action, column = state.
+        lam: information cost in utils per nat, finite and > 0.
         prior: probability vector over states, length n, strictly positive.
 
-    Construction only enforces shape consistency.  Domain conditions (positive
-    ``lam``, simplex prior, finite utilities, nonempty action set) are reported
-    by :func:`validate` so that callers can collect every defect at once.
+    A Problem is valid by construction.  Shapes are checked first, then the
+    domain conditions, and one InvalidInput names every violated condition
+    by its code: ``EmptyActionSet`` (no actions), ``NonPositiveLambda``
+    (lam not finite or not > 0), ``PriorNotSimplex`` (a non-finite, zero or
+    negative entry, a sum off 1 by more than 1e-12, or no states),
+    ``NonFiniteUtility``, and ``LambdaTooSmall`` (u/lam overflows), as in
+    "invalid problem: NonPositiveLambda: ...; PriorNotSimplex: ...".
+    ``io.problem_from_dict`` drops a document's exact-zero prior states
+    first.  A valid problem can still be out of the inner bridge's reach,
+    which is set by osc(u)/lam = (max u - min u)/lam in nats: it converges
+    up to about 1,400 nats, and past about 10,000 its Newton Hessian is 0
+    in floating point and it sweeps until its budget ends.
     """
 
     actions: tuple[str, ...]
@@ -109,6 +159,9 @@ class Problem:
         object.__setattr__(self, "utility", utility)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "prior", prior)
+        issues = _domain_issues(self)
+        if issues:
+            raise InvalidInput("invalid problem: " + "; ".join(issues))
 
     @property
     def num_actions(self) -> int:
@@ -140,10 +193,19 @@ class ActionMarginal:
 
     @classmethod
     def uniform(cls, num_actions: int) -> "ActionMarginal":
+        """Equal weights on ``num_actions`` actions, an integer >= 1."""
+        check_number("num_actions", num_actions, integer=True)
+        if num_actions < 1:
+            raise InvalidInput(f"num_actions must be >= 1, got {num_actions}")
         return cls(np.full(num_actions, 1.0 / num_actions))
 
     @classmethod
     def dirac(cls, num_actions: int, index: int) -> "ActionMarginal":
+        """The point mass at action ``index``, an integer in [0, num_actions)."""
+        check_number("num_actions", num_actions, integer=True)
+        check_number("index", index, integer=True)
+        if not 0 <= index < num_actions:
+            raise InvalidInput(f"action index {index} out of range for {num_actions} actions")
         w = np.zeros(num_actions)
         w[index] = 1.0
         return cls(w)
@@ -203,120 +265,6 @@ class Potentials:
             raise InvalidInput("potentials must be finite")
         object.__setattr__(self, "action", a)
         object.__setattr__(self, "state", b)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    """One violated domain condition, identified by a stable code."""
-
-    code: str
-    message: str
-
-
-def validate(problem: Problem) -> list[ValidationIssue]:
-    """Collect every violated domain condition of ``problem``.
-
-    Returns an empty list when the instance is solvable.  Codes:
-    ``EmptyActionSet``, ``NonPositiveLambda``, ``LambdaTooSmall`` (u/lam
-    overflows), ``PriorNotSimplex``, ``NonFiniteUtility``.  An accepted
-    problem can still be out of the inner bridge's reach, which is set by
-    osc(u)/lam = (max u - min u)/lam in nats: it converges up to about
-    1,400 nats, and past about 10,000 its Newton Hessian is 0 in floating
-    point and it sweeps until its budget ends.
-    """
-    issues: list[ValidationIssue] = []
-    if problem.num_actions == 0:
-        issues.append(ValidationIssue("EmptyActionSet", "problem has no actions"))
-    if not np.isfinite(problem.lam) or problem.lam <= 0:
-        issues.append(
-            ValidationIssue(
-                "NonPositiveLambda",
-                f"information cost must be finite and > 0, got {problem.lam!r}",
-            )
-        )
-    prior = problem.prior
-    if not np.all(np.isfinite(prior)):
-        issues.append(ValidationIssue("PriorNotSimplex", "prior has non-finite entries"))
-    else:
-        if np.any(prior <= 0):
-            issues.append(
-                ValidationIssue(
-                    "PriorNotSimplex",
-                    "prior must be strictly positive "
-                    "(drop_zero_prior_states removes exact zeros)",
-                )
-            )
-        total = float(prior.sum())
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            issues.append(
-                ValidationIssue(
-                    "PriorNotSimplex",
-                    f"prior must sum to 1 within {SIMPLEX_ATOL}, got {total!r}",
-                )
-            )
-    if problem.num_states == 0:
-        # surfaces as a degenerate prior rather than a dedicated code
-        issues.append(ValidationIssue("PriorNotSimplex", "problem has no states"))
-    if not np.all(np.isfinite(problem.utility)):
-        issues.append(ValidationIssue("NonFiniteUtility", "utility has non-finite entries"))
-    elif np.isfinite(problem.lam) and problem.lam > 0:
-        with np.errstate(over="ignore"):
-            kernel_finite = np.all(np.isfinite(problem.utility / problem.lam))
-        if not kernel_finite:
-            issues.append(
-                ValidationIssue(
-                    "LambdaTooSmall",
-                    f"utility / lambda overflows at lambda {problem.lam!r}",
-                )
-            )
-    return issues
-
-
-def check_problem(problem: Problem, subject: str) -> None:
-    """Raise InvalidInput, led by ``subject``, naming every issue ``validate`` finds."""
-    issues = validate(problem)
-    if issues:
-        summary = "; ".join(f"{i.code}: {i.message}" for i in issues)
-        raise InvalidInput(f"{subject} failed validation: {summary}")
-
-
-def check_number(name: str, value, integer: bool = False) -> None:
-    """Raise InvalidInput unless ``value`` is a real number, or an integer
-    where ``integer``; NumPy scalars count, a bool is neither."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if integer else "a real number"
-        raise InvalidInput(f"{name} must be {noun}, got {value!r}")
-
-
-def drop_zero_prior_states(problem: Problem) -> Problem:
-    """Remove states carrying exactly zero prior mass.
-
-    Zero-mass states are invisible to the objective; keeping them only breaks
-    the strict-positivity invariant.  A warning is emitted naming the dropped
-    states.  Entries that are merely small are kept untouched.
-    """
-    keep = problem.prior != 0.0
-    if np.all(keep):
-        return problem
-    dropped = [problem.states[j] for j in np.flatnonzero(~keep)]
-    warnings.warn(
-        f"dropping {len(dropped)} zero-prior state(s): {dropped}",
-        UserWarning,
-        stacklevel=2,
-    )
-    return Problem(
-        actions=problem.actions,
-        states=tuple(s for s, k in zip(problem.states, keep) if k),
-        utility=problem.utility[:, keep],
-        lam=problem.lam,
-        prior=problem.prior[keep],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ def random_problem(
     The prior is uniform(0.5, 1.5) renormalized, keeping every state's mass
     above roughly 1 / (3 * num_states) so log-domain residuals stay readable.
     ``seed``, ``num_actions`` and ``num_states`` must be integers >= 0 and
-    ``lam`` a real number, or InvalidInput is raised.
+    ``lam`` a real number, or InvalidInput is raised; so it is where the
+    Problem is invalid (no actions, no states, lam not finite and > 0).
     """
     for name, value in (("seed", seed), ("num_actions", num_actions), ("num_states", num_states)):
         check_number(name, value, integer=True)

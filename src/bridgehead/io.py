@@ -3,6 +3,9 @@
 JSON carries every float through Python's shortest round-trip repr, and the
 CSV writers format cells the same way, so rewriting an unchanged result is
 byte-identical and hashes in the manifest are stable across runs.
+
+A problem document is checked by building its Problem, which is valid by
+construction; only the drop of exact-zero prior states happens here.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ActionMarginal, Coupling, InvalidInput, Potentials, Problem, check_problem, drop_zero_prior_states
+from .core import ActionMarginal, Coupling, InvalidInput, Potentials, Problem
 
 if TYPE_CHECKING:  # imported where used, so that reading a problem loads no solver
     from .bridge import BridgeResult
@@ -134,20 +138,25 @@ def problem_to_dict(problem: Problem) -> dict[str, Any]:
 
 
 def problem_from_dict(data: dict[str, Any]) -> Problem:
+    """Build the document's Problem, which raises InvalidInput unless it is valid.
+
+    States of exactly zero prior mass are invisible to the objective, so
+    where the document's shapes agree they are dropped first, with a
+    warning naming them; a malformed document gets Problem's shape error.
+    """
     with _reading("problem"):
-        problem = Problem(
-            actions=tuple(str(a) for a in data["actions"]),
-            states=tuple(str(s) for s in data["states"]),
-            utility=np.array(data["utility"], dtype=np.float64),
-            lam=float(data["lambda"]),
-            prior=np.array(data["prior"], dtype=np.float64),
-        )
-    # exact zeros in the prior are dropped (with a warning) before
-    # validation, which requires strict positivity on what remains
-    if problem.prior.ndim == 1 and np.any(problem.prior == 0.0):
-        problem = drop_zero_prior_states(problem)
-    check_problem(problem, "problem document")
-    return problem
+        actions = tuple(str(a) for a in data["actions"])
+        states = tuple(str(s) for s in data["states"])
+        utility = np.array(data["utility"], dtype=np.float64)
+        lam = float(data["lambda"])
+        prior = np.array(data["prior"], dtype=np.float64)
+    keep = prior != 0.0
+    if prior.shape == (len(states),) and utility.shape == (len(actions), len(states)) and not keep.all():
+        dropped = [s for s, k in zip(states, keep) if not k]
+        warnings.warn(f"dropping {len(dropped)} zero-prior state(s): {dropped}", UserWarning, stacklevel=2)
+        states = tuple(s for s, k in zip(states, keep) if k)
+        utility, prior = utility[:, keep], prior[keep]
+    return Problem(actions, states, utility, lam, prior)
 
 
 def save_problem(problem: Problem, path: str | Path) -> Path:

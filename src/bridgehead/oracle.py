@@ -98,10 +98,10 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     ``resolution`` is the lattice pitch 1/N, in (0, 0.5] with 1/N finite;
     None picks 1e-3 for two actions and 1e-2 beyond that, keeping the point
     count near or below a few hundred thousand.  More than four actions raise
-    TooManyActions, none InvalidInput.  Far larger lattices (resolution
-    1e-300, say) are out of scope: NumPy refuses their arrays, or the call
-    does not finish.  A call holds one template of C(N + m - 2, m - 2) rows
-    and one piece of at most 4,096 points, never the lattice.
+    TooManyActions.  Far larger lattices (resolution 1e-300, say) are out of
+    scope: NumPy refuses their arrays, or the call does not finish.  A call
+    holds one template of C(N + m - 2, m - 2) rows and one piece of at most
+    4,096 points, never the lattice.
 
     f_best, the best lattice value of the envelope f(nu) =
     sum_omega prior(omega) log(sum_alpha nu(alpha) exp(u(alpha, omega)/lam)),
@@ -120,8 +120,6 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     every lattice point, InvalidInput is raised.
     """
     m = problem.num_actions
-    if m < 1:
-        raise InvalidInput("need at least one action")
     if m > _MAX_ACTIONS:
         raise TooManyActions(f"{m} actions exceeds the lattice cap of {_MAX_ACTIONS}")
     resolution = (1e-3 if m == 2 else 1e-2) if resolution is None else resolution

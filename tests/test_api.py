@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import math
 import operator
 import os
 import pkgutil
@@ -82,6 +83,21 @@ def test_readme_names_every_export():
     readme = (ROOT / "README.md").read_text()
     missing = [n for n in bh.__all__ if not re.search(rf"`{re.escape(n)}(?!\w)", readme)]
     assert missing == []
+
+
+def test_readme_quickstart_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README quickstart", "exec"), {})  # asserts report.all_pass
+    printed = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert len(comments) == 3
+    for line, comment in zip(printed, comments):
+        assert comment == line or comment.startswith(line + " "), (line, comment)
+    assert abs(float(printed[1]) - math.log((math.e + 1.0) / 2.0)) <= 1e-15
+    # then one "name max_violation passed" line per check
+    checks = printed[len(comments):]
+    assert len(checks) == 15 and all(line.endswith(" True") for line in checks)
 
 
 def test_submodule_exports_resolve():

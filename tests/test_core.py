@@ -19,14 +19,13 @@ from bridgehead.core import (
     BayesPlausibilityViolated,
     Coupling,
     Potentials,
-    drop_zero_prior_states,
     gibbs_kernel,
     logsumexp,
     mutual_information,
     ri_objective,
-    validate,
     weighted_logsumexp,
 )
+from bridgehead.io import problem_from_dict
 from bridgehead.solver import (
     action_potential,
     foc_residuals,
@@ -39,53 +38,84 @@ from conftest import random_plausible_coupling
 from reference import ba_step, exhaustive_mi
 
 
-def _issue_codes(problem):
-    return {issue.code for issue in validate(problem)}
+def _issue_codes(actions, states, utility, lam, prior):
+    """The codes that the InvalidInput raised by building this Problem names."""
+    with pytest.raises(bh.InvalidInput, match="^invalid problem: ") as err:
+        bh.Problem(actions, states, utility, lam, prior)
+    issues = str(err.value).removeprefix("invalid problem: ").split("; ")
+    return {issue.split(": ")[0] for issue in issues}
 
 
 class TestValidate:
     def test_well_formed_problem_is_ok(self, symmetric_2x2):
-        assert validate(symmetric_2x2) == []
+        p = symmetric_2x2
+        rebuilt = bh.Problem(p.actions, p.states, p.utility, p.lam, p.prior)
+        assert np.array_equal(rebuilt.utility, p.utility) and rebuilt.lam == p.lam
 
     def test_zero_lambda(self):
-        p = bh.Problem(("a",), ("s",), np.zeros((1, 1)), 0.0, np.array([1.0]))
-        assert "NonPositiveLambda" in _issue_codes(p)
+        codes = _issue_codes(("a",), ("s",), np.zeros((1, 1)), 0.0, np.array([1.0]))
+        assert "NonPositiveLambda" in codes
 
     def test_negative_lambda(self):
-        p = bh.Problem(("a",), ("s",), np.zeros((1, 1)), -2.0, np.array([1.0]))
-        assert "NonPositiveLambda" in _issue_codes(p)
+        codes = _issue_codes(("a",), ("s",), np.zeros((1, 1)), -2.0, np.array([1.0]))
+        assert "NonPositiveLambda" in codes
 
     def test_prior_not_simplex(self):
-        p = bh.Problem(("a",), ("s", "t"), np.zeros((1, 2)), 1.0, np.array([0.7, 0.2]))
-        assert "PriorNotSimplex" in _issue_codes(p)
+        codes = _issue_codes(("a",), ("s", "t"), np.zeros((1, 2)), 1.0, np.array([0.7, 0.2]))
+        assert "PriorNotSimplex" in codes
 
     def test_negative_prior_entry(self):
-        p = bh.Problem(("a",), ("s", "t"), np.zeros((1, 2)), 1.0, np.array([1.2, -0.2]))
-        assert "PriorNotSimplex" in _issue_codes(p)
+        codes = _issue_codes(("a",), ("s", "t"), np.zeros((1, 2)), 1.0, np.array([1.2, -0.2]))
+        assert "PriorNotSimplex" in codes
 
     def test_non_finite_utility(self):
         u = np.array([[np.nan, 0.0]])
-        p = bh.Problem(("a",), ("s", "t"), u, 1.0, np.array([0.5, 0.5]))
-        assert "NonFiniteUtility" in _issue_codes(p)
+        codes = _issue_codes(("a",), ("s", "t"), u, 1.0, np.array([0.5, 0.5]))
+        assert "NonFiniteUtility" in codes
 
     @pytest.mark.parametrize("lam", [1e-310, 1e-320])
     def test_lambda_too_small_for_utility(self, lam):
         # finite and positive, but u / lam overflows
-        p = bh.Problem(("a",), ("s", "t"), np.array([[1.0, 0.0]]), lam, np.array([0.5, 0.5]))
-        assert _issue_codes(p) == {"LambdaTooSmall"}
+        codes = _issue_codes(("a",), ("s", "t"), np.array([[1.0, 0.0]]), lam, np.array([0.5, 0.5]))
+        assert codes == {"LambdaTooSmall"}
 
     def test_tiny_lambda_with_finite_kernel_is_ok(self):
         p = bh.Problem(("a",), ("s", "t"), np.array([[1e-300, 0.0]]), 1e-300, np.array([0.5, 0.5]))
-        assert validate(p) == []
+        assert p.lam == 1e-300
 
     def test_empty_action_set(self):
-        p = bh.Problem((), ("s",), np.zeros((0, 1)), 1.0, np.array([1.0]))
-        assert "EmptyActionSet" in _issue_codes(p)
+        codes = _issue_codes((), ("s",), np.zeros((0, 1)), 1.0, np.array([1.0]))
+        assert "EmptyActionSet" in codes
 
     def test_multiple_issues_all_reported(self):
-        p = bh.Problem(("a",), ("s", "t"), np.array([[np.inf, 0.0]]), 0.0, np.array([0.9, 0.3]))
-        codes = _issue_codes(p)
+        codes = _issue_codes(("a",), ("s", "t"), np.array([[np.inf, 0.0]]), 0.0, np.array([0.9, 0.3]))
         assert {"NonPositiveLambda", "PriorNotSimplex", "NonFiniteUtility"} <= codes
+
+    @pytest.mark.parametrize(
+        "fields, code",
+        [
+            ((("a",), ("s",), np.zeros((1, 1)), 0.0, [1.0]), "NonPositiveLambda"),
+            ((("a",), ("s",), np.zeros((1, 1)), -1.0, [1.0]), "NonPositiveLambda"),
+            ((("a",), ("s",), np.zeros((1, 1)), np.nan, [1.0]), "NonPositiveLambda"),
+            ((("a",), ("s", "t"), np.zeros((1, 2)), 1.0, [1.0, 1.0]), "PriorNotSimplex"),
+            ((("a",), ("s", "t"), np.zeros((1, 2)), 1.0, [1.0, 0.0]), "PriorNotSimplex"),
+            ((("a",), ("s", "t"), [[np.inf, 0.0]], 1.0, [0.5, 0.5]), "NonFiniteUtility"),
+            (((), ("s", "t"), np.zeros((0, 2)), 1.0, [0.5, 0.5]), "EmptyActionSet"),
+        ],
+        ids=["lam0", "lam-1", "lam-nan", "prior-sums-to-2", "zero-prior", "inf-utility", "no-actions"],
+    )
+    def test_construction_rejects_the_problems_the_paper_excludes(self, fields, code):
+        # every entry point takes a Problem, so none sees these problems
+        assert code in _issue_codes(*fields)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: bh.random_problem(1, 2, 2, float("nan")), lambda: bh.duplicated_action_problem(lam=-1)],
+        ids=["random_problem", "duplicated_action_problem"],
+    )
+    def test_generators_reject_invalid_lambda(self, build):
+        with pytest.raises(bh.InvalidInput, match="^invalid problem: NonPositiveLambda: "):
+            build()
 
 
 class TestTypes:
@@ -114,6 +144,29 @@ class TestTypes:
         assert_allclose(dirac.weights, [0.0, 1.0, 0.0])
         assert len(dirac) == 3
 
+    @pytest.mark.parametrize(
+        "helper, args",
+        [
+            ("uniform", (0,)),
+            ("uniform", (-1,)),
+            ("uniform", (2.5,)),
+            ("uniform", (True,)),
+            ("dirac", (3, 5)),
+            ("dirac", (3, 1.0)),
+            ("dirac", (3, -1)),
+            ("dirac", (0, 0)),
+            ("dirac", (3.0, 0)),
+        ],
+    )
+    def test_action_marginal_helpers_reject_bad_arguments(self, helper, args):
+        with pytest.raises(bh.InvalidInput):
+            getattr(bh.ActionMarginal, helper)(*args)
+
+    def test_action_marginal_helpers_accept_numpy_integers(self):
+        assert_allclose(bh.ActionMarginal.uniform(np.int64(4)).weights, 0.25)
+        dirac = bh.ActionMarginal.dirac(np.int32(3), np.int64(2))
+        assert_allclose(dirac.weights, [0.0, 0.0, 1.0])
+
     def test_coupling_marginals(self):
         joint = np.array([[0.3, 0.1], [0.2, 0.4]])
         c = Coupling(joint)
@@ -129,14 +182,15 @@ class TestTypes:
         assert pot.normalization == "E_nu[action]=0"
 
     def test_drop_zero_prior_states_warns_and_shrinks(self):
-        p = bh.Problem(
-            ("a",), ("s0", "s1", "s2"),
-            np.array([[1.0, 2.0, 3.0]]),
-            1.0,
-            np.array([0.5, 0.0, 0.5]),
-        )
-        with pytest.warns(UserWarning):
-            reduced = drop_zero_prior_states(p)
+        document = {
+            "actions": ["a"],
+            "states": ["s0", "s1", "s2"],
+            "utility": [[1.0, 2.0, 3.0]],
+            "lambda": 1.0,
+            "prior": [0.5, 0.0, 0.5],
+        }
+        with pytest.warns(UserWarning, match=r"^dropping 1 zero-prior state\(s\): \['s1'\]$"):
+            reduced = problem_from_dict(document)
         assert reduced.states == ("s0", "s2")
         assert_allclose(reduced.prior, [0.5, 0.5])
         assert_allclose(reduced.utility, [[1.0, 3.0]])

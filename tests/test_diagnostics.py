@@ -152,6 +152,19 @@ class TestInnerValueDerivatives:
         assert_allclose(a_dir, a_pt, atol=1e-12)
         assert abs(a_dir - n_dir) <= 1e-4
 
+    def test_back_step_error_is_raised_first(self, monkeypatch):
+        # the back and forward steps are solved as one stack; where both
+        # fail, the back step's BridgeNotConverged is the one raised
+        p = bh.random_problem(6, 3, 3, lam=0.8)
+        nu = bh.ActionMarginal(np.array([0.5, 0.3, 0.2]))
+        result = bh.sinkhorn_bridge(p, nu, SINKHORN)
+        back, forward = (bh.BridgeNotConverged(k, 1.0, result) for k in (1, 2))
+        for errors, raised in [([back, forward], back), ([None, forward], forward)]:
+            monkeypatch.setattr(diagnostics, "_primal_values", lambda *args: (np.zeros(2), errors))
+            with pytest.raises(bh.BridgeNotConverged) as err:
+                gateaux_value_direction(p, nu, bh.ActionMarginal.dirac(3, 1))
+            assert err.value is raised
+
     def test_state_side_identity(self):
         p = bh.random_problem(25, 3, 4, lam=1.1)
         nu = bh.ActionMarginal(np.array([0.3, 0.4, 0.3]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import bridgehead as bh
+from bridgehead import solver
 from bridgehead.core import Potentials, gibbs_kernel, mutual_information, ri_objective
 from bridgehead.solver import (
     action_potential,
@@ -348,6 +349,19 @@ def test_underflowed_newton_candidate_warns_nothing(args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bh.solve(bh.random_problem(*args)).converged
+
+
+@pytest.mark.parametrize("index", [3, 4, 6, 9])
+def test_failed_line_search_takes_the_multiplicative_update(monkeypatch, index):
+    # with no halving left every Newton line search fails, so each step of
+    # _Ascent.step is the fallback w <- w * ratio: it crawls, to the same optimum
+    problem = bh.standard_suite()[index]
+    newton = bh.solve(problem, TIGHT)
+    monkeypatch.setattr(solver, "_HALVINGS", 0)
+    fallback = bh.solve(problem, TIGHT)
+    assert newton.iterations <= 15 and fallback.iterations >= 150
+    assert fallback.converged
+    assert abs(fallback.f_value - newton.f_value) <= 1e-14
 
 
 def _plain_ba_value(problem: bh.Problem, steps: int) -> float:
