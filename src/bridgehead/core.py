@@ -56,8 +56,13 @@ class BayesPlausibilityViolated(BridgeheadError):
     """State marginal of a coupling deviates from the prior beyond tolerance."""
 
 
-def _readonly(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(name: str, values) -> np.ndarray:
+    """A read-only float64 copy of ``values``; InvalidInput names ``name`` if
+    they are not an array of real numbers."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise InvalidInput(f"{name} must be an array of real numbers: {err}") from None
     arr.setflags(write=False)
     return arr
 
@@ -120,7 +125,8 @@ class Problem:
         lam: information cost in utils per nat, finite and > 0.
         prior: probability vector over states, length n, strictly positive.
 
-    A Problem is valid by construction.  Shapes are checked first, then the
+    A Problem is valid by construction.  Non-numeric fields and shapes are
+    checked first, each by an InvalidInput naming the field, then the
     domain conditions, and one InvalidInput names every violated condition
     by its code: ``EmptyActionSet`` (no actions), ``NonPositiveLambda``
     (lam not finite or not > 0), ``PriorNotSimplex`` (a non-finite, zero or
@@ -143,8 +149,8 @@ class Problem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(str(a) for a in self.actions))
         object.__setattr__(self, "states", tuple(str(s) for s in self.states))
-        utility = _readonly(self.utility)
-        prior = _readonly(self.prior)
+        utility = _readonly("utility", self.utility)
+        prior = _readonly("prior", self.prior)
         if utility.ndim != 2:
             raise InvalidInput(f"utility must be a matrix, got ndim={utility.ndim}")
         if utility.shape != (len(self.actions), len(self.states)):
@@ -156,8 +162,12 @@ class Problem:
             raise InvalidInput(
                 f"prior length {prior.shape} does not match {len(self.states)} states"
             )
+        try:
+            lam = float(self.lam)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"lam must be a real number, got {self.lam!r}") from None
         object.__setattr__(self, "utility", utility)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "prior", prior)
         issues = _domain_issues(self)
         if issues:
@@ -179,7 +189,7 @@ class ActionMarginal:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _readonly(self.weights)
+        w = _readonly("weights", self.weights)
         if w.ndim != 1 or w.shape[0] < 1:
             raise InvalidInput("weights must be a nonempty vector")
         if not np.all(np.isfinite(w)):
@@ -221,7 +231,7 @@ class Coupling:
     joint: np.ndarray
 
     def __post_init__(self) -> None:
-        j = _readonly(self.joint)
+        j = _readonly("joint", self.joint)
         if j.ndim != 2:
             raise InvalidInput("joint must be a matrix")
         if not np.all(np.isfinite(j)):
@@ -257,8 +267,8 @@ class Potentials:
     normalization: str = "E_nu[action]=0"
 
     def __post_init__(self) -> None:
-        a = _readonly(self.action)
-        b = _readonly(self.state)
+        a = _readonly("action", self.action)
+        b = _readonly("state", self.state)
         if a.ndim != 1 or b.ndim != 1:
             raise InvalidInput("potentials must be vectors")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

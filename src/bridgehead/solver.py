@@ -20,12 +20,13 @@ marginal is refreshed rather than rescaled; f never decreases along it.  At a
 fixed point the residuals r = exp(a) - 1 vanish on the support of nu and are
 nonpositive off it, which is the optimality plateau being certified.
 
-The update converges only linearly, so ``solve`` uses it as a fallback.  Its
-loop reads three things off each iterate: the gap bound f* - f <= max r, an
-idle-action certificate that excludes actions from every optimal support
-(after Yu, "Squeezing the Arimoto-Blahut algorithm for faster convergence",
-IEEE Trans. IT 2010), and a projected Newton step on the remaining support
-(the natural-gradient view of Matz and Duhamel, ITW 2004).
+The update converges only linearly, so ``solve`` takes it only where a
+Newton line search fails.  Its loop reads three things off each iterate: the
+gap bound f* - f <= max r, an idle-action certificate that excludes actions
+from every optimal support (after Yu, "Squeezing the Arimoto-Blahut
+algorithm for faster convergence", IEEE Trans. IT 2010), and a projected
+Newton step on the remaining free actions, however many (the
+natural-gradient view of Matz and Duhamel, ITW 2004).
 """
 
 from __future__ import annotations
@@ -220,6 +221,28 @@ def _initial_weights(problem: Problem, cfg: SolverConfig) -> np.ndarray:
     return w / w.sum()
 
 
+def _newton_direction(rows: np.ndarray, ratio: np.ndarray, root_p: np.ndarray) -> np.ndarray:
+    """Min-norm direction d of the projected Newton system on a face.
+
+    With R = ``rows`` = G_F diag(sqrt(p) / z) (k x n) and ratio = R sqrt(p),
+    d solves R R^T d = ratio + c 1 with 1^T d = 0, on the smaller side: the
+    (k+1)-square KKT system for k <= n, else d = P R (R^T P R)^+ sqrt(p) for
+    the centring projector P = I - 1 1^T / k.  That n x n Gram lacks the
+    rounding-level singular value that P R keeps along 1, which blows up a
+    least-squares solve on P R at large lam.  d is formed row by row, so
+    identical rows get identical directions.
+    """
+    k, n = rows.shape
+    if k <= n:
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = rows @ rows.T
+        kkt[k, k] = 0.0
+        return np.linalg.lstsq(kkt, np.append(ratio, 0.0), rcond=None)[0][:k]
+    centred = rows - rows.mean(axis=0)
+    x = np.linalg.lstsq(centred.T @ centred, root_p, rcond=None)[0]
+    return (centred * x).sum(axis=1)
+
+
 class _Ascent:
     """The outer iterate and one step of the loop that climbs f.
 
@@ -254,23 +277,22 @@ class _Ascent:
         """Exclude certified-idle actions, then climb f by one step.
 
         The step is projected Newton on the free set F = alive and
-        (w > SUPPORT_THRESHOLD or r > foc_tolerance) when |F| <= num_states,
-        else (or when its line search fails) the multiplicative update
-        w <- w * ratio.  The actions left out of F hold no more than the
-        support threshold and ask for no more mass; a Newton candidate sets
-        them to zero.  They play the part of the epsilon-active set of
-        Bertsekas' projected Newton method (SIAM J. Control Optim. 1982):
-        with them free, their Newton directions are large and mostly clipped,
-        and the clipped step stops being an ascent direction.
+        (w > SUPPORT_THRESHOLD or r > foc_tolerance), of any size.  Only
+        where Newton takes no step (|F| < 2, or no halving is accepted) is
+        it the multiplicative update w <- w * ratio.  The actions left out
+        of F hold no more than the support threshold and ask for no more
+        mass; a Newton candidate sets them to zero.  They play the part of
+        the epsilon-active set of Bertsekas' projected Newton method (SIAM
+        J. Control Optim. 1982): with them free, their Newton directions are
+        large and mostly clipped, and the clipped step stops being an ascent
+        direction.
         """
         self._eliminate_idle()
         cfg = self.cfg
         free = self.alive & (
             (self.w > SUPPORT_THRESHOLD) | (self.ratio - 1.0 > cfg.foc_tolerance)
         )
-        if np.count_nonzero(free) > self.gain.shape[1] or not self._newton(
-            np.flatnonzero(free)
-        ):
+        if not self._newton(np.flatnonzero(free)):
             w = self.w * self.ratio
             self._move(w / w.sum())
 
@@ -312,28 +334,24 @@ class _Ascent:
         """Projected Newton step on the face spanned by ``free``.
 
         Solves the equality-constrained Newton system with Hessian
-        G_F diag(p / z^2) G_F^T in the min-norm sense (identical utility rows
-        make it singular and then receive identical directions), drops the
-        actions at or below the support threshold whose direction is not
-        positive, and backtracks on f along w <- max(w + t d, 0) on what
-        remains, zero elsewhere.  A candidate whose f is lower by more than
-        the rounding allowance is rejected: near the optimum the true
-        increase of a full step falls below the resolution of f while the
-        step still cuts the residuals by orders of magnitude.  Returns False
-        when no step is accepted, leaving the iterate unchanged.
+        G_F diag(p / z^2) G_F^T in the min-norm sense, on the smaller side
+        (``_newton_direction``; identical utility rows make it singular and
+        then receive identical directions), drops the actions at or below
+        the support threshold whose direction is not positive, and
+        backtracks on f along w <- max(w + t d, 0) on what remains, zero
+        elsewhere.  A candidate whose f is lower by more than the rounding
+        allowance is rejected: near the optimum the true increase of a full
+        step falls below the resolution of f while the step still cuts the
+        residuals by orders of magnitude.  Returns False when no step is
+        accepted, leaving the iterate unchanged.
         """
         w, z = self.w, self.z
-        scale = np.sqrt(self.prior) / z
+        root_p = np.sqrt(self.prior)
+        scale = root_p / z
         while True:
-            k = free.size
-            if k < 2:
+            if free.size < 2:
                 return False
-            rows = self.gain[free] * scale[None, :]
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = rows @ rows.T
-            kkt[k, k] = 0.0
-            rhs = np.append(self.ratio[free], 0.0)
-            d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            d = _newton_direction(self.gain[free] * scale[None, :], self.ratio[free], root_p)
             blocked = (w[free] <= SUPPORT_THRESHOLD) & (d <= 0.0)
             if not np.any(blocked):
                 break
@@ -357,9 +375,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     """Maximize f over the simplex and certify the result.
 
     Climbs f from the configured start (see ``_Ascent.step``: idle-action
-    elimination, then projected Newton on the free set or the multiplicative
-    update).  The multiplicative update never lowers f and a Newton candidate
-    is kept only if f does not fall beyond rounding.  The loop stops once the
+    elimination, then projected Newton on the free set, whatever its size,
+    and the multiplicative update only where Newton's line search fails).
+    The multiplicative update never lowers f and a Newton candidate is kept
+    only if f does not fall beyond rounding.  The loop stops once the
     optimality plateau holds at foc_tolerance, after at most five more
     polishing steps, each kept only if it at least halves the plateau
     violation.  The inner problem is then re-solved at the final marginal to

@@ -35,6 +35,21 @@ def make_state_independent() -> bh.Problem:
     )
 
 
+def make_tracking(num_actions: int, lam: float) -> bh.Problem:
+    """The tracking family: 21 states on [0, 1] under a uniform prior,
+    ``num_actions`` grid actions on [0, 1] and u = -(a - omega)^2.  Fine grids
+    hold many near-duplicate actions."""
+    states = np.linspace(0.0, 1.0, 21)
+    actions = np.linspace(0.0, 1.0, num_actions)
+    return bh.Problem(
+        actions=tuple(f"a{i}" for i in range(num_actions)),
+        states=tuple(f"s{j}" for j in range(states.size)),
+        utility=-((actions[:, None] - states[None, :]) ** 2),
+        lam=lam,
+        prior=np.full(states.size, 1.0 / states.size),
+    )
+
+
 @pytest.fixture(scope="session")
 def symmetric_2x2() -> bh.Problem:
     return make_symmetric_2x2()

@@ -73,6 +73,22 @@ def ba_step(problem, nu):
     return bh.ActionMarginal(np.exp(log_next))
 
 
+def kkt_direction(rows, root_p) -> np.ndarray:
+    """Independent oracle: the min-norm projected Newton direction of the
+    outer ascent, from the bordered KKT system.
+
+    ``rows`` is R = G_F diag(sqrt(p) / z), one row per free action.  The
+    system [[R R^T, 1], [1^T, 0]] [d; c] = [R sqrt(p); 0] is solved with the
+    pseudo-inverse, whatever the number of rows; the solver solves it on the
+    smaller side.
+    """
+    k = rows.shape[0]
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = rows @ rows.T
+    kkt[k, k] = 0.0
+    return (np.linalg.pinv(kkt) @ np.append(rows @ root_p, 0.0))[:k]
+
+
 def simplex_lattice(num_actions: int, denominator: int):
     """Independent oracle: yield all compositions of ``denominator`` into
     ``num_actions`` parts, by plain recursion over tuples.

@@ -162,6 +162,20 @@ class TestTypes:
         with pytest.raises(bh.InvalidInput):
             getattr(bh.ActionMarginal, helper)(*args)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", "x"), ("lam", None), ("lam", [1.0]), ("utility", [["x"]])],
+        ids=["lam-str", "lam-None", "lam-list", "utility-str"],
+    )
+    def test_problem_rejects_non_numeric_fields(self, field, value):
+        fields = {"actions": ("a",), "states": ("s",), "utility": np.zeros((1, 1)), "lam": 1.0, "prior": [1.0]}
+        with pytest.raises(bh.InvalidInput, match=f"^{field} must be "):
+            bh.Problem(**{**fields, field: value})
+
+    def test_action_marginal_rejects_non_numeric_weights(self):
+        with pytest.raises(bh.InvalidInput, match="^weights must be an array of real numbers"):
+            bh.ActionMarginal(["x"])
+
     def test_action_marginal_helpers_accept_numpy_integers(self):
         assert_allclose(bh.ActionMarginal.uniform(np.int64(4)).weights, 0.25)
         dirac = bh.ActionMarginal.dirac(np.int32(3), np.int64(2))

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import bridgehead as bh
 from bridgehead import solver
-from bridgehead.core import Potentials, gibbs_kernel, mutual_information, ri_objective
+from bridgehead.core import Potentials, gibbs_kernel, mutual_information, ri_objective, shifted_gain
 from bridgehead.solver import (
     action_potential,
     foc_residuals,
@@ -19,8 +19,8 @@ from bridgehead.solver import (
     logit_policy,
 )
 
-from conftest import TIGHT, random_simplex
-from reference import ba_step
+from conftest import TIGHT, make_tracking, random_simplex
+from reference import ba_step, kkt_direction
 
 
 class TestLogPartition:
@@ -362,6 +362,73 @@ def test_failed_line_search_takes_the_multiplicative_update(monkeypatch, index):
     assert newton.iterations <= 15 and fallback.iterations >= 150
     assert fallback.converged
     assert abs(fallback.f_value - newton.f_value) <= 1e-14
+
+
+def test_free_set_larger_than_state_count_takes_newton():
+    # 200 actions on 50 states: the free set exceeds n from the start; taking
+    # the multiplicative update while |F| > n, solve needs 253 iterations
+    solution = bh.solve(bh.random_problem(3, 200, 50, 1.0), TIGHT)
+    _assert_certified(solution)
+    assert solution.iterations <= 20
+
+
+def test_random_batch_never_exhausts_the_budget():
+    # 300 draws with m, n in [2, 30) and lam log-uniform in [0.01, 100]; taking
+    # the multiplicative update wherever |F| > n, 9 of them exhaust 5,000
+    rng = np.random.default_rng(7)
+    cfg = bh.SolverConfig(foc_tolerance=1e-7, max_iterations=5_000)
+    for _ in range(300):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        lam = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
+        assert bh.solve(bh.random_problem(int(rng.integers(0, 2**31)), m, n, lam), cfg).converged
+
+
+def _direction_inputs(problem: bh.Problem, w: np.ndarray):
+    """R = G diag(sqrt(p) / z), the ratio R sqrt(p) and sqrt(p) at weights w."""
+    gain = shifted_gain(problem)[0]
+    z = w @ gain
+    root_p = np.sqrt(problem.prior)
+    return gain * (root_p / z)[None, :], gain @ (problem.prior / z), root_p
+
+
+def test_direction_on_more_actions_than_states_matches_the_kkt():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(n + 1, 60))
+        p = bh.random_problem(int(rng.integers(0, 10_000)), m, n, float(rng.uniform(0.2, 3.0)))
+        rows, ratio, root_p = _direction_inputs(p, random_simplex(rng, m))
+        d = solver._newton_direction(rows, ratio, root_p)
+        reference = kkt_direction(rows, root_p)
+        assert np.abs(d - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+def test_direction_on_more_actions_than_states_is_equal_on_duplicated_rows():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(n + 1, 60))
+        p = bh.random_problem(int(rng.integers(0, 10_000)), m, n, float(rng.uniform(0.2, 3.0)))
+        copies = rng.integers(0, m, size=(2, 3))
+        utility = p.utility.copy()
+        utility[copies[1]] = utility[copies[0]]
+        p = dataclasses.replace(p, utility=utility)
+        d = solver._newton_direction(*_direction_inputs(p, random_simplex(rng, m)))
+        for i, j in zip(*np.nonzero((utility[:, None, :] == utility[None, :, :]).all(axis=2))):
+            assert d[i] == d[j]
+
+
+def test_tracking_grids_converge_and_refine():
+    # fine grids of near-duplicate actions, where the multiplicative update
+    # alone exhausts 20,000 iterations at 41 and 81 actions
+    cfg = dataclasses.replace(TIGHT, max_iterations=20_000)
+    values = []
+    for m in (21, 41, 81):
+        solution = bh.solve(make_tracking(m, 0.01), cfg)
+        _assert_certified(solution)
+        values.append(solution.f_value)
+    # the grids are nested, so refining cannot lower f
+    assert values[0] <= values[1] <= values[2]
 
 
 def _plain_ba_value(problem: bh.Problem, steps: int) -> float:
