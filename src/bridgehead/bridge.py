@@ -331,18 +331,22 @@ def _newton(logits, p, q, y, rows, tolerance):
     steps being at most ``_NEWTON_STEPS`` with the closing half-step not
     counted, and whether Newton closed.
     """
-    free = np.arange(len(q)) != np.argmax(q)
+    free = np.flatnonzero(np.arange(len(q)) != np.argmax(q))
     root_p = np.sqrt(p)[:, None]
+    move = np.zeros(len(q))  # every Armijo trial's move; 0 at the gauge
     gth = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pi = np.exp(logits - y - rows)
+        pi = np.subtract(logits, y)
+        np.subtract(pi, rows, out=pi)
+        np.exp(pi, out=pi)
         for steps in range(_NEWTON_STEPS + 1):
             colsum = p @ pi
-            grad = (q - colsum)[free]
-            closed = bool(np.all(np.abs(grad) <= tolerance / 4))
+            grad = (q - colsum).take(free)
+            # a NaN maximum is not closed, as no NaN is <= tolerance / 4
+            closed = float(np.abs(grad).max(initial=0.0)) <= tolerance / 4
             if closed or steps == _NEWTON_STEPS:
                 break
-            if (found := _newton_move(p, root_p, q, pi, grad, free)) is None:
+            if (found := _newton_move(p, root_p, q, pi, grad, free, move)) is None:
                 break
             gth += found[2]
             y = y + found[0]
@@ -357,48 +361,52 @@ def _newton(logits, p, q, y, rows, tolerance):
             rows = centre + np.log(total)
             np.divide(pi, total, out=pi)
         # the closing half-step, from pi: exact only where no column sum is subnormal
-        if closed := closed and bool(np.all(colsum >= np.finfo(float).tiny)):
+        if closed := closed and float(colsum.min()) >= np.finfo(float).tiny:
             y = y + np.log(colsum / q)
             centre = rows + np.log(pi @ (q / colsum))[:, None]
             rows = centre + np.log(np.exp(logits - y - centre).sum(axis=1, keepdims=True))
     return y, rows[:, 0], (steps, gth), closed
 
 
-def _newton_move(p, root_p, q, pi, grad, free):
+def _newton_move(p, root_p, q, pi, grad, free, move):
     """The damped Newton move of ``_newton``, the row log-sum shift it makes
     and whether GTH found it, or None where neither solve of the reduced
     Hessian gives a descent direction that some length makes decrease g.
-    The conductances are w^T w with w = pi sqrt(p), sqrt(p) being the column
-    ``root_p``, which NumPy hands to SYRK.  LAPACK solves first; only where
-    it gives no move (a singular matrix, no descent direction or no Armijo
-    length) does GTH elimination of the same system, which subtracts
-    nothing, take over."""
+    ``free`` indexes the free coordinates, and the move is written into
+    ``move``, whose other entries are 0.  The conductances are w^T w with
+    w = pi sqrt(p), sqrt(p) being the column ``root_p``, which NumPy hands
+    to SYRK; both diagonals are set through strided views.  LAPACK solves
+    first; only where it gives no move (a singular matrix, no descent
+    direction or no Armijo length) does GTH elimination of the same system,
+    which subtracts nothing, take over."""
     weighted = pi * root_p
     conductance = weighted.T @ weighted  # SYRK: each entry a sum of products
-    np.fill_diagonal(conductance, 0.0)
-    hessian = -conductance[free][:, free]
-    np.fill_diagonal(hessian, conductance.sum(axis=1)[free])
+    conductance.flat[:: len(q) + 1] = 0.0
+    hessian = conductance.take(free, axis=0).take(free, axis=1)
+    np.negative(hessian, out=hessian)
+    hessian.flat[:: len(free) + 1] = conductance.sum(axis=1).take(free)
     try:
-        found = _damped(p, q, pi, grad, free, np.linalg.solve(hessian, grad))
+        found = _damped(p, q, pi, grad, free, np.linalg.solve(hessian, grad), move)
     except np.linalg.LinAlgError:
         found = None
     if found is not None:
         return (*found, False)
-    found = _damped(p, q, pi, grad, free, _gth_solve(conductance, free, grad))
+    mask = np.isin(np.arange(len(q)), free)
+    found = _damped(p, q, pi, grad, free, _gth_solve(conductance, mask, grad), move)
     return None if found is None else (*found, True)
 
 
-def _damped(p, q, pi, grad, free, step):
-    """The Armijo move along the Newton step on the free coordinates and its
-    shift of the row log-sums, log1p(pi expm1(-move)), or None where the
-    step is no descent direction or no length decreases g."""
+def _damped(p, q, pi, grad, free, step, move):
+    """The Armijo move along the Newton step on the free coordinates, written
+    into ``move``, and its shift of the row log-sums, log1p(pi expm1(-move)),
+    or None where the step is no descent direction or no length decreases g."""
     # a tiny column sum gives a near-null Hessian direction and a huge
     # step; trials start at most _MAX_MOVE nats from y
-    step *= min(1.0, _MAX_MOVE / np.abs(step).max())
+    if (scale := _MAX_MOVE / np.abs(step).max()) < 1.0:
+        step *= scale
     slope = float(grad @ step)
     if not slope > 0:
         return None
-    move = np.zeros(len(q))
     for _ in range(40):
         move[free] = -step
         # g(y + move) - g(y), from pi at y: exact to rounding of |move|

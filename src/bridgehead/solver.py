@@ -237,7 +237,7 @@ def _newton_direction(rows: np.ndarray, ratio: np.ndarray, root_p: np.ndarray) -
         kkt = np.ones((k + 1, k + 1))
         kkt[:k, :k] = rows @ rows.T
         kkt[k, k] = 0.0
-        return np.linalg.lstsq(kkt, np.append(ratio, 0.0), rcond=None)[0][:k]
+        return np.linalg.lstsq(kkt, np.concatenate((ratio, [0.0])), rcond=None)[0][:k]
     centred = rows - rows.mean(axis=0)
     x = np.linalg.lstsq(centred.T @ centred, root_p, rcond=None)[0]
     return (centred * x).sum(axis=1)
@@ -325,7 +325,7 @@ class _Ascent:
         ratio = self.ratio + self.slack
         bound = 0.25 * (np.sqrt(spread) + np.sqrt(spread + 4.0 * ratio)) ** 2
         idle = self.alive & (bound < 1.0)
-        if np.any(idle):
+        if idle.any():
             self.alive &= ~idle
             w = np.where(self.alive, self.w, 0.0)
             self._move(w / w.sum())
@@ -352,22 +352,23 @@ class _Ascent:
             if free.size < 2:
                 return False
             d = _newton_direction(self.gain[free] * scale[None, :], self.ratio[free], root_p)
-            blocked = (w[free] <= SUPPORT_THRESHOLD) & (d <= 0.0)
-            if not np.any(blocked):
+            w_free = w[free]
+            blocked = (w_free <= SUPPORT_THRESHOLD) & (d <= 0.0)
+            if not blocked.any():
                 break
             free = free[~blocked]
         t = 1.0
-        for _ in range(_HALVINGS):
-            cand = np.zeros_like(w)
-            cand[free] = np.maximum(w[free] + t * d, 0.0)
-            cand /= cand.sum()
-            z_cand = cand @ self.gain
-            with np.errstate(divide="ignore"):  # an underflowed z_cand reads -inf: rejected
+        with np.errstate(divide="ignore"):  # an underflowed z_cand reads -inf: rejected
+            for _ in range(_HALVINGS):
+                cand = np.zeros_like(w)
+                cand[free] = np.maximum(w_free + t * d, 0.0)
+                cand /= cand.sum()
+                z_cand = cand @ self.gain
                 rise = self.prior @ np.log(z_cand / z)
-            if rise >= -self.slack:
-                self._move(cand, z_cand)
-                return True
-            t *= 0.5
+                if rise >= -self.slack:
+                    self._move(cand, z_cand)
+                    return True
+                t *= 0.5
         return False
 
 

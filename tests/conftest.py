@@ -1,5 +1,7 @@
 """Shared fixtures: closed-form anchors and the solved instance battery."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,17 @@ def random_plausible_coupling(rng: np.random.Generator, problem: bh.Problem) -> 
     cond = rng.uniform(0.1, 1.0, size=(problem.num_actions, problem.num_states))
     cond /= cond.sum(axis=0, keepdims=True)
     return Coupling(cond * problem.prior[None, :])
+
+
+def _recording_platform():
+    """NumPy's float64 exp and log take AVX-512 code paths where the CPU has
+    them, so bytes pinned on one platform need not hold on another."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:
+        return False
+    return (
+        np.__version__.split(".")[:2] == ["2", "4"]
+        and platform.machine() == "x86_64"
+        and all(cpu.get(f, False) for f in ("AVX512F", "AVX512_SKX"))
+    )

@@ -3,7 +3,9 @@
 Each function here reaches a quantity the package computes along another
 route, so a test that compares the two crosses routes.  None of them is
 called by the package; each trades speed for independence, so keep
-instances small.
+instances small.  ``reference_newton`` is the exception: a frozen copy of
+the package's own route, against which cuts of that route must keep every
+byte.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 import bridgehead as bh
+from bridgehead import bridge
 from bridgehead.core import check_number, logsumexp
 from bridgehead.diagnostics import _INNER, _central, _check_step, _in_simplex, _plain_envelope
 from bridgehead.solver import action_potential
@@ -130,3 +133,83 @@ def exhaustive_mi(coupling) -> float:
             if p > 0.0:
                 total += p * math.log(p / (rows[i] * cols[j]))
     return max(total, 0.0)
+
+
+def reference_newton(logits, p, q, y, rows, tolerance):
+    """Frozen oracle: the semi-dual Newton phase of the inner bridge as
+    ``bridge._newton``, ``_newton_move`` and ``_damped`` computed it before
+    their call-count cuts, kept verbatim, with the package's ``_gth_solve``.
+
+    Same arguments and returns as ``bridge._newton``: y, its row log-sums,
+    the counts (steps, GTH moves) and whether Newton closed.  The package
+    must return the same bytes, so a cut that moves one rounding shows here
+    on any platform, where the golden pins hold on the recording one only.
+    """
+    free = np.arange(len(q)) != np.argmax(q)
+    root_p = np.sqrt(p)[:, None]
+    gth = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pi = np.exp(logits - y - rows)
+        for steps in range(bridge._NEWTON_STEPS + 1):
+            colsum = p @ pi
+            grad = (q - colsum)[free]
+            closed = bool(np.all(np.abs(grad) <= tolerance / 4))
+            if closed or steps == bridge._NEWTON_STEPS:
+                break
+            if (found := _reference_newton_move(p, root_p, q, pi, grad, free)) is None:
+                break
+            gth += found[2]
+            y = y + found[0]
+            centre = rows + found[1][:, None]
+            # one exp, centred near the new row log-sums and taken fresh from
+            # the logits, so the rows stay exact and underflowed entries
+            # revive; it runs in pi's buffer, which the move has done with
+            np.subtract(logits, y, out=pi)
+            np.subtract(pi, centre, out=pi)
+            np.exp(pi, out=pi)
+            total = pi.sum(axis=1, keepdims=True)
+            rows = centre + np.log(total)
+            np.divide(pi, total, out=pi)
+        # the closing half-step, from pi: exact only where no column sum is subnormal
+        if closed := closed and bool(np.all(colsum >= np.finfo(float).tiny)):
+            y = y + np.log(colsum / q)
+            centre = rows + np.log(pi @ (q / colsum))[:, None]
+            rows = centre + np.log(np.exp(logits - y - centre).sum(axis=1, keepdims=True))
+    return y, rows[:, 0], (steps, gth), closed
+
+
+def _reference_newton_move(p, root_p, q, pi, grad, free):
+    """``bridge._newton_move`` before its call-count cuts: free is a mask."""
+    weighted = pi * root_p
+    conductance = weighted.T @ weighted  # SYRK: each entry a sum of products
+    np.fill_diagonal(conductance, 0.0)
+    hessian = -conductance[free][:, free]
+    np.fill_diagonal(hessian, conductance.sum(axis=1)[free])
+    try:
+        found = _reference_damped(p, q, pi, grad, free, np.linalg.solve(hessian, grad))
+    except np.linalg.LinAlgError:
+        found = None
+    if found is not None:
+        return (*found, False)
+    found = _reference_damped(p, q, pi, grad, free, bridge._gth_solve(conductance, free, grad))
+    return None if found is None else (*found, True)
+
+
+def _reference_damped(p, q, pi, grad, free, step):
+    """``bridge._damped`` before its call-count cuts."""
+    # a tiny column sum gives a near-null Hessian direction and a huge
+    # step; trials start at most _MAX_MOVE nats from y
+    step *= min(1.0, bridge._MAX_MOVE / np.abs(step).max())
+    slope = float(grad @ step)
+    if not slope > 0:
+        return None
+    move = np.zeros(len(q))
+    for _ in range(40):
+        move[free] = -step
+        # g(y + move) - g(y), from pi at y: exact to rounding of |move|
+        shift = np.log1p(pi @ np.expm1(-move))
+        if float(p @ shift + q @ move) <= -1e-4 * slope:
+            return move, shift
+        step *= 0.5
+        slope *= 0.5
+    return None

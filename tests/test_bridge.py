@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import math
-import platform
 from dataclasses import replace
 from unittest import mock
 
@@ -22,6 +21,9 @@ from bridgehead.bridge import (
     coupling_from_potentials,
 )
 from bridgehead.core import Potentials, gibbs_kernel, logsumexp
+
+from conftest import _recording_platform
+from reference import reference_newton
 
 TIGHT = bh.SinkhornConfig(tolerance=1e-12)
 
@@ -711,11 +713,68 @@ def _assert_newton_rows_exact(problem, nu):
 
 def _reduced_hessian(p, pi, free):
     """The reduced Hessian that ``_newton_move`` hands to LAPACK for the row
-    weights p and row conditionals pi, grounded off ``free``."""
+    weights p and row conditionals pi, grounded off the mask ``free``."""
     with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
         q = np.full(pi.shape[1], 1 / pi.shape[1])
-        bridge._newton_move(p, np.sqrt(p)[:, None], q, pi, np.ones(free.sum()), free)
+        index, move = np.flatnonzero(free), np.zeros(len(q))
+        bridge._newton_move(p, np.sqrt(p)[:, None], q, pi, np.ones(free.sum()), index, move)
     return spy.call_args_list[0].args[0]
+
+
+def _newton_bytes(result):
+    y, rows, counts, closed = result
+    return y.tobytes(), rows.tobytes(), counts, closed
+
+
+def _newton_against_reference(problem, nu, cfg):
+    """Solve, running the frozen ``reference_newton`` on the arguments of
+    every ``_newton`` call first.  Returns the result and, call by call, the
+    bytes of the package's (y, rows, counts, closed) and of the reference's."""
+    pairs, newton = [], bridge._newton
+
+    def both(*args):
+        expected = reference_newton(*args)
+        got = newton(*args)
+        pairs.append((_newton_bytes(got), _newton_bytes(expected)))
+        return got
+
+    with mock.patch.object(bridge, "_newton", both):
+        res, _ = _bridge(problem, nu, cfg)
+    return res, pairs
+
+
+class TestFrozenNewton:
+    """Every ``_newton`` run returns the bytes of ``reference_newton``, the
+    Newton phase as it was before its per-step NumPy calls were cut.  The
+    golden pins check Newton's arithmetic on six solves, and on the
+    recording platform only."""
+
+    @pytest.mark.parametrize("max_lam, min_lam", [(1e4, 5e-3), (0.05, 1e-3)])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_newton_matches_the_frozen_reference(self, max_lam, min_lam, data):
+        problem, nu = data.draw(bridge_instances(max_lam=max_lam, min_lam=min_lam))
+        tolerance = data.draw(st.sampled_from([1e-16, 1e-14, 1e-12]))
+        cfg = bh.SinkhornConfig(tolerance=tolerance, max_iterations=300)
+        _, pairs = _newton_against_reference(problem, nu, cfg)
+        for got, expected in pairs:
+            assert got == expected
+
+    @pytest.mark.parametrize("case, counts", [("probe", (51, 33)), ("lam=1e-5", (0, 0))])
+    def test_fallback_cases_match_the_frozen_reference(self, case, counts):
+        # the GTH-heavy and the moveless case of test_fallback_steps_are_reported
+        if case == "probe":
+            problem = bh.random_problem(5, 6, 6, 1e-3)
+            solved = bh.solve(problem, bh.SolverConfig(foc_tolerance=1e-9, sinkhorn=TIGHT))
+            star = solved.marginal.weights
+            nu = bh.ActionMarginal(star + 1e-5 * (np.eye(6)[5] - star))
+        else:
+            problem, nu = bh.random_problem(0, 6, 4, 1e-5), bh.ActionMarginal.uniform(6)
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=20)
+        res, pairs = _newton_against_reference(problem, nu, cfg)
+        assert (res.newton_steps, res.gth_steps) == counts
+        assert len(pairs) == 1
+        assert pairs[0][0] == pairs[0][1]
 
 
 @st.composite
@@ -879,20 +938,6 @@ def _golden_problem(case):
         return bh.random_problem(200, 200, 50, lam=1.0), bh.ActionMarginal.uniform(200), TIGHT
     lam = float(case.split("=")[1])
     return bh.random_problem(6, 6, 6, lam=lam), bh.ActionMarginal.uniform(6), TIGHT
-
-
-def _recording_platform():
-    """NumPy's float64 exp and log take AVX-512 code paths where the CPU has
-    them, so bytes pinned on one platform need not hold on another."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as cpu
-    except ImportError:
-        return False
-    return (
-        np.__version__.split(".")[:2] == ["2", "4"]
-        and platform.machine() == "x86_64"
-        and all(cpu.get(f, False) for f in ("AVX512F", "AVX512_SKX"))
-    )
 
 
 # Recorded from the plain per-sweep loop (NumPy 2.4, x86-64 with AVX-512),

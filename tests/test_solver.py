@@ -1,6 +1,7 @@
 """Outer problem: envelope functionals, multiplicative updates, solve loop."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from bridgehead.solver import (
     logit_policy,
 )
 
-from conftest import TIGHT, make_tracking, random_simplex
+from conftest import TIGHT, _recording_platform, make_tracking, random_simplex
 from reference import ba_step, kkt_direction
 
 
@@ -475,3 +476,102 @@ def test_solve_always_reaches_certified_plateau(seed):
     assert np.abs(solution.foc_residuals[sup]).max() <= 1e-9
     assert solution.foc_residuals.max() <= 1e-9
     assert ri_objective(p, solution.coupling) <= solution.f_value + 1e-8
+
+
+def _suite_pin(problem, solution, seed):
+    """What a byte-moving change of ``standard_suite()`` at TIGHT must list:
+    iterations, float.hex of f, one sha256 over the bytes of the marginal,
+    the coupling, the action and state potentials and the foc residuals, and
+    one over the 15 CheckResults of run_diagnostics(seed=seed) (name,
+    float.hex of the violation, verdict and details)."""
+    report = bh.run_diagnostics(problem, solution, seed=seed)
+    checks = [(c.name, float(c.max_violation).hex(), c.passed, c.details) for c in report.checks]
+    assert len(checks) == 15
+    arrays = (
+        solution.marginal.weights,
+        solution.coupling.joint,
+        solution.potentials.action,
+        solution.potentials.state,
+        solution.foc_residuals,
+    )
+    return (
+        solution.iterations,
+        float(solution.f_value).hex(),
+        hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest(),
+        hashlib.sha256(repr(checks).encode()).hexdigest(),
+    )
+
+
+# Recorded on the platform of the golden bridge pins (NumPy 2.4, x86-64 with
+# AVX-512): the k-th problem of standard_suite() solved at TIGHT and audited
+# by run_diagnostics(seed=k).  A change that moves one re-records it and
+# lists what moved.
+GOLDEN_SUITE = {
+    0: (2, "0x1.7d8f7fe7f43b0p+1",
+        "192b89bec50a06623328f039787869af9b03dc958e215d4853a4e47cc642f9a9",
+        "9cdd74ffc40500c6e188ef817ce921e44b272f56e1f9a3e92dbef2382023d6cd"),
+    1: (4, "0x1.b26b84c3ae6e8p-2",
+        "f11a26524d1595aa7d3af587ada91044598d16c3f80e56811999d5f22b14d13c",
+        "0fce087a89d647cb1aecc270678a339e9b9cf02eed6dbb2c69d046be46395029"),
+    2: (3, "0x1.2088c26d6411bp-3",
+        "647063e81d96d5ee0cf71c3a58078e169c10a0da3d822fd1187147f8c8c7c588",
+        "8adcd2507b48040a3eea1bf740339e36baba2125c7ce748e8a5374aa6e3fa22d"),
+    3: (9, "0x1.9a2ad4aaa5168p+1",
+        "50c66f83402f34a4e279225536b507029f7ec68b41f46c82f9e98c7de2c12754",
+        "ae5c2a6c47c06adf06b3dce38376dd75c4fd6eaf877f6fc39851da3a190ec3af"),
+    4: (8, "0x1.47b2457fbbfcep-1",
+        "9e110a537dbd5d80713bae27e8270409d0ea94da479353214ee5721b9deb0ca2",
+        "5abd9ad5362d3ed1faa8b3e45c0b4780cad538bf57fc25f96917faf66e71cdd2"),
+    5: (6, "0x1.3c6ceb84f3526p-3",
+        "31c2f2074543bfc235a4836f6929ba1ae52feddc40ed62da816e169b1d27cd46",
+        "b25ed77ac4804002f2f76c8dc0d228923b4001d2e73c445ebc709c388ab089dc"),
+    6: (10, "0x1.72965fe0cdd27p+1",
+        "1746eb0e2a51a3beea43830dec2e8c20c28a985fca7a71e90713154bd0ee5785",
+        "c7d09bf85c5d9e6a0475660faf1becb3862febedeb48fa7c69a263b397478de5"),
+    7: (8, "0x1.229338d604ffep-1",
+        "5e36484ac5db0a5e60dd3e7eace190295675241410a23935e9e535b7eb54f079",
+        "c27bcd7f777e44e2ead0dbdc1b3bb83eecee29d55078254b948ca5b614843b70"),
+    8: (5, "0x1.4f36b22ee0eb6p-3",
+        "7befa5afb37f5a8b6be7edca08acd97710c9a98302caac080c96e6abe8b0ffb8",
+        "511c71fbc44394e1ca04cbcfe3009eb41f96d37aaa1cb8c2c7eae563e4795fc4"),
+    9: (12, "0x1.75d96dda5e830p+1",
+        "4f81f58aa54b45efd1f591fa8ee2cce24ab72ca3528021406f016671dc764b4a",
+        "fb00cb55470f88e72be058f71cd6d5e671212978218b55fa237f27b821e8a761"),
+    10: (2, "0x1.88cae53b0702cp-2",
+         "57b4c8bbd2ebeb875a87993ef7211bb9ae60cf1124d3c83ba06758fe6aae9eaf",
+         "78142804e3326779203bec2bdf490a24ac42490d0d593d90e765fccf27268777"),
+    11: (3, "0x1.4f80914bfd801p-3",
+         "3fd6f8e040072e542af79fc7c89c740c060d2ff90bf0e36516bb7c85146e03b7",
+         "205d5313705f6dad1eb6d0c1979a1f912a7b81f8aa8c9de58126b7b8e9a3b869"),
+    12: (7, "0x1.86a6a974f6d47p+1",
+         "e459e57eef1ba4347fc73b954daab3504261c9c6e86d1c55263481bbd9c5b511",
+         "c09c6a3e2ec4483ac10d737802f1c6b95a09d83ca98fb343a08ad7859ee45afc"),
+    13: (7, "0x1.5164f61c15c05p-1",
+         "da74e29852d260fc206afbb521309fa8f43f83c2152530615ebf88bfead2ad58",
+         "61e56992506e4ce7cd3a12e62149f5e5481ad5d764b30664181c3170b75ca1e2"),
+    14: (8, "0x1.6eedad80475dep-3",
+         "908ad66b85b3035ae69bc7ac7a6623e43e5b5a48d742456ed0dd51f206c50eb6",
+         "d4b4830b7018891eedcf46269f4b1f484049a32a67285ce4afd6a19cada40f04"),
+    15: (11, "0x1.917d53f658be5p+1",
+         "ffbd748cd3d3914bfbd7da99795f204722e10d72520bc9ef4eedd856ab6c7a8b",
+         "0a518005bfb37122fd98c5a7212bcd2067fdaaee89dff7041e97709b7fcc45a6"),
+    16: (9, "0x1.2d6702a23ad65p-1",
+         "52c3bbb9e52ef5fcee16b1f73e1ea808dcdccd02886f2a5ec649d2697fd98ca7",
+         "3751f16e8238f670f2deac4871dd53122ceefbf346b2950047247d87ae1a2a23"),
+    17: (8, "0x1.3f8ceb8043a47p-3",
+         "06d8366d9dcb62b8e697fa844a8aa3b6504a71ec25eb176e627e817a58417817",
+         "b0b44e6400a44a9be1d206615c06d514c1d0eefdfeb69bf819a9b64ae284a3f4"),
+    18: (12, "0x1.5b142f7e37ab6p+1",
+         "e32fd8d508e5357a6ae622d99657134687bfee9436ddb2412d9770409d2306f0",
+         "8f5ea54517454fb7b3a1370bd04f3d58c5e7e604ac3dc377a6c9096353e2eebd"),
+    19: (8, "0x1.3e7a0b4bd4cb2p-1",
+         "17df208e665a72e62b5e2a1c532fa833705bb85300772dc3096d595ca88689c7",
+         "593623a98c5fb1a896def738556cfe526e63e06a1d1fe775a6a705039bfaa2b5"),
+}
+
+
+@pytest.mark.skipif(not _recording_platform(), reason="pins hold on the recording platform only")
+@pytest.mark.parametrize("index", sorted(GOLDEN_SUITE))
+def test_golden_suite_pins(solved_suite, index):
+    problem, solution = solved_suite[index]
+    assert _suite_pin(problem, solution, index) == GOLDEN_SUITE[index]
