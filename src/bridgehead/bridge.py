@@ -54,13 +54,13 @@ from .core import (
     ActionMarginal,
     BridgeheadError,
     Coupling,
-    InvalidInput,
     Potentials,
     Problem,
     _logsumexp_kernel,
     action_equation,
+    check_count,
     check_marginal,
-    check_number,
+    check_positive,
     gibbs_kernel,
     weighted_logsumexp,
 )
@@ -115,12 +115,8 @@ class SinkhornConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        check_number("tolerance", self.tolerance)
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InvalidInput(f"tolerance must be > 0, got {self.tolerance!r}")
-        check_number("max_iterations", self.max_iterations, integer=True)
-        if self.max_iterations < 1:
-            raise InvalidInput("max_iterations must be >= 1")
+        check_positive("tolerance", self.tolerance)
+        check_count("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(frozen=True)

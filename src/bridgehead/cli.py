@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
-from .core import InvalidInput, Problem, check_marginal, mutual_information
+from .core import InvalidInput, Problem, check_count, check_marginal, mutual_information
 from .io import (
     load_marginal,
     load_problem,
@@ -200,8 +200,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     problem = load_problem(args.problem)
     config = _solver_config(args)
-    if args.jobs < 1:
-        raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
+    check_count("--jobs", args.jobs, 1)
     try:
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
     except ValueError as err:

@@ -8,7 +8,8 @@ matrix-scaling solver, the outer marginal iteration, the diagnostics) consumes
 the immutable types defined in this module.
 
 Each type checks its input when it is built, so a Problem, ActionMarginal
-or Coupling that exists is valid and no entry point checks it again.
+or Coupling that exists is valid and no entry point checks it again.  Every
+other argument goes through ``_readonly`` or the ``check_*`` helpers here.
 
 Conventions: utilities are in utils, information in nats, and ``lam`` converts
 between them (utils per nat).  ``0 * log 0`` is 0 throughout.  Probability
@@ -74,6 +75,20 @@ def check_number(name: str, value, integer: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a real number"
         raise InvalidInput(f"{name} must be {noun}, got {value!r}")
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise InvalidInput unless ``value`` is an integer >= ``minimum``."""
+    check_number(name, value, integer=True)
+    if value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise InvalidInput unless ``value`` is a finite real number > 0."""
+    check_number(name, value)
+    if not 0 < value < np.inf:
+        raise InvalidInput(f"{name} must be > 0, got {value!r}")
 
 
 def _domain_issues(problem: Problem) -> list[str]:
@@ -151,8 +166,6 @@ class Problem:
         object.__setattr__(self, "states", tuple(str(s) for s in self.states))
         utility = _readonly("utility", self.utility)
         prior = _readonly("prior", self.prior)
-        if utility.ndim != 2:
-            raise InvalidInput(f"utility must be a matrix, got ndim={utility.ndim}")
         if utility.shape != (len(self.actions), len(self.states)):
             raise InvalidInput(
                 f"utility shape {utility.shape} does not match "
@@ -204,9 +217,7 @@ class ActionMarginal:
     @classmethod
     def uniform(cls, num_actions: int) -> "ActionMarginal":
         """Equal weights on ``num_actions`` actions, an integer >= 1."""
-        check_number("num_actions", num_actions, integer=True)
-        if num_actions < 1:
-            raise InvalidInput(f"num_actions must be >= 1, got {num_actions}")
+        check_count("num_actions", num_actions, 1)
         return cls(np.full(num_actions, 1.0 / num_actions))
 
     @classmethod
@@ -264,7 +275,6 @@ class Potentials:
 
     action: np.ndarray
     state: np.ndarray
-    normalization: str = "E_nu[action]=0"
 
     def __post_init__(self) -> None:
         a = _readonly("action", self.action)

@@ -39,9 +39,12 @@ from .core import (
     BridgeheadError,
     InvalidInput,
     Problem,
+    _readonly,
     action_equation,
+    check_count,
     check_marginal,
     check_number,
+    check_positive,
     gibbs_kernel,
     logsumexp,
     plateau_defect,
@@ -172,12 +175,6 @@ def _central(value_at, h: float):
     return (value_at(h) - back) / (2.0 * h)
 
 
-def _check_step(h) -> None:
-    check_number("h", h)
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidInput(f"h must be a finite real > 0, got {h!r}")
-
-
 def _in_simplex(weights: np.ndarray) -> np.ndarray:
     if np.any(weights < 0):
         raise InvalidInput("difference step leaves the simplex; reduce h")
@@ -219,7 +216,7 @@ def gateaux_value_direction(
     nu(action) >= h/(1+h)).  ``h`` must be a finite real > 0.  Raises the
     back step's BridgeNotConverged before the forward step's.
     """
-    _check_step(h)
+    check_positive("h", h)
     check_marginal(problem, psi)
     base = sinkhorn_bridge(problem, nu, _INNER)
     analytic, numeric, failed = _toward(problem, nu, psi.weights[None, :], h, base)
@@ -302,15 +299,13 @@ def belief_feasibility(
     overflowing total mass.
     """
     actions = list(candidate_set)
-    if len(actions) == 0:
-        raise InvalidInput("candidate set is empty")
     for index in [anchor] + actions:
         check_number("action index", index, integer=True)
         if not 0 <= index < problem.num_actions:
             raise InvalidInput(f"action index {index} out of range")
     if anchor not in actions:
         raise InvalidInput("anchor must belong to the candidate set")
-    post = np.asarray(posterior_anchor, dtype=np.float64)
+    post = _readonly("posterior_anchor", posterior_anchor)
     if post.shape != (problem.num_states,):
         raise InvalidInput("posterior_anchor length does not match states")
     if np.any(post <= 0) or not np.all(np.isfinite(post)):
@@ -390,10 +385,13 @@ def average_free_energy(problem: Problem, conditionals, reference) -> float:
 
     ``conditionals`` is an actions x states column-stochastic matrix; the
     reference measure stays fixed (the solved marginal, for certificates).
-    Conditionals escaping the support of the reference score +inf.
+    Conditionals escaping the support of the reference score +inf.  Other
+    shapes than m x n and m raise InvalidInput.
     """
-    cond = np.asarray(conditionals, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
+    cond = _readonly("conditionals", conditionals)
+    ref = _readonly("reference", reference)
+    if cond.shape != problem.utility.shape or ref.shape != (problem.num_actions,):
+        raise InvalidInput(f"conditionals {cond.shape} and reference {ref.shape} must be m x n and m")
     mean_u = (cond * problem.utility).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(cond) - np.log(ref)[:, None]
@@ -483,9 +481,7 @@ _FD_STEP = 1e-5   # difference step of both Gateaux checks
 def check_arguments(problem: Problem, solution: Solution, seed: int) -> None:
     """Raise InvalidInput unless ``seed`` is an integer >= 0 and the solution's
     coupling is the problem's m x n: the argument checks of ``run_diagnostics``."""
-    check_number("seed", seed, integer=True)
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, 0)
     shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
     if coupling != shape:
         raise InvalidInput(f"solution coupling is {coupling}, problem is {shape}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidInput, Problem, check_number
+from .core import Problem, check_count, check_number
 
 __all__ = [
     "random_problem",
@@ -52,9 +52,7 @@ def random_problem(
     Problem is invalid (no actions, no states, lam not finite and > 0).
     """
     for name, value in (("seed", seed), ("num_actions", num_actions), ("num_states", num_states)):
-        check_number(name, value, integer=True)
-        if value < 0:
-            raise InvalidInput(f"{name} must be >= 0, got {value}")
+        check_count(name, value, 0)
     check_number("lam", lam)
     rng = np.random.default_rng(seed)
     utility = rng.uniform(0.0, 1.0, size=(num_actions, num_states))

@@ -46,6 +46,8 @@ __all__ = [
     "write_manifest",
 ]
 
+_NORMALIZATION = "E_nu[action]=0"  # the translation convention of Potentials
+
 
 def _floats(values) -> list[float]:
     return np.asarray(values, dtype=np.float64).ravel().tolist()
@@ -59,7 +61,7 @@ def _potentials(potentials: Potentials) -> dict[str, Any]:
     return {
         "action": _floats(potentials.action),
         "state": _floats(potentials.state),
-        "normalization": potentials.normalization,
+        "normalization": _NORMALIZATION,
     }
 
 
@@ -193,24 +195,17 @@ def solution_from_dict(data: dict[str, Any]) -> Solution:
     from .solver import Solution
 
     with _reading("solution"):
-        potentials = Potentials(
-            action=np.array(data["potentials"]["action"], dtype=np.float64),
-            state=np.array(data["potentials"]["state"], dtype=np.float64),
-            normalization=str(data["potentials"]["normalization"]),
-        )
-        converged, iterations = data["converged"], data["iterations"]
-        if not isinstance(converged, bool):
-            raise TypeError(f"converged must be true or false, got {converged!r}")
-        if isinstance(iterations, bool) or not isinstance(iterations, int):
-            raise TypeError(f"iterations must be an integer, got {iterations!r}")
+        action, state, normalization = (data["potentials"][k] for k in ("action", "state", "normalization"))
+        if normalization != _NORMALIZATION:
+            raise InvalidInput(f"normalization must be {_NORMALIZATION!r}, got {normalization!r}")
         solution = Solution(
             marginal=ActionMarginal(np.array(data["marginal"], dtype=np.float64)),
             coupling=Coupling(np.array(data["coupling"], dtype=np.float64)),
-            potentials=potentials,
-            f_value=float(data["f_value"]),
-            foc_residuals=np.array(data["foc_residuals"], dtype=np.float64),
-            iterations=iterations,
-            converged=converged,
+            potentials=Potentials(np.array(action, dtype=np.float64), np.array(state, dtype=np.float64)),
+            f_value=data["f_value"],
+            foc_residuals=data["foc_residuals"],
+            iterations=data["iterations"],
+            converged=data["converged"],
         )
         support = list(solution.consideration_set)
         if data["consideration_set"] != support:

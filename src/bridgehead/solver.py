@@ -44,9 +44,12 @@ from .core import (
     InvalidInput,
     Potentials,
     Problem,
+    _readonly,
     action_equation,
+    check_count,
     check_marginal,
     check_number,
+    check_positive,
     gibbs_kernel,
     plateau_defect,
     shifted_gain,
@@ -93,20 +96,14 @@ class SolverConfig:
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
     def __post_init__(self) -> None:
-        check_number("foc_tolerance", self.foc_tolerance)
-        if not (np.isfinite(self.foc_tolerance) and self.foc_tolerance > 0):
-            raise InvalidInput(f"foc_tolerance must be > 0, got {self.foc_tolerance!r}")
-        check_number("max_iterations", self.max_iterations, integer=True)
-        if self.max_iterations < 1:
-            raise InvalidInput("max_iterations must be >= 1")
+        check_positive("foc_tolerance", self.foc_tolerance)
+        check_count("max_iterations", self.max_iterations, 1)
         if not isinstance(self.init, ActionMarginal) and not (
             isinstance(self.init, str) and self.init in ("uniform", "random")
         ):
             raise InvalidInput(f"unknown init {self.init!r}")
         if self.seed is not None:
-            check_number("seed", self.seed, integer=True)
-            if self.seed < 0:
-                raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+            check_count("seed", self.seed, 0)
         if not isinstance(self.sinkhorn, SinkhornConfig):
             raise InvalidInput(f"sinkhorn must be a SinkhornConfig, got {self.sinkhorn!r}")
 
@@ -116,7 +113,8 @@ class Solution:
     """Solved outer problem: optimal marginal plus certified inner state.
 
     ``consideration_set`` is not a constructor argument: it is read off the
-    marginal, as the actions with mass above ``SUPPORT_THRESHOLD``.
+    marginal, as the actions with mass above ``SUPPORT_THRESHOLD``.  It is
+    valid by construction: InvalidInput names a field of a wrong kind or shape.
     """
 
     marginal: ActionMarginal
@@ -129,14 +127,16 @@ class Solution:
     converged: bool
 
     def __post_init__(self) -> None:
-        r = np.array(self.foc_residuals, dtype=np.float64)
-        r.setflags(write=False)
-        object.__setattr__(self, "foc_residuals", r)
+        check_number("f_value", self.f_value)
+        check_count("iterations", self.iterations, 0)
+        if not isinstance(self.converged, bool):
+            raise InvalidInput(f"converged must be true or false, got {self.converged!r}")
+        object.__setattr__(self, "foc_residuals", _readonly("foc_residuals", self.foc_residuals))
         support = np.flatnonzero(self.marginal.weights > SUPPORT_THRESHOLD)
         object.__setattr__(self, "consideration_set", tuple(int(i) for i in support))
         m, n = self.coupling.joint.shape
         a, b = self.potentials.action, self.potentials.state
-        shapes = (self.marginal.weights.shape, r.shape, a.shape, b.shape)
+        shapes = (self.marginal.weights.shape, self.foc_residuals.shape, a.shape, b.shape)
         if shapes != ((m,), (m,), (m,), (n,)):
             raise InvalidInput(
                 f"marginal, foc_residuals, action and state potentials have shapes "
@@ -384,9 +384,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     polishing steps, each kept only if it at least halves the plateau
     violation.  The inner problem is then re-solved at the final marginal to
     produce the coupling and the certified potential pair.  Raises
-    SolverNotConverged, carrying the best solution found, when
-    max_iterations is exhausted first or that inner solve runs out of
-    sweeps; the attached solution then has converged=False.
+    SolverNotConverged, carrying the best solution found (converged=False),
+    when max_iterations is exhausted first, that inner solve runs out of
+    sweeps, or the reported log-domain residuals miss foc_tolerance where the
+    iteration's plain-domain plateau passed; so a returned one is certified.
 
     Actions with identical utility rows get identical Newton directions and
     identical multiplicative factors, so their split of mass is set by the
@@ -420,7 +421,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     nu_star = ActionMarginal(w)
     lz = log_partition(problem, nu_star)
     residuals = np.expm1(action_equation(gibbs_kernel(problem), problem.prior, lz))
-    converged = not exhausted and float(plateau_defect(residuals, w).max()) <= cfg.foc_tolerance
+    final_violation = float(plateau_defect(residuals, w).max())
     try:
         inner, inner_error = sinkhorn_bridge(problem, nu_star, cfg.sinkhorn), None
     except BridgeNotConverged as err:
@@ -432,7 +433,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         f_value=float(problem.prior @ lz),
         foc_residuals=residuals,
         iterations=iterations,
-        converged=converged and inner_error is None,
+        converged=not exhausted and inner_error is None and final_violation <= cfg.foc_tolerance,
     )
     if exhausted:
         raise SolverNotConverged(
@@ -442,4 +443,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
         )
     if inner_error is not None:
         raise SolverNotConverged(f"final inner solve failed: {inner_error}", solution)
+    if not solution.converged:
+        message = f"log-domain plateau violation {final_violation:.3e} > foc_tolerance"
+        raise SolverNotConverged(message, solution)
     return solution

@@ -15,8 +15,8 @@ import numpy as np
 
 import bridgehead as bh
 from bridgehead import bridge
-from bridgehead.core import check_number, logsumexp
-from bridgehead.diagnostics import _INNER, _central, _check_step, _in_simplex, _plain_envelope
+from bridgehead.core import check_count, check_number, check_positive, logsumexp
+from bridgehead.diagnostics import _INNER, _central, _in_simplex, _plain_envelope
 from bridgehead.solver import action_potential
 
 
@@ -43,7 +43,7 @@ def gateaux_value_state(problem, nu, state: int, h: float = 1e-5) -> tuple[float
     prior(state) >= h/(1+h).  ``state`` must be an integer index and ``h`` a
     finite real > 0, or InvalidInput is raised before any solve.
     """
-    _check_step(h)
+    check_positive("h", h)
     check_number("state", state, integer=True)
     if not 0 <= state < problem.num_states:
         raise bh.InvalidInput(f"state index {state} out of range")
@@ -100,10 +100,8 @@ def simplex_lattice(num_actions: int, denominator: int):
     scans its lattice pieces.  Both arguments must be integers >= 1 (NumPy
     integers count, a bool does not), or InvalidInput is raised.
     """
-    check_number("num_actions", num_actions, integer=True)
-    check_number("denominator", denominator, integer=True)
-    if num_actions < 1 or denominator < 1:
-        raise bh.InvalidInput("need at least one action and a positive denominator")
+    check_count("num_actions", num_actions, 1)
+    check_count("denominator", denominator, 1)
 
     def rec(prefix, remaining, slots):
         if slots == 1:

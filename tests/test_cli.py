@@ -109,6 +109,17 @@ class TestSolveCommand:
         assert json.loads((out / "solution.json").read_text())["converged"] is False
         assert "final inner solve" in capsys.readouterr().err
 
+    def test_log_domain_miss_exits_two_but_writes(self, tmp_path, capsys):
+        # the plain-domain plateau passes at 1e-15 and the log-domain one misses
+        problem = bh.random_problem(846428920, 4, 10, 0.0509548473469122)
+        path = write_problem(tmp_path / "p.json", problem)
+        out = tmp_path / "run"
+        assert main(["solve", path, "--foc-tolerance", "1e-15", "--output-dir", str(out)]) == 2
+        assert json.loads((out / "solution.json").read_text())["converged"] is False
+        captured = capsys.readouterr()
+        assert "converged: False" in captured.out
+        assert "log-domain plateau violation" in captured.err
+
     def test_dead_action_writes_minus_inf_without_warning(self, tmp_path, capsys):
         # at lam = 1e-300 the sixth action dies: its residual is exactly -1
         path = write_problem(tmp_path / "p.json", bh.random_problem(3, 6, 6, 1e-300))

@@ -1,6 +1,9 @@
 """Types, validation, and the elementary functionals."""
 
+import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -25,7 +28,8 @@ from bridgehead.core import (
     ri_objective,
     weighted_logsumexp,
 )
-from bridgehead.io import problem_from_dict
+from bridgehead.diagnostics import average_free_energy, belief_feasibility, gateaux_value_direction
+from bridgehead.io import _potentials, problem_from_dict
 from bridgehead.solver import (
     action_potential,
     foc_residuals,
@@ -193,7 +197,8 @@ class TestTypes:
 
     def test_potentials_default_convention_tag(self):
         pot = Potentials(np.array([0.5, -0.5]), np.array([0.0, 0.0]))
-        assert pot.normalization == "E_nu[action]=0"
+        assert [f.name for f in dataclasses.fields(pot)] == ["action", "state"]
+        assert _potentials(pot)["normalization"] == "E_nu[action]=0"
 
     def test_drop_zero_prior_states_warns_and_shrinks(self):
         document = {
@@ -434,3 +439,82 @@ def test_marginal_length_mismatch_rejected(function, length):
     p = bh.random_problem(7, 3, 4)
     with pytest.raises(bh.InvalidInput, match="does not match 3 actions"):
         function(p, bh.ActionMarginal.uniform(length))
+
+
+@pytest.fixture(scope="module")
+def solved_2x3():
+    p = bh.random_problem(7, 2, 3)
+    return p, bh.solve(p)
+
+
+def _replace(part):
+    return lambda p, s, v: dataclasses.replace(s, **{part: v})
+
+
+# argument name (its last word is what the message must name): the call that
+# passes a bad value as that argument, on a solved 2x3 problem, and the values
+_BAD_ARGUMENTS = {
+    "tolerance": (
+        lambda p, s, v: bh.SinkhornConfig(tolerance=v),
+        [True, "1e-9", 0.0, -1.0, math.nan, math.inf],
+    ),
+    "max_iterations": (lambda p, s, v: bh.SinkhornConfig(max_iterations=v), [True, "10", 0, 2.0]),
+    "foc_tolerance": (
+        lambda p, s, v: bh.SolverConfig(foc_tolerance=v),
+        [True, "1e-9", 0.0, math.nan, math.inf],
+    ),
+    "solver max_iterations": (lambda p, s, v: bh.SolverConfig(max_iterations=v), [False, "10", 0, -3]),
+    "seed": (lambda p, s, v: bh.SolverConfig(init="random", seed=v), [True, "1", -1, 1.5]),
+    "diagnostics seed": (lambda p, s, v: bh.run_diagnostics(p, s, seed=v), [True, "1", -1, 1.0]),
+    "random_problem seed": (lambda p, s, v: bh.random_problem(v, 2, 2), [True, "1", -1]),
+    "num_actions": (lambda p, s, v: bh.random_problem(1, v, 2), [True, "2", -1]),
+    "num_states": (lambda p, s, v: bh.random_problem(1, 2, v), [True, "2", -1]),
+    "uniform num_actions": (lambda p, s, v: bh.ActionMarginal.uniform(v), [True, "2", 0, 2.0]),
+    "h": (
+        lambda p, s, v: gateaux_value_direction(p, s.marginal, bh.ActionMarginal.dirac(2, 0), v),
+        [True, "1e-5", 0.0, -1e-5, math.nan, math.inf],
+    ),
+    "f_value": (_replace("f_value"), [True, "0.5", None, [0.5]]),
+    "iterations": (_replace("iterations"), [True, "3", -1, 3.0]),
+    "converged": (_replace("converged"), ["true", 1, None]),
+    "foc_residuals": (_replace("foc_residuals"), [True, "x", ["x", "y"], [0.0]]),
+    "posterior_anchor": (
+        lambda p, s, v: belief_feasibility(p, [0, 1], 0, v),
+        [True, "x", ["x", "y", "z"], [0.5, 0.5], [0.5, 0.5, math.nan]],
+    ),
+    "conditionals": (
+        lambda p, s, v: average_free_energy(p, v, s.marginal.weights),
+        [True, "x", [["x"] * 3] * 2, [[1.0] * 2] * 3],
+    ),
+    "reference": (
+        lambda p, s, v: average_free_energy(p, s.coupling.joint, v),
+        [True, "x", ["x", "y"], [1.0] * 3],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name, (_, values) in _BAD_ARGUMENTS.items() for value in values],
+    ids=repr,
+)
+def test_entry_points_reject_bad_arguments(solved_2x3, name, value):
+    call, _ = _BAD_ARGUMENTS[name]
+    with pytest.raises(bh.InvalidInput, match=re.escape(name.split()[-1])):
+        call(*solved_2x3, value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bh.SinkhornConfig(max_iterations=0), "max_iterations must be >= 1, got 0"),
+        (lambda: bh.SolverConfig(seed=-2), "seed must be >= 0, got -2"),
+        (lambda: bh.ActionMarginal.uniform(0), "num_actions must be >= 1, got 0"),
+        (lambda: bh.SolverConfig(foc_tolerance=math.nan), "foc_tolerance must be > 0, got nan"),
+        (lambda: bh.SinkhornConfig(tolerance=0), "tolerance must be > 0, got 0"),
+    ],
+)
+def test_range_messages_name_the_bound(call, message):
+    with pytest.raises(bh.InvalidInput) as exc:
+        call()
+    assert str(exc.value) == message

@@ -256,10 +256,11 @@ class TestBeliefFeasibility:
         with pytest.raises(bh.InvalidInput):
             bh.belief_feasibility(symmetric_2x2, [0], 1, symmetric_2x2.prior)
         # indices must be integers in [0, m): a bool, a float, an index past
-        # m and a negative one are rejected, not used as NumPy would use them
+        # m and a negative one are rejected, not used as NumPy would use them;
+        # an empty candidate set cannot hold the anchor
         problem = bh.random_problem(1, 3, 4)
         posterior = np.full(4, 0.25)
-        bad = [([0, 1], True), ([0, 1], 1.0), ([0, 5], 0), ([0, 1.7], 0), ([0, -1], 0)]
+        bad = [([0, 1], True), ([0, 1], 1.0), ([0, 5], 0), ([0, 1.7], 0), ([0, -1], 0), ([], 0)]
         for candidates, anchor in bad:
             with pytest.raises(bh.InvalidInput):
                 bh.belief_feasibility(problem, candidates, anchor, posterior)

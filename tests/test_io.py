@@ -119,6 +119,27 @@ class TestSolutionRoundTrip:
         rebuilt = solution_from_dict(data)
         assert rebuilt.iterations == solution.iterations
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("normalization", "E_b=0", "normalization must be 'E_nu[action]=0', got 'E_b=0'"),
+            ("converged", "false", "converged must be true or false, got 'false'"),
+            ("iterations", 1.5, "iterations must be an integer, got 1.5"),
+            ("iterations", -1, "iterations must be >= 0, got -1"),
+            ("f_value", "0.5", "f_value must be a real number, got '0.5'"),
+        ],
+    )
+    def test_malformed_fields_are_named(self, key, value, message):
+        p = bh.random_problem(81, 3, 3)
+        data = solution_to_dict(p, bh.solve(p))
+        if key == "normalization":
+            data["potentials"] = dict(data["potentials"], normalization=value)
+        else:
+            data[key] = value
+        with pytest.raises(bh.InvalidInput) as exc:
+            solution_from_dict(data)
+        assert str(exc.value) == message
+
     def test_diagnostics_accept_reloaded_solution(self, tmp_path):
         p = bh.random_problem(82, 3, 4, lam=0.8)
         solution = bh.solve(p, TIGHT)

@@ -19,6 +19,7 @@ from bridgehead.solver import (
     log_partition,
     logit_policy,
 )
+from bridgehead.core import plateau_defect
 
 from conftest import TIGHT, _recording_platform, make_tracking, random_simplex
 from reference import ba_step, kkt_direction
@@ -293,6 +294,24 @@ class TestSolve:
         assert partial.foc_residuals.max() <= 1e-9
         assert partial.coupling.joint.shape == (6, 6)
         assert partial.f_value == bh.solve(p, TIGHT).f_value
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (846428920, 4, 10, 0.0509548473469122),
+            (562348692, 11, 2, 0.054359349539630605),
+            (944559259, 6, 5, 0.054287422122664734),
+        ],
+    )
+    def test_log_domain_miss_raises_with_solution(self, args):
+        # the plain-domain plateau passes at 1e-15; the log-domain residuals
+        # that the solution reports miss it by rounding
+        cfg = bh.SolverConfig(foc_tolerance=1e-15)
+        with pytest.raises(bh.SolverNotConverged, match="log-domain plateau violation") as exc:
+            bh.solve(bh.random_problem(*args), cfg)
+        partial = exc.value.solution
+        assert not partial.converged
+        assert plateau_defect(partial.foc_residuals, partial.marginal.weights).max() > 1e-15
 
     def test_plateau_holds_at_reported_solution(self, solved_suite):
         for problem, solution in solved_suite:
