@@ -54,13 +54,17 @@ from .core import (
     ActionMarginal,
     BridgeheadError,
     Coupling,
+    InvalidInput,
     Potentials,
     Problem,
+    _EPS,
+    _TINY,
     _logsumexp_kernel,
     action_equation,
     check_count,
     check_marginal,
     check_positive,
+    check_type,
     gibbs_kernel,
     weighted_logsumexp,
 )
@@ -172,8 +176,9 @@ def sinkhorn_bridge(
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
     """
-    cfg = config or SinkhornConfig()
+    cfg = SinkhornConfig() if config is None else config
     check_marginal(problem, nu)
+    check_type("config", cfg, SinkhornConfig)
     kernel = gibbs_kernel(problem)
     weights = nu.weights / nu.weights.sum()
     prior = problem.prior / problem.prior.sum()
@@ -211,7 +216,6 @@ def _sweeps(ks, ws, prior, cfg):
     # and sums of m + n terms, by under eps/4 times that on 600 instances, lam
     # 1e-4 to 1e4.  4 tol costs a few exact residuals.
     size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
-    eps = np.finfo(float).eps
     live = list(range(len(ws)))  # the input row of each stack row
     last = [np.inf] * len(ws)  # the drift of each row's last sweep
     counts = [None] * len(ws)  # the Newton counts of each input row that handed over
@@ -226,19 +230,27 @@ def _sweeps(ks, ws, prior, cfg):
             else:
                 bound = np.maximum.reduce(np.abs(b), axis=(1, 2)).tolist()
                 b_next = _logsumexp_kernel(rows, axis=1)
-                drift = np.abs(prior * np.expm1(b_next - b))
-                drift = np.maximum.reduce(drift, axis=(1, 2)).tolist()
+                drift = np.subtract(b_next, b)
+                np.expm1(drift, out=drift)
+                np.multiply(prior, drift, out=drift)
+                drift = np.maximum.reduce(np.abs(drift, out=drift), axis=(1, 2)).tolist()
                 # a drift within the gate (or NaN) measures
                 measure = [
                     r for r, c in enumerate(drift)
-                    if not c > 4.0 * tolerance + 8.0 * eps * (size_and_osc + bound[r])
+                    if not c > 4.0 * tolerance + 8.0 * _EPS * (size_and_osc + bound[r])
                 ]
             stopped = []
-            for r in measure:
-                coupling, mass, residual = _measure(rows[r], b[r], log_prior, ws[r], prior)
-                if residual <= tolerance or iterations == budget:
-                    out[live[r]] = (a[r, :, 0], b[r, 0], coupling, mass, iterations, residual)
-                    stopped.append(r)
+            if measure:
+                # one stacked measurement; no copies where every row is measured
+                some = len(measure) < len(live)
+                coupling, mass, residual = _measure(
+                    rows[measure] if some else rows, b[measure] if some else b,
+                    log_prior, ws[measure] if some else ws, prior,
+                )
+                for j, r in enumerate(measure):
+                    if residual[j] <= tolerance or iterations == budget:
+                        out[live[r]] = (a[r, :, 0], b[r, 0], coupling[j], mass[j], iterations, residual[j])
+                        stopped.append(r)
             if len(stopped) == len(live):
                 break
             # hand over where Sinkhorn, at its last rate c / last, would need
@@ -255,10 +267,15 @@ def _sweeps(ks, ws, prior, cfg):
                     row_part[r], col_part, ws[r], prior, a[r, :, 0], b[r, 0], b_next[r, 0], tolerance
                 )
                 if b_r is not None:
-                    coupling, mass, residual = _measure(row_part[r] - a[r], b_r, log_prior, ws[r], prior)
+                    one = slice(r, r + 1)
+                    (coupling,), (mass,), (residual,) = _measure(
+                        row_part[one] - a[one], b_r, log_prior, ws[one], prior
+                    )
                     if residual <= tolerance:
                         out[live[r]] = (a[r, :, 0], b_r, coupling, mass, iterations, residual)
                         stopped.append(r)
+            if len(stopped) == len(live):
+                break
             if missed := [r for r in newton if r not in stopped]:
                 b_next[missed] = _logsumexp_kernel(row_part[missed] - a[missed], axis=1)
             last, b = drift, b_next
@@ -266,20 +283,20 @@ def _sweeps(ks, ws, prior, cfg):
                 keep = [r for r in range(len(live)) if r not in stopped]
                 live, last = [live[r] for r in keep], [last[r] for r in keep]
                 ws, row_part, b = ws[keep], row_part[keep], b[keep]
-                if not live:
-                    break
     return [row + (n or (0, 0),) for row, n in zip(out, counts)]
 
 
 def _measure(rows, b, log_prior, ws, prior):
-    """The unit-mass coupling of the pair (a, b), rows being log nu + u/lam - a,
-    its mass and its exact residual, the worst violation of its marginals."""
+    """The unit-mass couplings of a (j, s, n) stack of pairs (a, b), rows being
+    log nu + u/lam - a and ``ws`` the (j, s) weights, with their masses and
+    exact residuals, the worst violations of their marginals, as lists.
+    Each row of a C-order stack sums as it does alone."""
     coupling = np.exp(rows + (log_prior - b))
-    mass = float(coupling.sum())
-    coupling /= mass
-    row = float(np.abs(coupling.sum(axis=1) - ws).max())
-    col = float(np.abs(coupling.sum(axis=0) - prior).max())
-    return coupling, mass, max(row, col)
+    mass = np.add.reduce(coupling, axis=(1, 2))
+    coupling /= mass[:, None, None]
+    row = np.maximum.reduce(np.abs(coupling.sum(axis=2) - ws), axis=1).tolist()
+    col = np.maximum.reduce(np.abs(coupling.sum(axis=1) - prior), axis=1).tolist()
+    return coupling, mass.tolist(), [max(r, c) for r, c in zip(row, col)]
 
 
 def _semi_dual_newton(row_part, col_part, ws, prior, a, b, b_next, tolerance):
@@ -357,7 +374,7 @@ def _newton(logits, p, q, y, rows, tolerance):
             rows = centre + np.log(total)
             np.divide(pi, total, out=pi)
         # the closing half-step, from pi: exact only where no column sum is subnormal
-        if closed := closed and float(colsum.min()) >= np.finfo(float).tiny:
+        if closed := closed and float(colsum.min()) >= _TINY:
             y = y + np.log(colsum / q)
             centre = rows + np.log(pi @ (q / colsum))[:, None]
             rows = centre + np.log(np.exp(logits - y - centre).sum(axis=1, keepdims=True))
@@ -454,6 +471,7 @@ def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):
     kernel = gibbs_kernel(problem)
     weights = stack / stack.sum(axis=1, keepdims=True)
     prior = problem.prior / problem.prior.sum()
+    log_prior = np.log(prior)
     values = np.empty(len(stack))
     errors = [None] * len(stack)
     supports: dict[bytes, list[int]] = {}
@@ -461,10 +479,11 @@ def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):
         supports.setdefault(sup.tobytes(), []).append(i)
     for members in supports.values():
         sup = weights[members[0]] > 0
-        ks = kernel[sup]
-        solved = _sweeps(ks, weights[members][:, sup], prior, config)
+        ks, ws = kernel[sup], weights[members][:, sup]
+        solved = _sweeps(ks, ws, prior, config)
+        couplings = np.array([row[2] for row in solved])
+        values[members] = _values_primal(couplings, ws, log_prior, ks)
         for i, row in zip(members, solved):
-            values[i] = _value_primal(row[2], weights[i, sup], prior, ks)
             if not row[5] <= config.tolerance:
                 result = _assemble(problem, weights[i], prior, kernel, sup, row)
                 errors[i] = BridgeNotConverged(result.iterations, result.residual, result)
@@ -472,20 +491,28 @@ def _primal_values(problem: Problem, stack: np.ndarray, config: SinkhornConfig):
 
 
 def _value_primal(coupling, ws, prior, ks) -> float:
-    """Integrate u/lam against the coupling of the supported actions and
-    subtract its divergence from ws x prior term by term.  A coupling with
-    no zero entry sums the m x n arrays as they are; one that holds an
-    exact 0 (underflow at small lam) sums its positive entries only, as
-    0 log 0 = 0.  A C-order array sums as its flat copy does, so the two
-    forms agree bit for bit where both apply."""
-    log_product = np.log(ws)[:, None] + np.log(prior)[None, :]
-    if coupling.min() > 0:
-        kl = float(np.sum(coupling * (np.log(coupling) - log_product)))
+    """``_values_primal`` of one coupling."""
+    return float(_values_primal(coupling[None], ws[None], np.log(prior), ks)[0])
+
+
+def _values_primal(couplings, ws, log_prior, ks) -> np.ndarray:
+    """Integrate u/lam against each of a C-order (j, s, n) stack of couplings
+    of the supported actions and subtract its divergence from ws x prior
+    term by term, ws being the (j, s) weights.  Where no coupling holds a
+    zero entry the stacked arrays are summed as they are; otherwise, as
+    0 log 0 = 0, each coupling sums its positive entries only (an exact 0
+    is underflow at small lam).  A C-order array sums as its flat copy does
+    and each row of a stack as it does alone, so the two forms agree bit
+    for bit where both apply."""
+    log_product = np.log(ws)[:, :, None] + log_prior
+    if couplings.min() > 0:
+        kl = np.add.reduce(couplings * (np.log(couplings) - log_product), axis=(1, 2))
     else:
-        mask = coupling > 0
-        positive = coupling[mask]
-        kl = float(np.sum(positive * (np.log(positive) - log_product[mask])))
-    return float(np.sum(coupling * ks)) - kl
+        kl = np.array([
+            np.add.reduce(c[mask] * (np.log(c[mask]) - lp[mask]))
+            for c, lp, mask in zip(couplings, log_product, couplings > 0)
+        ])
+    return np.add.reduce(couplings * ks, axis=(1, 2)) - kl
 
 
 def _assemble(problem, weights, prior, kernel, sup, solved):
@@ -494,11 +521,12 @@ def _assemble(problem, weights, prior, kernel, sup, solved):
     a_full = np.empty(problem.num_actions)
     a_full[sup] = a_s
     off = ~sup
-    if np.any(off):
+    if off.any():
         a_full[off] = action_equation(kernel[off], prior, b)
 
     # translate so that E_nu[a] = 0 (leaves a + b, hence the coupling, alone)
-    shift = float(weights[sup] @ a_s)
+    ws = weights[sup]
+    shift = float(ws @ a_s)
     a_full = a_full - shift
     b = b + shift
 
@@ -511,13 +539,26 @@ def _assemble(problem, weights, prior, kernel, sup, solved):
     return BridgeResult(
         coupling=Coupling(full),
         potentials=Potentials(action=a_full, state=b),
-        value_primal=_value_primal(coupling_s, weights[sup], prior, kernel[sup]),
+        value_primal=_value_primal(coupling_s, ws, prior, kernel[sup]),
         value_dual=value_dual,
         iterations=iterations,
         residual=residual,
         newton_steps=newton_steps,
         gth_steps=gth_steps,
     )
+
+
+def _check_potentials(problem: Problem, nu: ActionMarginal, potentials: Potentials) -> None:
+    """Raise InvalidInput unless ``nu`` fits the problem and ``potentials`` is
+    a Potentials pair of one entry per action and one per state."""
+    check_marginal(problem, nu)
+    check_type("potentials", potentials, Potentials)
+    sizes = (len(potentials.action), len(potentials.state))
+    if sizes != (problem.num_actions, problem.num_states):
+        raise InvalidInput(
+            f"potentials have {sizes[0]} action and {sizes[1]} state entries, "
+            f"problem is {problem.num_actions} x {problem.num_states}"
+        )
 
 
 def schrodinger_residual(
@@ -529,7 +570,7 @@ def schrodinger_residual(
     residual over all states).  Both are ~0 at potentials returned by
     sinkhorn_bridge; perturbing either potential shows up here directly.
     """
-    check_marginal(problem, nu)
+    _check_potentials(problem, nu, potentials)
     kernel = gibbs_kernel(problem)
     a = potentials.action
     b = potentials.state
@@ -549,7 +590,7 @@ def coupling_from_potentials(
     PotentialsInconsistent is raised; the tiny remaining defect is projected
     out so the result is an exact unit-mass Coupling.
     """
-    check_marginal(problem, nu)
+    _check_potentials(problem, nu, potentials)
     kernel = gibbs_kernel(problem)
     with np.errstate(over="ignore"):
         density = np.exp(

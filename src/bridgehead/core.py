@@ -19,6 +19,7 @@ independently computed quantities use looser, documented tolerances.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ SIMPLEX_ATOL = 1e-12   # construction-time tolerance on probability vectors
 MASS_ATOL = 1e-10      # coupling total-mass tolerance
 BAYES_ATOL = 1e-8      # tolerance on the state marginal in ri_objective
 SUPPORT_THRESHOLD = 1e-9  # mass above which an action counts as supported
+_EPS = float(np.finfo(float).eps)    # spacing of doubles at 1
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 class BridgeheadError(Exception):
@@ -68,6 +71,15 @@ def _readonly(name: str, values) -> np.ndarray:
     return arr
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, not copied where it is one; InvalidInput
+    names ``name`` if they are not an array of real numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise InvalidInput(f"{name} must be an array of real numbers: {err}") from None
+
+
 def check_number(name: str, value, integer: bool = False) -> None:
     """Raise InvalidInput unless ``value`` is a real number, or an integer
     where ``integer``; NumPy scalars count, a bool is neither."""
@@ -91,19 +103,26 @@ def check_positive(name: str, value) -> None:
         raise InvalidInput(f"{name} must be > 0, got {value!r}")
 
 
-def _domain_issues(problem: Problem) -> list[str]:
-    """Every violated domain condition of a well-shaped problem, as "Code: message"."""
-    issues = []
+def check_type(name: str, value, kind: type) -> None:
+    """Raise InvalidInput unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
+def _domain_issues(problem: Problem) -> tuple[list[str], np.ndarray | None]:
+    """Every violated domain condition of a well-shaped problem, as "Code:
+    message", and the kernel u/lam where utility and lam are valid."""
+    issues, kernel = [], None
     if problem.num_actions == 0:
         issues.append("EmptyActionSet: problem has no actions")
-    lam_ok = np.isfinite(problem.lam) and problem.lam > 0
+    lam_ok = math.isfinite(problem.lam) and problem.lam > 0
     if not lam_ok:
         issues.append(f"NonPositiveLambda: information cost must be finite and > 0, got {problem.lam!r}")
     prior = problem.prior
-    if not np.all(np.isfinite(prior)):
+    if not np.isfinite(prior).all():
         issues.append("PriorNotSimplex: prior has non-finite entries")
     else:
-        if np.any(prior <= 0):
+        if (prior <= 0).any():
             issues.append(
                 "PriorNotSimplex: prior must be strictly positive "
                 "(problem_from_dict drops exact zeros)"
@@ -114,14 +133,14 @@ def _domain_issues(problem: Problem) -> list[str]:
     if problem.num_states == 0:
         # surfaces as a degenerate prior rather than a dedicated code
         issues.append("PriorNotSimplex: problem has no states")
-    if not np.all(np.isfinite(problem.utility)):
+    if not np.isfinite(problem.utility).all():
         issues.append("NonFiniteUtility: utility has non-finite entries")
     elif lam_ok:
         with np.errstate(over="ignore"):
-            kernel_finite = np.all(np.isfinite(problem.utility / problem.lam))
-        if not kernel_finite:
+            kernel = problem.utility / problem.lam
+        if not np.isfinite(kernel).all():
             issues.append(f"LambdaTooSmall: utility / lambda overflows at lambda {problem.lam!r}")
-    return issues
+    return issues, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +167,9 @@ class Problem:
     negative entry, a sum off 1 by more than 1e-12, or no states),
     ``NonFiniteUtility``, and ``LambdaTooSmall`` (u/lam overflows), as in
     "invalid problem: NonPositiveLambda: ...; PriorNotSimplex: ...".
-    ``io.problem_from_dict`` drops a document's exact-zero prior states
-    first.  A valid problem can still be out of the inner bridge's reach,
+    The kernel u/lam that the LambdaTooSmall check computes is kept,
+    read-only, and ``gibbs_kernel`` returns it.  ``io.problem_from_dict``
+    drops a document's exact-zero prior states first.  A valid problem can still be out of the inner bridge's reach,
     which is set by osc(u)/lam = (max u - min u)/lam in nats: it converges
     up to about 1,400 nats, and past about 10,000 its Newton Hessian is 0
     in floating point and it sweeps until its budget ends.
@@ -182,9 +202,11 @@ class Problem:
         object.__setattr__(self, "utility", utility)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "prior", prior)
-        issues = _domain_issues(self)
+        issues, kernel = _domain_issues(self)
         if issues:
             raise InvalidInput("invalid problem: " + "; ".join(issues))
+        kernel.setflags(write=False)
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
     def num_actions(self) -> int:
@@ -205,9 +227,9 @@ class ActionMarginal:
         w = _readonly("weights", self.weights)
         if w.ndim != 1 or w.shape[0] < 1:
             raise InvalidInput("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise InvalidInput("weights must be finite")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InvalidInput(f"weights must be nonnegative, min={w.min()}")
         total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_ATOL:
@@ -245,9 +267,9 @@ class Coupling:
         j = _readonly("joint", self.joint)
         if j.ndim != 2:
             raise InvalidInput("joint must be a matrix")
-        if not np.all(np.isfinite(j)):
+        if not np.isfinite(j).all():
             raise InvalidInput("joint must be finite")
-        if np.any(j < 0):
+        if (j < 0).any():
             raise InvalidInput(f"joint must be nonnegative, min={j.min()}")
         mass = float(j.sum())
         if abs(mass - 1.0) > MASS_ATOL:
@@ -281,7 +303,7 @@ class Potentials:
         b = _readonly("state", self.state)
         if a.ndim != 1 or b.ndim != 1:
             raise InvalidInput("potentials must be vectors")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidInput("potentials must be finite")
         object.__setattr__(self, "action", a)
         object.__setattr__(self, "state", b)
@@ -292,8 +314,11 @@ class Potentials:
 # ---------------------------------------------------------------------------
 
 
-def check_marginal(problem: Problem, nu: ActionMarginal) -> None:
-    """Raise InvalidInput unless ``nu`` has one weight per action."""
+def check_marginal(problem: Problem, nu: ActionMarginal, name: str = "nu") -> None:
+    """Raise InvalidInput unless ``problem`` is a Problem and ``nu`` an
+    ActionMarginal with one weight per action; ``name`` is the argument's."""
+    check_type("problem", problem, Problem)
+    check_type(name, nu, ActionMarginal)
     if len(nu) != problem.num_actions:
         raise InvalidInput(
             f"marginal length {len(nu)} does not match {problem.num_actions} actions"
@@ -301,8 +326,11 @@ def check_marginal(problem: Problem, nu: ActionMarginal) -> None:
 
 
 def gibbs_kernel(problem: Problem) -> np.ndarray:
-    """Log-domain kernel u/lam; entry (alpha, omega) equals utility/lam exactly."""
-    return problem.utility / problem.lam
+    """Log-domain kernel u/lam; entry (alpha, omega) equals utility/lam exactly.
+
+    Built once, with the problem, and shared: the array is read-only.
+    """
+    return problem._kernel
 
 
 def shifted_gain(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -323,15 +351,19 @@ def logsumexp(a, axis: int | None = None):
 
     The arithmetic of scipy.special.logsumexp (SciPy 1.17) on float64 input,
     bit for bit; see ``_logsumexp_kernel``.  An empty sum is -inf.  Reduced
-    axes are squeezed and a 0-d result comes back as a NumPy scalar.
+    axes are squeezed and a 0-d result comes back as a NumPy scalar.  An
+    axis out of range raises InvalidInput.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    a = np.atleast_1d(_floats("a", a))
     axis = tuple(range(a.ndim)) if axis is None else axis
-    if a.size == 0:
-        out = np.full_like(a.sum(axis=axis, keepdims=True), -np.inf)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _logsumexp_kernel(a, axis)
+    try:
+        if a.size == 0:
+            out = np.full_like(a.sum(axis=axis, keepdims=True), -np.inf)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = _logsumexp_kernel(a, axis)
+    except np.exceptions.AxisError:
+        raise InvalidInput(f"axis {axis!r} is out of range for {a.ndim} dimensions") from None
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
@@ -369,9 +401,9 @@ def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
     -inf and drops out), which stays exact for subnormal weights where a
     separate coefficient (SciPy's ``b=``) overflows internally.
     """
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
+    v = _floats("values", values)
+    w = _floats("weights", weights)
+    if (w < 0).any():
         raise InvalidInput("weights must be nonnegative")
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
@@ -383,8 +415,10 @@ def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
 def action_equation(kernel: np.ndarray, prior: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Action potential implied by a state potential, one entry per kernel row:
     log sum_omega prior(omega) exp(kernel(alpha, omega) - state(omega)).
+    The kernel has at least one row and one column.
     """
-    return logsumexp(kernel + np.log(prior)[None, :] - state[None, :], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _logsumexp_kernel(kernel + np.log(prior)[None, :] - state[None, :], 1)[:, 0]
 
 
 def plateau_defect(residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:

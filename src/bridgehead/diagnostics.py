@@ -20,6 +20,7 @@ cumulants' differences in t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -39,12 +40,14 @@ from .core import (
     BridgeheadError,
     InvalidInput,
     Problem,
+    _TINY,
     _readonly,
     action_equation,
     check_count,
     check_marginal,
     check_number,
     check_positive,
+    check_type,
     gibbs_kernel,
     logsumexp,
     plateau_defect,
@@ -118,7 +121,7 @@ class DiagnosticReport:
 
 def _result(name: str, violation: float, tolerance: float, details: str = "") -> CheckResult:
     violation = float(violation)
-    ok = bool(np.isfinite(violation) and violation <= tolerance)
+    ok = math.isfinite(violation) and violation <= tolerance
     return CheckResult(name, violation, float(tolerance), ok, details)
 
 
@@ -134,7 +137,7 @@ def _plain_envelope(problem: Problem):
 
     def envelope(weights: np.ndarray) -> np.ndarray:
         z = weights @ gain
-        if np.any(z <= 0):
+        if (z <= 0).any():
             raise InvalidInput("weights give a non-positive partition function")
         return (np.log(z) + shift) @ problem.prior
 
@@ -176,7 +179,7 @@ def _central(value_at, h: float):
 
 
 def _in_simplex(weights: np.ndarray) -> np.ndarray:
-    if np.any(weights < 0):
+    if (weights < 0).any():
         raise InvalidInput("difference step leaves the simplex; reduce h")
     return weights
 
@@ -185,10 +188,11 @@ def _toward(problem, nu, psi, h, base):
     """Derivatives of the inner value at nu toward each row of a (k, m) stack
     of marginals psi, from nu's solve ``base``.
 
-    Returns the analytic derivatives, the central differences and, row by
-    row, None or the BridgeNotConverged of an unconverged step, the back
-    step's first.  The 2k steps nu -+ h (psi - nu) are checked, then solved
-    as one stack that yields only their primal values.
+    Returns the analytic derivatives, the inner values at the back steps
+    and at the forward steps and, row by row, None or the BridgeNotConverged
+    of an unconverged step, the back step's first.  The 2k steps
+    nu -+ h (psi - nu) are checked, then solved as one stack that yields
+    only their primal values.
     """
     a = base.potentials.action
     mean = float(nu.weights @ a)
@@ -197,7 +201,7 @@ def _toward(problem, nu, psi, h, base):
     values, errors = _primal_values(problem, _in_simplex(steps).reshape(-1, len(nu)), _INNER)
     back, forward = values.reshape(2, -1)
     failed = [errors[i] or errors[len(psi) + i] for i in range(len(psi))]
-    return analytic, (forward - back) / (2.0 * h), failed
+    return analytic, back, forward, failed
 
 
 def gateaux_value_direction(
@@ -219,10 +223,10 @@ def gateaux_value_direction(
     check_positive("h", h)
     check_marginal(problem, psi)
     base = sinkhorn_bridge(problem, nu, _INNER)
-    analytic, numeric, failed = _toward(problem, nu, psi.weights[None, :], h, base)
+    analytic, back, forward, failed = _toward(problem, nu, psi.weights[None, :], h, base)
     if failed[0] is not None:
         raise failed[0]
-    return analytic[0], float(numeric[0])
+    return analytic[0], float((forward[0] - back[0]) / (2.0 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ def _ilr(solution: Solution, shared: SimpleNamespace) -> CheckResult:
     supported = list(solution.consideration_set)
     joint = solution.coupling.joint[supported]
     row_mass = joint.sum(axis=1)
-    if np.any(row_mass <= 0):
+    if (row_mass <= 0).any():
         alpha = supported[int(np.argmax(row_mass <= 0))]
         return _result("ilr", np.inf, _ILR_TOL, f"supported action {alpha} has empty row")
     posterior = joint / row_mass[:, None]
@@ -298,7 +302,12 @@ def belief_feasibility(
     PosteriorNotNormalizable when an image has zero, non-finite, or
     overflowing total mass.
     """
-    actions = list(candidate_set)
+    try:
+        actions = list(candidate_set)
+    except TypeError:
+        raise InvalidInput(
+            f"candidate_set must be an iterable of action indices, got {type(candidate_set).__name__}"
+        ) from None
     for index in [anchor] + actions:
         check_number("action index", index, integer=True)
         if not 0 <= index < problem.num_actions:
@@ -308,7 +317,7 @@ def belief_feasibility(
     post = _readonly("posterior_anchor", posterior_anchor)
     if post.shape != (problem.num_states,):
         raise InvalidInput("posterior_anchor length does not match states")
-    if np.any(post <= 0) or not np.all(np.isfinite(post)):
+    if (post <= 0).any() or not np.isfinite(post).all():
         raise InvalidInput("posterior_anchor must be strictly positive and finite")
 
     kernel = gibbs_kernel(problem)
@@ -410,11 +419,11 @@ def _shared_inputs(problem: Problem, solution: Solution):
     log_formula = np.log(problem.prior)[None, :] + kernel - lz[None, :]
     with np.errstate(divide="ignore"):
         log_joint = np.log(solution.marginal.weights)[:, None] + log_formula
-    joint, tiny = solution.coupling.joint, np.finfo(float).tiny
+    joint = solution.coupling.joint
     col = joint.sum(axis=0)
     return SimpleNamespace(
-        kernel=kernel, lz=lz, cond=None if np.any(col <= 0) else joint / col[None, :],
-        log_formula=log_formula, aside=(joint < tiny) & (log_joint < np.log(tiny)),
+        kernel=kernel, lz=lz, cond=None if (col <= 0).any() else joint / col[None, :],
+        log_formula=log_formula, aside=(joint < _TINY) & (log_joint < math.log(_TINY)),
     )
 
 
@@ -476,11 +485,54 @@ def _gibbs_plateau(solution: Solution, shared: SimpleNamespace) -> CheckResult:
 
 _DIRECTIONS = 10  # random directions of the gateaux_f check
 _FD_STEP = 1e-5   # difference step of both Gateaux checks
+_GATEAUX_TOL = 1e-3  # both Gateaux checks; also the widest bracket read centrally
+
+
+def _gateaux_value(problem, nu, probe, fresh):
+    """The violation and details of the ``gateaux_value`` check at the probe
+    actions, from the audit solve ``fresh``.
+
+    V is concave along each probe line nu + t (delta_alpha - nu), as an
+    infimum of functions affine in nu, so the one-sided quotients
+    q+ = (V(h) - V(0)) / h and q- = (V(0) - V(-h)) / h bracket V'(0):
+    q+ <= V' <= q-.  V(0) is the audit's value_primal, on the probes' route.
+    Where q- - q+ <= 1e-3 the analytic value is compared with the central
+    difference; elsewhere (a small-lam optimum, whose inner value curves on
+    a scale far below h) the violation is its distance outside the bracket,
+    and the details give the widest bracket.
+    """
+    points = np.zeros((len(probe), problem.num_actions))
+    points[np.arange(len(probe)), probe] = 1.0
+    worst, widths, errors = 0.0, {}, ""
+    # at a point-mass nu, delta_alpha - nu is exactly 0 and the check reads 0.0 unsolved
+    if not np.array_equal(points, nu.weights[None, :]):
+        h, base = _FD_STEP, fresh.value_primal
+        analytic, back, forward, failed = _toward(problem, nu, points, h, fresh)
+        for alpha, exact, v_back, v_forward, err in zip(probe, analytic, back, forward, failed):
+            if err is not None:
+                worst = np.inf
+                errors += f"; action {alpha}: {err}"
+                continue
+            q_plus, q_minus = (v_forward - base) / h, (base - v_back) / h
+            if q_minus - q_plus <= _GATEAUX_TOL:
+                worst = max(worst, abs(exact - (v_forward - v_back) / (2.0 * h)))
+            else:
+                widths[alpha] = q_minus - q_plus
+                worst = max(worst, q_plus - exact, exact - q_minus)
+    central = [alpha for alpha in probe if alpha not in widths]
+    details = f"central differences at {central}" if central or not widths else ""
+    if widths:
+        details += "; " if details else ""
+        details += f"one-sided brackets at {list(widths)}, widest {max(widths.values()):.3e}"
+    return worst, details + errors
 
 
 def check_arguments(problem: Problem, solution: Solution, seed: int) -> None:
-    """Raise InvalidInput unless ``seed`` is an integer >= 0 and the solution's
-    coupling is the problem's m x n: the argument checks of ``run_diagnostics``."""
+    """Raise InvalidInput unless ``problem`` is a Problem, ``solution`` a
+    Solution of the problem's m x n and ``seed`` an integer >= 0: the
+    argument checks of ``run_diagnostics``."""
+    check_type("problem", problem, Problem)
+    check_type("solution", solution, Solution)
     check_count("seed", seed, 0)
     shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
     if coupling != shape:
@@ -505,8 +557,13 @@ def run_diagnostics(
     a point-mass nu (one supported action) the direction delta_alpha - nu is
     exactly 0: the probe is not solved, and the check reads 0.0 by
     construction.  It certifies nothing there; ``kt_plateau`` certifies that
-    solution.  Raises InvalidInput for a seed that is not an integer
-    >= 0 or a solution whose coupling is not the problem's m x n.
+    solution.  Elsewhere the one-sided quotients q+ <= V' <= q- bracket the
+    derivative (``_gateaux_value``): a bracket at most 1e-3 wide, as on
+    every ``standard_suite()`` solution, is read by the central difference,
+    and a wider one, as at small lam, by the analytic value's distance
+    outside it, with the widest bracket in the details.  Raises
+    InvalidInput for a problem, solution or seed of the wrong type, a seed
+    below 0, or a solution whose coupling is not the problem's m x n.
     """
     check_arguments(problem, solution, seed)
     rng = np.random.default_rng(seed)
@@ -559,22 +616,11 @@ def run_diagnostics(
     direction = psi - weights
     numeric = _central(lambda t: envelope(weights + t * direction), _FD_STEP)
     worst_f = float(np.abs(analytic - numeric).max())
-    checks.append(_result("gateaux_f", worst_f, 1e-3, f"{_DIRECTIONS} random directions"))
+    checks.append(_result("gateaux_f", worst_f, _GATEAUX_TOL, f"{_DIRECTIONS} random directions"))
 
     probe = [i for i in solution.consideration_set if weights[i] >= max(10.0 * _FD_STEP, 1e-4)][:3]
-    points = np.zeros((len(probe), problem.num_actions))
-    points[np.arange(len(probe)), probe] = 1.0
-    worst_v, details = 0.0, f"central differences at {probe}"
-    # at a point-mass nu, delta_alpha - nu is exactly 0 and the check reads 0.0 unsolved
-    if not np.array_equal(points, weights[None, :]):
-        analytic, numeric, failed = _toward(problem, nu, points, _FD_STEP, fresh)
-        for alpha, exact, central, err in zip(probe, analytic, numeric, failed):
-            if err is not None:
-                worst_v = np.inf
-                details += f"; action {alpha}: {err}"
-            else:
-                worst_v = max(worst_v, abs(exact - central))
-    checks.append(_result("gateaux_value", worst_v, 1e-3, details))
+    worst_v, details = _gateaux_value(problem, nu, probe, fresh)
+    checks.append(_result("gateaux_value", worst_v, _GATEAUX_TOL, details))
 
     try:
         touch_gap = abs(solution.f_value - ri_objective(problem, solution.coupling))

@@ -38,6 +38,7 @@ import numpy as np
 from .bridge import BridgeNotConverged, SinkhornConfig, sinkhorn_bridge
 from .core import (
     SUPPORT_THRESHOLD,
+    _EPS,
     ActionMarginal,
     BridgeheadError,
     Coupling,
@@ -50,6 +51,7 @@ from .core import (
     check_marginal,
     check_number,
     check_positive,
+    check_type,
     gibbs_kernel,
     plateau_defect,
     shifted_gain,
@@ -127,6 +129,9 @@ class Solution:
     converged: bool
 
     def __post_init__(self) -> None:
+        check_type("marginal", self.marginal, ActionMarginal)
+        check_type("coupling", self.coupling, Coupling)
+        check_type("potentials", self.potentials, Potentials)
         check_number("f_value", self.f_value)
         check_count("iterations", self.iterations, 0)
         if not isinstance(self.converged, bool):
@@ -212,7 +217,7 @@ _HALVINGS = 30        # backtracking budget of one projected Newton step
 def _initial_weights(problem: Problem, cfg: SolverConfig) -> np.ndarray:
     m = problem.num_actions
     if isinstance(cfg.init, ActionMarginal):
-        check_marginal(problem, cfg.init)
+        check_marginal(problem, cfg.init, "init")
         return cfg.init.weights.copy()
     if cfg.init == "uniform":
         return np.full(m, 1.0 / m)
@@ -257,10 +262,11 @@ class _Ascent:
     def __init__(self, problem: Problem, cfg: SolverConfig):
         self.gain = shifted_gain(problem)[0]
         self.prior = problem.prior
+        self.root_p = np.sqrt(problem.prior)
         self.cfg = cfg
         self.alive = np.ones(problem.num_actions, dtype=bool)
         # rounding allowance of a computed ratio entry or f difference
-        self.slack = 8.0 * np.finfo(np.float64).eps * sum(self.gain.shape)
+        self.slack = 8.0 * _EPS * sum(self.gain.shape)
         self._move(_initial_weights(problem, cfg))
 
     def _move(self, w: np.ndarray, z: np.ndarray | None = None) -> None:
@@ -345,8 +351,7 @@ class _Ascent:
         residuals by orders of magnitude.  Returns False when no step is
         accepted, leaving the iterate unchanged.
         """
-        w, z = self.w, self.z
-        root_p = np.sqrt(self.prior)
+        w, z, root_p = self.w, self.z, self.root_p
         scale = root_p / z
         while True:
             if free.size < 2:
@@ -395,7 +400,9 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> Solution:
     marginal is therefore not unique, while the state partition function and
     f still converge to the common optimum.
     """
-    cfg = config or SolverConfig()
+    cfg = SolverConfig() if config is None else config
+    check_type("problem", problem, Problem)
+    check_type("config", cfg, SolverConfig)
     ascent = _Ascent(problem, cfg)
     best: tuple[np.ndarray, float] | None = None  # plateau iterate, its violation
     polished = 0

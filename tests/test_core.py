@@ -129,6 +129,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             symmetric_2x2.prior[0] = 0.9
 
+    def test_gibbs_kernel_is_built_once_and_read_only(self, symmetric_2x2):
+        kernel = gibbs_kernel(symmetric_2x2)
+        assert kernel is gibbs_kernel(symmetric_2x2)
+        assert not kernel.flags.writeable
+        assert kernel.tobytes() == (symmetric_2x2.utility / symmetric_2x2.lam).tobytes()
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 5.0
+        rescaled = dataclasses.replace(symmetric_2x2, lam=0.3)
+        assert gibbs_kernel(rescaled) is not kernel
+        assert gibbs_kernel(rescaled).tobytes() == (symmetric_2x2.utility / 0.3).tobytes()
+
     def test_problem_shape_mismatch_rejected(self):
         with pytest.raises(bh.InvalidInput):
             bh.Problem(("a", "b"), ("s",), np.zeros((1, 1)), 1.0, np.array([1.0]))
@@ -518,3 +529,35 @@ def test_range_messages_name_the_bound(call, message):
     with pytest.raises(bh.InvalidInput) as exc:
         call()
     assert str(exc.value) == message
+
+
+_P34 = bh.random_problem(7, 3, 4)
+_NU34 = bh.ActionMarginal.uniform(3)
+_SHORT_PAIR = Potentials(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: bh.run_diagnostics(_P34, [1, 2]), "solution"),
+        (lambda: bh.solve(_P34, {"foc_tolerance": 1e-9}), "config"),
+        (lambda: bh.solve(None), "problem"),
+        (lambda: bh.schrodinger_residual(_P34, _NU34, _SHORT_PAIR), "potentials"),
+        (lambda: coupling_from_potentials(_P34, _NU34, _SHORT_PAIR), "potentials"),
+        (lambda: belief_feasibility(_P34, 5, 0, _P34.prior), "candidate_set"),
+        (lambda: weighted_logsumexp(["x"], [1.0], axis=0), "values"),
+        (lambda: logsumexp(np.zeros(3), axis=5), "axis"),
+        (lambda: bh.sinkhorn_bridge(_P34, [0.5, 0.5]), "nu"),
+        (lambda: bh.Solution(*[[0.5, 0.5]] + [None] * 6), "marginal"),
+    ],
+    ids=[
+        "run_diagnostics-list", "solve-dict", "solve-None", "schrodinger_residual-short",
+        "coupling_from_potentials-short", "belief_feasibility-int", "weighted_logsumexp-str",
+        "logsumexp-axis", "sinkhorn_bridge-list", "Solution-list",
+    ],
+)
+def test_typed_arguments_raise_invalid_input(call, name):
+    # each of these raised AttributeError, TypeError, AxisError or NumPy's
+    # ValueError before the entry points checked their types and lengths
+    with pytest.raises(bh.InvalidInput, match=re.escape(name)):
+        call()
