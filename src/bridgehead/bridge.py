@@ -15,8 +15,12 @@ system
 ``nu`` and the prior are scaled to unit mass once on entry (either may sum to
 1 only within 1e-12), so the unit-mass coupling can meet its rows and its
 columns exactly.  The solve is one loop of Sinkhorn sweeps, alternating the
-two updates in the log domain, where each half-update is one log-sum-exp,
-overflow-safe for any lam.  Most solves end within a few sweeps.  Sinkhorn's
+two updates.  Each half-update is one matrix-vector product on the plain
+gain exp(u/lam - max u/lam), its other factor shifted so that no entry
+exceeds 1, so nothing overflows for any lam; where a sum falls below
+tiny / eps, as its terms underflow at small lam, that half-update takes
+the log-sum-exp of its logits instead (``_half_step``).  Most solves end
+within a few sweeps.  Sinkhorn's
 linear rate collapses at small lam, so a solve whose column drift predicts
 that Sinkhorn, at its last measured rate, needs more than two more sweeps
 hands over once to damped Newton on the semi-dual of the smaller side
@@ -84,6 +88,7 @@ _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
 _WARM_UP = 8  # Sinkhorn sweeps before the Newton phase, at most
 _NEWTON_STEPS = 200  # cap on Newton steps; each costs about one sweep
 _MAX_MOVE = 10.0  # largest entry of a Newton trial step, in nats
+_GATE = _TINY / _EPS  # a plain Sinkhorn sum at least this lost no term to underflow
 
 
 class PotentialsInconsistent(BridgeheadError):
@@ -171,7 +176,8 @@ def sinkhorn_bridge(
     sweep ``_WARM_UP`` at the latest.  A solve that two more sweeps settle
     thus keeps sweeping, any other hands over, and one whose Newton pair
     passes stops at sweep k.  The sweeps are those of ``_sweeps`` on a stack
-    of one row.
+    of one row, each half-update a matrix-vector product on the plain gain,
+    or the log-sum-exp where one of its sums is below tiny / eps.
 
     Raises BridgeNotConverged (carrying the best-so-far BridgeResult) when the
     sweep budget runs out above tolerance.
@@ -198,38 +204,59 @@ def _sweeps(ks, ws, prior, cfg):
     stopping sweep: it hands over after the first sweep k >= 2 whose drift
     c_k predicts more than two more sweeps at its last rate,
     c_k^3 > tol c_(k-1)^2, or after ``_WARM_UP``, and once it stops it is
-    frozen and leaves the stack.  Each half-update is one log-sum-exp over
-    the stack, whose every row rounds as it does alone, so a row's results
-    do not depend on the others.  Returns, row by row, (a, b, coupling,
-    mass, iterations, residual, newton) at the row's last sweep or at the
-    closing pair of its Newton phase, newton being the (steps, GTH moves)
-    counts of ``_newton``, or (0, 0) where the row never handed over.
+    frozen and leaves the stack.  Each half-update is one ``_half_step``
+    over the stack: a matrix-vector product per row on the plain gain
+    exp(ks - top), built once per call, or the row's log-sum-exp where one
+    of its sums is below tiny / eps.  Every row rounds as it does alone, so
+    a row's results do not depend on the others.  Returns, row by row, (a,
+    b, coupling, mass, iterations, residual, newton) at the row's last sweep
+    or at the closing pair of its Newton phase, newton being the (steps, GTH
+    moves) counts of ``_newton``, or (0, 0) where the row never handed over.
     """
     budget, tolerance = cfg.max_iterations, cfg.tolerance
     # C order, so that each row's sums run in the order they run alone (the
     # rows of weights[:, sup] are strided, and K-order results follow them)
     ws = np.ascontiguousarray(ws)
+    k, s = len(ws), len(ks)
     log_prior = np.log(prior)
-    row_part = ks + np.log(ws)[:, :, None]    # log nu + u/lam, one slab per row
+    log_ws = np.log(ws)[:, :, None]
+    row_part = ks + log_ws                    # log nu + u/lam, one slab per row
     col_part = ks + log_prior[None, :]        # log prior + u/lam
+    top = float(ks.max())
+    gain = np.exp(ks - top)                   # the plain kernel, entries <= 1
     # Cheap and exact residuals round apart on exponents up to |b| + osc(u/lam)
     # and sums of m + n terms, by under eps/4 times that on 600 instances, lam
     # 1e-4 to 1e4.  4 tol costs a few exact residuals.
-    size_and_osc = sum(ks.shape) + float(ks.max() - ks.min())
-    live = list(range(len(ws)))  # the input row of each stack row
-    last = [np.inf] * len(ws)  # the drift of each row's last sweep
-    counts = [None] * len(ws)  # the Newton counts of each input row that handed over
-    out = [None] * len(ws)
+    size_and_osc = sum(ks.shape) + (top - float(ks.min()))
+
+    def b_update(rows, a):
+        # log sum_alpha nu exp(u/lam - a), rows indexing the stack
+        return _half_step(
+            (log_ws[rows] - a).reshape(-1, 1, s), gain, top,
+            lambda bad: _logsumexp_kernel(row_part[rows][bad] - a[bad], axis=1),
+        )
+
+    def a_update(b):
+        # log sum_omega prior exp(u/lam - b), as a (k, s, 1) stack
+        a = _half_step(
+            log_prior - b, gain.T, top,
+            lambda bad: _logsumexp_kernel(col_part - b[bad], axis=2).reshape(-1, 1, s),
+        )
+        return a.reshape(-1, s, 1)
+
+    live = list(range(k))  # the input row of each stack row
+    last = [np.inf] * k  # the drift of each row's last sweep
+    counts = [None] * k  # the Newton counts of each input row that handed over
+    out = [None] * k
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = _logsumexp_kernel(row_part, axis=1)
+        b = b_update(slice(None), np.zeros((k, s, 1)))
         for iterations in range(1, budget + 1):
-            a = _logsumexp_kernel(col_part - b, axis=2)
-            rows = row_part - a
+            a = a_update(b)
             if iterations == budget:
                 measure = range(len(live))
             else:
                 bound = np.maximum.reduce(np.abs(b), axis=(1, 2)).tolist()
-                b_next = _logsumexp_kernel(rows, axis=1)
+                b_next = b_update(slice(None), a)
                 drift = np.subtract(b_next, b)
                 np.expm1(drift, out=drift)
                 np.multiply(prior, drift, out=drift)
@@ -244,8 +271,8 @@ def _sweeps(ks, ws, prior, cfg):
                 # one stacked measurement; no copies where every row is measured
                 some = len(measure) < len(live)
                 coupling, mass, residual = _measure(
-                    rows[measure] if some else rows, b[measure] if some else b,
-                    log_prior, ws[measure] if some else ws, prior,
+                    row_part[measure] - a[measure] if some else row_part - a,
+                    b[measure] if some else b, log_prior, ws[measure] if some else ws, prior,
                 )
                 for j, r in enumerate(measure):
                     if residual[j] <= tolerance or iterations == budget:
@@ -277,13 +304,36 @@ def _sweeps(ks, ws, prior, cfg):
             if len(stopped) == len(live):
                 break
             if missed := [r for r in newton if r not in stopped]:
-                b_next[missed] = _logsumexp_kernel(row_part[missed] - a[missed], axis=1)
+                b_next[missed] = b_update(missed, a[missed])
             last, b = drift, b_next
             if stopped:
                 keep = [r for r in range(len(live)) if r not in stopped]
                 live, last = [live[r] for r in keep], [last[r] for r in keep]
-                ws, row_part, b = ws[keep], row_part[keep], b[keep]
+                ws, log_ws, row_part, b = ws[keep], log_ws[keep], row_part[keep], b[keep]
     return [row + (n or (0, 0),) for row, n in zip(out, counts)]
+
+
+def _half_step(x, gain, top, fallback):
+    """One Sinkhorn half-step on a (j, 1, p) stack of exponents ``x``:
+    log sum_i exp(x_i) exp(K_iq), K being the logits, for each column q of
+    ``gain`` = exp(K - top).  Each row takes one matrix-vector product, on
+    exp(x - t) with t the row's largest exponent, so no factor exceeds 1 and
+    the row rounds as it does alone; the result is log(sums) + t + top.  A
+    row any of whose sums is below tiny / eps (NaN included) may have lost
+    terms to underflow, so it takes ``fallback(bad)``, the log-sum-exp of its
+    logits, bad being the mask of such rows.  Above that bound a sum of p
+    terms has lost at most p 2^-1074 to underflow, p 2^-104 of itself."""
+    t = np.maximum.reduce(x, axis=2, keepdims=True)
+    sums = np.exp(x - t) @ gain
+    # one test of the whole stack; rows only where it fails
+    if low := not sums.min() >= _GATE:
+        bad = ~(np.minimum.reduce(sums, axis=(1, 2)) >= _GATE)
+    np.log(sums, out=sums)
+    t += top
+    sums += t
+    if low:
+        sums[bad] = fallback(bad)
+    return sums
 
 
 def _measure(rows, b, log_prior, ws, prior):

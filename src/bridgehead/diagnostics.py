@@ -245,6 +245,7 @@ def ilr_check(problem: Problem, solution: Solution) -> CheckResult:
     fail here; the ratio sums read the entries that ``_shared_inputs``
     sets aside off the formula.  The worst violation is held to 1e-7.
     """
+    _check_solution(problem, solution)
     return _ilr(solution, _shared_inputs(problem, solution))
 
 
@@ -302,6 +303,7 @@ def belief_feasibility(
     PosteriorNotNormalizable when an image has zero, non-finite, or
     overflowing total mass.
     """
+    check_type("problem", problem, Problem)
     try:
         actions = list(candidate_set)
     except TypeError:
@@ -364,6 +366,7 @@ def cumulant_errors(problem: Problem, solution: Solution) -> tuple[float, float,
     curvature), the variance error to 5e-6 (the second difference loses
     about two orders to cancellation) and the gain error to 1e-5.
     """
+    _check_solution(problem, solution)
     return _cumulants(solution, _shared_inputs(problem, solution))
 
 
@@ -397,10 +400,15 @@ def average_free_energy(problem: Problem, conditionals, reference) -> float:
     Conditionals escaping the support of the reference score +inf.  Other
     shapes than m x n and m raise InvalidInput.
     """
+    check_type("problem", problem, Problem)
     cond = _readonly("conditionals", conditionals)
     ref = _readonly("reference", reference)
     if cond.shape != problem.utility.shape or ref.shape != (problem.num_actions,):
         raise InvalidInput(f"conditionals {cond.shape} and reference {ref.shape} must be m x n and m")
+    return _average_free_energy(problem, cond, ref)
+
+
+def _average_free_energy(problem: Problem, cond: np.ndarray, ref: np.ndarray) -> float:
     mean_u = (cond * problem.utility).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(cond) - np.log(ref)[:, None]
@@ -438,13 +446,14 @@ def free_energy_check(problem: Problem, solution: Solution) -> CheckResult:
     (``average_free_energy``) against the log-domain envelope E_prior[lz].
     Conditionals off the support of nu score +inf.  Held to 1e-10.
     """
+    _check_solution(problem, solution)
     return _free_energy(problem, solution, _shared_inputs(problem, solution))
 
 
 def _free_energy(problem: Problem, solution: Solution, shared: SimpleNamespace) -> CheckResult:
     if shared.cond is None:
         return _result("free_energy", np.inf, _FREE_ENERGY_TOL, "coupling has empty states")
-    free = average_free_energy(problem, shared.cond, solution.marginal.weights)
+    free = _average_free_energy(problem, shared.cond, solution.marginal.weights)
     gap = free / problem.lam + problem.prior @ shared.lz
     return _result("free_energy", abs(gap), _FREE_ENERGY_TOL, "E_prior KL(P || Gibbs), nats")
 
@@ -461,6 +470,7 @@ def gibbs_plateau_check(problem: Problem, solution: Solution) -> CheckResult:
     to the coupling surface here; the entries that ``_shared_inputs``
     sets aside are skipped.  The worst deviation is held to 1e-7.
     """
+    _check_solution(problem, solution)
     return _gibbs_plateau(solution, _shared_inputs(problem, solution))
 
 
@@ -527,16 +537,22 @@ def _gateaux_value(problem, nu, probe, fresh):
     return worst, details + errors
 
 
-def check_arguments(problem: Problem, solution: Solution, seed: int) -> None:
-    """Raise InvalidInput unless ``problem`` is a Problem, ``solution`` a
-    Solution of the problem's m x n and ``seed`` an integer >= 0: the
-    argument checks of ``run_diagnostics``."""
+def _check_solution(problem: Problem, solution: Solution) -> None:
+    """Raise InvalidInput unless ``problem`` is a Problem and ``solution`` a
+    Solution of the problem's m x n: the argument checks of the certificates
+    that take a solved instance."""
     check_type("problem", problem, Problem)
     check_type("solution", solution, Solution)
-    check_count("seed", seed, 0)
     shape, coupling = (problem.num_actions, problem.num_states), solution.coupling.joint.shape
     if coupling != shape:
         raise InvalidInput(f"solution coupling is {coupling}, problem is {shape}")
+
+
+def check_arguments(problem: Problem, solution: Solution, seed: int) -> None:
+    """``_check_solution`` and a ``seed`` that is an integer >= 0: the
+    argument checks of ``run_diagnostics``."""
+    _check_solution(problem, solution)
+    check_count("seed", seed, 0)
 
 
 def run_diagnostics(

@@ -241,6 +241,8 @@ def bridge_to_dict(result: BridgeResult) -> dict[str, Any]:
         "duality_gap": float(result.duality_gap),
         "iterations": int(result.iterations),
         "residual": float(result.residual),
+        "newton_steps": int(result.newton_steps),
+        "gth_steps": int(result.gth_steps),
         "coupling": _matrix(result.coupling.joint),
         "potentials": _potentials(result.potentials),
     }

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ActionMarginal, BridgeheadError, InvalidInput, Problem, check_number, shifted_gain
+from .core import ActionMarginal, BridgeheadError, InvalidInput, Problem, check_number, check_type, shifted_gain
 
 __all__ = [
     "TooManyActions",
@@ -119,6 +119,7 @@ def grid_search_f(problem: Problem, resolution: float | None = None) -> GridSear
     skipped; if none is left, upper_bound is +inf.  If f itself is -inf at
     every lattice point, InvalidInput is raised.
     """
+    check_type("problem", problem, Problem)
     m = problem.num_actions
     if m > _MAX_ACTIONS:
         raise TooManyActions(f"{m} actions exceeds the lattice cap of {_MAX_ACTIONS}")

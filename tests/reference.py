@@ -3,9 +3,9 @@
 Each function here reaches a quantity the package computes along another
 route, so a test that compares the two crosses routes.  None of them is
 called by the package; each trades speed for independence, so keep
-instances small.  ``reference_newton`` is the exception: a frozen copy of
-the package's own route, against which cuts of that route must keep every
-byte.
+instances small.  ``reference_newton`` and ``reference_half_step`` are the
+exceptions: frozen copies of the package's own routes, against which cuts
+of those routes must keep every byte.
 """
 
 import math
@@ -131,6 +131,23 @@ def exhaustive_mi(coupling) -> float:
             if p > 0.0:
                 total += p * math.log(p / (rows[i] * cols[j]))
     return max(total, 0.0)
+
+
+def reference_half_step(x, gain, top, logits, axis):
+    """Frozen oracle: one Sinkhorn half-step of the inner bridge as
+    ``bridge._half_step`` computes it on a stack of one row.
+
+    ``x`` holds the exponents (log weight minus potential) of the summed
+    side, ``gain`` is exp(K - top) with one row per entry of x, and
+    ``logits`` the full logits x + K, summed over ``axis`` by ``logsumexp``
+    where any plain sum is below tiny / eps or NaN.  Elsewhere the result
+    is log(exp(x - t) @ gain) + (t + top), t being max(x).
+    """
+    t = x.max()
+    sums = np.exp(x - t) @ gain
+    if not sums.min() >= np.finfo(float).tiny / np.finfo(float).eps:
+        return logsumexp(logits, axis=axis)
+    return np.log(sums) + (t + top)
 
 
 def reference_newton(logits, p, q, y, rows, tolerance):

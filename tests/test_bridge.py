@@ -20,10 +20,10 @@ from bridgehead.bridge import (
     additive_separability_gap,
     coupling_from_potentials,
 )
-from bridgehead.core import Potentials, gibbs_kernel, logsumexp
+from bridgehead.core import _EPS, _TINY, Potentials, _logsumexp_kernel, gibbs_kernel, logsumexp
 
 from conftest import _recording_platform
-from reference import reference_newton
+from reference import reference_half_step, reference_newton
 
 TIGHT = bh.SinkhornConfig(tolerance=1e-12)
 
@@ -279,14 +279,24 @@ def reference_measure(row_part, ws, prior, a, b):
     return coupling, mass, residual
 
 
-def reference_sweep_log(ks, ws, prior, a, cfg):
-    """Plain Sinkhorn sweeps from ``a``: every sweep builds the coupling and
-    measures the exact residual; no Newton step."""
-    row_part = ks + np.log(ws)[:, None]
-    col_part = ks + np.log(prior)[None, :]
+def lse_half_step(x, gain, top, logits, axis):
+    """The half-step of ``reference_half_step`` by log-sum-exp alone, the
+    route every half-step took before the plain one."""
+    return logsumexp(logits, axis=axis)
+
+
+def reference_sweep_log(ks, ws, prior, a, cfg, half_step=reference_half_step):
+    """Plain Sinkhorn sweeps from ``a``, each half-step by ``half_step``:
+    every sweep builds the coupling and measures the exact residual; no
+    Newton step."""
+    log_ws, log_prior = np.log(ws), np.log(prior)
+    row_part = ks + log_ws[:, None]
+    col_part = ks + log_prior[None, :]
+    top = float(ks.max())
+    gain = np.exp(ks - top)
     for iterations in range(1, cfg.max_iterations + 1):
-        b = logsumexp(row_part - a[:, None], axis=0)
-        a = logsumexp(col_part - b[None, :], axis=1)
+        b = half_step(log_ws - a, gain, top, row_part - a[:, None], 0)
+        a = half_step(log_prior - b, gain.T, top, col_part - b[None, :], 1)
         coupling, mass, residual = reference_measure(row_part, ws, prior, a, b)
         if residual <= cfg.tolerance:
             break
@@ -305,6 +315,8 @@ def reference_bridge(problem, nu, cfg):
     ks, ws = kernel[sup], weights[sup]
     row_part = ks + np.log(ws)[:, None]
     col_part = ks + np.log(prior)[None, :]
+    top = float(ks.max())
+    gain = np.exp(ks - top)
     one_sweep = replace(cfg, max_iterations=1)
     a = np.zeros(sup.sum())
     warm, last, steps = True, np.inf, (0, 0)
@@ -315,7 +327,7 @@ def reference_bridge(problem, nu, cfg):
         if converged or iterations == cfg.max_iterations:
             break
         # the column drift: how far the next b-update moves the columns
-        b_next = logsumexp(row_part - a[:, None], axis=0)
+        b_next = reference_half_step(np.log(ws) - a, gain, top, row_part - a[:, None], 0)
         drift = float(np.abs(prior * np.expm1(b_next - b)).max())
         # hand over where Sinkhorn at its last rate would need more than two
         # more sweeps: drift (drift / last)^2 > tol
@@ -339,7 +351,7 @@ def reference_bridge(problem, nu, cfg):
     return result
 
 
-def plain_bridge(problem, nu, cfg):
+def plain_bridge(problem, nu, cfg, half_step=reference_half_step):
     """sinkhorn_bridge as ``reference_sweep_log`` alone: Sinkhorn sweeps with
     no Newton phase, every sweep measured."""
     kernel = gibbs_kernel(problem)
@@ -347,12 +359,18 @@ def plain_bridge(problem, nu, cfg):
     prior = problem.prior / problem.prior.sum()
     sup = weights > 0
     *solved, converged = reference_sweep_log(
-        kernel[sup], weights[sup], prior, np.zeros(sup.sum()), cfg
+        kernel[sup], weights[sup], prior, np.zeros(sup.sum()), cfg, half_step
     )
     result = bridge._assemble(problem, weights, prior, kernel, sup, (*solved, (0, 0)))
     if not converged:
         raise BridgeNotConverged(result.iterations, result.residual, result)
     return result
+
+
+def lse_bridge(problem, nu, cfg):
+    """``plain_bridge`` with every half-step by log-sum-exp: the sweeps that
+    the fallback alone runs."""
+    return plain_bridge(problem, nu, cfg, lse_half_step)
 
 
 def _bridge(problem, nu, cfg, solve=bh.sinkhorn_bridge):
@@ -622,7 +640,8 @@ class TestNewtonPhase:
             ("probe", (51, 33)),
             # lam = 1e-5: every row conditional is 0 or 1, so the Hessian is
             # 0 and GTH has no pivot; Newton ends at its first step, moveless,
-            # and Sinkhorn sweeps out the budget
+            # and Sinkhorn sweeps out the budget, every half-step by the
+            # log-sum-exp, as the plain gain underflows
             ("lam=1e-5", (0, 0)),
         ],
     )
@@ -657,6 +676,12 @@ class TestNewtonPhase:
         assert res.newton_steps == len(moves) - missed
         if case == "lam=1e-5":
             assert (converged, res.iterations) == (False, 20)
+            assert _call_counts(problem, nu, cfg) == (1, 41, 41)
+            # the bytes of the loop that took the log-sum-exp at every half-step
+            assert _bridge_bytes(problem, nu, cfg) == _bridge_bytes(problem, nu, cfg, lse_bridge)
+            if _recording_platform():
+                digest = hashlib.sha256(repr(_bridge_bytes(problem, nu, cfg)).encode()).hexdigest()
+                assert digest == "636f84e4c880327085ef7c4f5bd6fb551744909a0f883467fcc395a7b93b9996"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(bridge_instances(max_lam=10.0, min_lam=1e-3))
@@ -870,6 +895,96 @@ class TestStackedSweeps:
             assert value.hex() == _single_bytes(problem, row, TIGHT)[3]
 
 
+def _routes(x, gain, top, logits, axis):
+    """``bridge._half_step`` on a (k, 1, p) stack of exponents ``x``, its
+    fallback being the log-sum-exp of ``logits`` over ``axis``, as a
+    (k, 1, q) stack.  Returns the result, the mask of the rows that took the
+    fallback (all False where none did) and the log-sum-exp of every row."""
+    refused = [np.zeros(len(x), dtype=bool)]
+
+    def fallback(bad):
+        refused[0] = bad
+        return _logsumexp_kernel(logits[bad], axis).reshape(-1, 1, gain.shape[1])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = bridge._half_step(x, gain, top, fallback)
+        lse = _logsumexp_kernel(logits, axis).reshape(got.shape)
+    return got, refused[0], lse
+
+
+class TestPlainHalfStep:
+    """Each Sinkhorn half-step of ``_sweeps`` is one matrix-vector product on
+    the plain gain exp(u/lam - top); a row takes the log-sum-exp only where
+    one of its sums lies below tiny / eps, where terms may have underflowed."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_the_log_sum_exp(self, data):
+        # a b-update at potentials a drawn at scales up to 300 nats, then the
+        # a-update at that b.  Both routes round each term's exponent to
+        # eps/2 of its size, and a term that carries the sum has an exponent
+        # within |out| + |t| + |top| + log p of its shift; the p-term sum adds
+        # p eps/2, and adding t + top back eps/2 (|t| + |top| + |out|).  So
+        # they differ by a few eps (p + |t| + |top| + |out|); the worst of
+        # these draws reads 0.90 of eps (...), and the bound is 4 eps (...)
+        problem, stack = data.draw(bridge_stacks(data.draw(st.sampled_from([1e4, 0.05]))))
+        scale = data.draw(st.sampled_from([0.0, 1.0, 30.0, 300.0]))
+        weights = stack / stack.sum(axis=1, keepdims=True)
+        sup = weights[0] > 0
+        ks, log_ws = gibbs_kernel(problem)[sup], np.log(weights[:, sup])[:, :, None]
+        log_prior = np.log(problem.prior / problem.prior.sum())
+        k, s = log_ws.shape[:2]
+        a = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(0.0, scale, (k, s, 1))
+        top = float(ks.max())
+        gain = np.exp(ks - top)
+
+        def check(x, gain, logits, axis):
+            got, refused, lse = _routes(x, gain, top, logits, axis)
+            # a refused row is the log-sum-exp's, byte for byte
+            assert np.array_equal(got[refused], lse[refused])
+            t = x.max(axis=2, keepdims=True)
+            assert np.all(np.abs(got - lse) <= 4 * _EPS * (x.shape[2] + np.abs(t) + abs(top) + np.abs(lse)))
+            return lse
+
+        b = check((log_ws - a).reshape(k, 1, s), gain, ks + log_ws - a, 1)
+        check(log_prior - b, gain.T, (ks + log_prior) - b, 2)
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_sums_below_the_gate_take_the_log_sum_exp(self, below):
+        # a b-update of two actions whose gains are 1 on the diagonal and 0
+        # off it (u = I at lam = 1e-3), so each column sums one term, the
+        # weight: a weight just below tiny / eps is refused in its row alone
+        gate = _TINY / _EPS
+        tiny = gate * (1 - 1e-9 if below else 1 + 1e-9)
+        ks = np.eye(2) / 1e-3
+        log_ws = np.log([[1.0, 0.5], [1.0, tiny]])[:, :, None]
+        top = float(ks.max())
+        got, refused, lse = _routes(log_ws.reshape(2, 1, 2), np.exp(ks - top), top, ks + log_ws, 1)
+        assert refused.tolist() == [False, below]
+        if below:
+            assert np.array_equal(got[1], lse[1])
+        assert np.all(np.abs(got - lse) <= 4 * _EPS * (2 + 2 * np.abs(lse) + top))
+        # each row rounds as it does alone
+        for r in range(2):
+            one, _, _ = _routes(log_ws[r:r + 1].reshape(1, 1, 2), np.exp(ks - top), top, ks + log_ws[r:r + 1], 1)
+            assert one.tobytes() == got[r:r + 1].tobytes()
+
+    def test_subnormal_weight_at_small_lambda(self):
+        # nu = (1, 1e-315) on u = I at lam = 1e-3: the tiny action carries
+        # the second column alone, and its term there is subnormal, so every
+        # half-step takes the log-sum-exp, and the solve is the log-sum-exp
+        # loop's, byte for byte, to its certificates at sweep 2
+        problem = bh.Problem(("a", "b"), ("s", "t"), np.eye(2), 1e-3, np.array([0.5, 0.5]))
+        nu = bh.ActionMarginal(np.array([1.0, 1e-315]))
+        cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=100)
+        assert _call_counts(problem, nu, cfg) == (1, 5, 5)
+        assert _bridge_bytes(problem, nu, cfg) == _bridge_bytes(problem, nu, cfg, lse_bridge)
+        res = bh.sinkhorn_bridge(problem, nu, cfg)
+        assert (res.iterations, res.newton_steps) == (2, 0)
+        assert res.residual <= 1e-12
+        assert res.duality_gap <= 1e-10
+
+
 def _gathered_value_primal(coupling, ws, prior, ks):
     """value_primal with the divergence summed over the positive entries
     only, gathered by a mask, whatever the coupling holds."""
@@ -941,23 +1056,24 @@ def _golden_problem(case):
 
 
 # Recorded from the plain per-sweep loop (NumPy 2.4, x86-64 with AVX-512),
-# with the Newton phase after sweep 2 for 6x6 lam=0.01, 6x6 lam=1 and zeros,
-# each ending there on Newton's own pair:
+# every half-step a matrix-vector product on the plain gain, with the Newton
+# phase after sweep 2 for 6x6 lam=0.01, 6x6 lam=1 and zeros, each ending
+# there on Newton's own pair:
 # iterations, float.hex of residual, value_primal and value_dual, sha256 of
 # the coupling.
 GOLDEN = {
-    "6x6 lam=0.01": (2, "0x1.a000000000000p-50", "0x1.41b316b242914p+6", "0x1.41b316b242912p+6",
-                     "176e4e7fddde3c68030c2498a44fa5e113f540f294a82315fddd7b3aad094442"),
+    "6x6 lam=0.01": (2, "0x1.3000000000000p-50", "0x1.41b316b242914p+6", "0x1.41b316b242913p+6",
+                     "c9bceafa5475b0e29b0655a2b7af2fec68be8dfcc2b0f7b3ddb70aa0d22cac78"),
     "6x6 lam=1": (2, "0x1.0000000000000p-54", "0x1.124450e86df6dp-1", "0x1.124450e86df6ep-1",
-                  "2015c70d8f8956a8f64ce1d9e953a7edb04e965d6e5af3ed42826753c5940115"),
-    "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b5309p-15", "0x1.a49c54e3c0000p-15",
-                    "367606b7bf05be452714322fa059aebd1cba77c30749028be28c6f21ebf04666"),
-    "200x50": (4, "0x1.d61d800000000p-41", "0x1.133c14a5b600cp-1", "0x1.133c14a5b61b8p-1",
-               "1947df60f4d4cb2a5ec62462cb32d81fd8eb4a8a436f820e5c54ded0faf9aed4"),
-    "zeros": (2, "0x1.0000000000000p-53", "0x1.f865302b7f68fp+0", "0x1.f865302b7f68ep+0",
-              "99b94596987a954ef68df38c715286214927a5a9522b484e2944e78eefb2dd2a"),
-    "exhausted": (2, "0x1.9f669da434b9ep-3", "0x1.f8a6c976b90ecp+5", "0x1.24450a5fa6560p+6",
-                  "541e5285d014853fc08d887ae2dfd49583fc2d13886d956eaa3fc1d9d0a5bcea"),
+                  "c38fc052cf61e944d93bd604fed78ff4c4532c1d55388800b0e60a0bf3c63e32"),
+    "6x6 lam=1e4": (2, "0x1.8000000000000p-54", "0x1.a49c54e3b1ab8p-15", "0x1.a49c54e3b8000p-15",
+                    "dfb8fc7d3e3ba50a5c9992edeeb1f748795d1aee29559a7c9c74851d57406fe4"),
+    "200x50": (4, "0x1.d61d800000000p-41", "0x1.133c14a5b600bp-1", "0x1.133c14a5b61b8p-1",
+               "ea81e237ad0ff7a6a95102aaff1b952cf60718d5f57f677b3d1d5ce619635b59"),
+    "zeros": (2, "0x1.0000000000000p-54", "0x1.f865302b7f68dp+0", "0x1.f865302b7f68cp+0",
+              "da717be2a54fa2ea2d84d2276ffc2d915619f409d5627e4c88b9f1c768083cf6"),
+    "exhausted": (2, "0x1.9f669da434b7ep-3", "0x1.f8a6c976b90ecp+5", "0x1.24450a5fa6560p+6",
+                  "c612655d9b8eb4403aa7bffa903c8f5e4b9fb7880633b0513ea2de8e2cc843b5"),
 }
 
 
@@ -984,25 +1100,28 @@ def test_golden_pins(case):
 
 # Exact residuals built per solve: at Newton's closing pair, the budget's
 # last sweep, and the sweeps whose cheap bound passes the gate; then the
-# log-sum-exps, Newton's included
+# Sinkhorn half-steps, and those of them that took the log-sum-exp
+# (Newton's closing half-step is its own)
 CALL_COUNTS = {
-    "6x6 lam=0.01": (1, 5),
-    "6x6 lam=1": (1, 5),
-    "6x6 lam=1e4": (1, 5),
-    "200x50": (1, 9),
-    "zeros": (1, 5),
-    "exhausted": (1, 4),
+    "6x6 lam=0.01": (1, 5, 0),
+    "6x6 lam=1": (1, 5, 0),
+    "6x6 lam=1e4": (1, 5, 0),
+    "200x50": (1, 9, 0),
+    "zeros": (1, 5, 0),
+    "exhausted": (1, 4, 0),
 }
 
 
 def _call_counts(problem, nu, cfg):
-    """(exact residuals built, log-sum-exps taken) by one sinkhorn_bridge."""
+    """(exact residuals built, half-steps taken, half-steps that fell back
+    to the log-sum-exp) by one sinkhorn_bridge."""
     with (
         mock.patch.object(bridge, "_measure", wraps=bridge._measure) as exact,
+        mock.patch.object(bridge, "_half_step", wraps=bridge._half_step) as half,
         mock.patch.object(bridge, "_logsumexp_kernel", wraps=bridge._logsumexp_kernel) as lse,
     ):
         _bridge(problem, nu, cfg)
-    return exact.call_count, lse.call_count
+    return exact.call_count, half.call_count, lse.call_count
 
 
 @pytest.mark.parametrize("case", sorted(CALL_COUNTS))
@@ -1062,4 +1181,4 @@ def test_solved_marginal_takes_one_sweep():
     # a = 0 solves zero utility, so sweep 1's cheap bound passes the gate
     # and the sweep stops on its exact residual
     nu = bh.ActionMarginal(np.array([0.3, 0.7]))
-    assert _call_counts(zero_utility_problem(), nu, TIGHT) == (1, 3)
+    assert _call_counts(zero_utility_problem(), nu, TIGHT) == (1, 3, 0)

@@ -155,6 +155,27 @@ class TestBridgeCommand:
         assert abs(data["duality_gap"]) <= 1e-8
         assert abs(data["value_primal"] - np.log((np.e + 1) / 2)) <= 1e-9
 
+    def test_newton_counts_are_written(self, tmp_path, capsys):
+        # 6x6 at lam = 0.01 hands over to Newton after sweep 2, whose 11
+        # LAPACK moves end the solve there; stdout is as before the counts
+        problem = bh.random_problem(6, 6, 6, lam=0.01)
+        path = write_problem(tmp_path / "p.json", problem)
+        marginal = tmp_path / "nu.json"
+        marginal.write_text(json.dumps([1 / 6] * 6))
+        out = tmp_path / "run"
+        assert main(["bridge", path, str(marginal), "--output-dir", str(out)]) == 0
+        data = json.loads((out / "bridge.json").read_text())
+        assert list(data) == [
+            "value_primal", "value_dual", "duality_gap", "iterations", "residual",
+            "newton_steps", "gth_steps", "coupling", "potentials",
+        ]
+        result = bh.sinkhorn_bridge(problem, bh.ActionMarginal(np.full(6, 1 / 6)), bh.SinkhornConfig(1e-12))
+        assert (data["iterations"], data["newton_steps"], data["gth_steps"]) == (2, 11, 0)
+        assert (result.newton_steps, result.gth_steps) == (11, 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["value_primal", "value_dual", "duality_gap", "residual"]
+        assert lines[-1] == f"residual: {result.residual!r} after 2 sweeps"
+
     def test_wrapped_marginal_document(self, tmp_path, problem_file):
         marginal = tmp_path / "nu.json"
         marginal.write_text(json.dumps({"marginal": [0.25, 0.75]}))

@@ -28,7 +28,15 @@ from bridgehead.core import (
     ri_objective,
     weighted_logsumexp,
 )
-from bridgehead.diagnostics import average_free_energy, belief_feasibility, gateaux_value_direction
+from bridgehead.diagnostics import (
+    average_free_energy,
+    belief_feasibility,
+    cumulant_errors,
+    free_energy_check,
+    gateaux_value_direction,
+    gibbs_plateau_check,
+    ilr_check,
+)
 from bridgehead.io import _potentials, problem_from_dict
 from bridgehead.solver import (
     action_potential,
@@ -549,11 +557,23 @@ _SHORT_PAIR = Potentials(np.zeros(2), np.zeros(3))
         (lambda: logsumexp(np.zeros(3), axis=5), "axis"),
         (lambda: bh.sinkhorn_bridge(_P34, [0.5, 0.5]), "nu"),
         (lambda: bh.Solution(*[[0.5, 0.5]] + [None] * 6), "marginal"),
+        (lambda: ilr_check(_P34, None), "solution"),
+        (lambda: cumulant_errors(_P34, [1]), "solution"),
+        (lambda: free_energy_check(_P34, "x"), "solution"),
+        (lambda: gibbs_plateau_check(_P34, _NU34), "solution"),
+        (lambda: ilr_check(None, bh.solve(_P34)), "problem"),
+        (lambda: gibbs_plateau_check(_P34, bh.solve(bh.random_problem(7, 2, 2))), "solution coupling"),
+        (lambda: bh.grid_search_f(None), "problem"),
+        (lambda: average_free_energy(None, np.zeros((3, 4)), np.zeros(3)), "problem"),
+        (lambda: belief_feasibility(None, [0], 0, _P34.prior), "problem"),
     ],
     ids=[
         "run_diagnostics-list", "solve-dict", "solve-None", "schrodinger_residual-short",
         "coupling_from_potentials-short", "belief_feasibility-int", "weighted_logsumexp-str",
-        "logsumexp-axis", "sinkhorn_bridge-list", "Solution-list",
+        "logsumexp-axis", "sinkhorn_bridge-list", "Solution-list", "ilr_check-None",
+        "cumulant_errors-list", "free_energy_check-str", "gibbs_plateau_check-marginal",
+        "ilr_check-problem-None", "gibbs_plateau_check-2x2", "grid_search_f-None",
+        "average_free_energy-None", "belief_feasibility-None",
     ],
 )
 def test_typed_arguments_raise_invalid_input(call, name):
