@@ -81,7 +81,6 @@ __all__ = [
     "sinkhorn_bridge",
     "schrodinger_residual",
     "coupling_from_potentials",
-    "additive_separability_gap",
 ]
 
 _MASS_GATE = 1e-6  # coupling_from_potentials rejects beyond this mass defect
@@ -654,16 +653,3 @@ def coupling_from_potentials(
         )
     return Coupling(joint / mass)
 
-
-def additive_separability_gap(
-    result: BridgeResult, nu: ActionMarginal, prior: np.ndarray
-) -> float:
-    """|value_primal - (sum a nu + sum b prior)|.
-
-    The inner value splits additively into the two potential integrals; the
-    defect at a converged result is residual-sized.
-    """
-    split = float(result.potentials.action @ nu.weights) + float(
-        result.potentials.state @ np.asarray(prior)
-    )
-    return abs(result.value_primal - split)

@@ -352,20 +352,27 @@ def logsumexp(a, axis: int | None = None):
     The arithmetic of scipy.special.logsumexp (SciPy 1.17) on float64 input,
     bit for bit; see ``_logsumexp_kernel``.  An empty sum is -inf.  Reduced
     axes are squeezed and a 0-d result comes back as a NumPy scalar.  An
-    axis out of range raises InvalidInput.
+    axis that is not an integer in range raises InvalidInput.
     """
     a = np.atleast_1d(_floats("a", a))
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    try:
-        if a.size == 0:
-            out = np.full_like(a.sum(axis=axis, keepdims=True), -np.inf)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = _logsumexp_kernel(a, axis)
-    except np.exceptions.AxisError:
-        raise InvalidInput(f"axis {axis!r} is out of range for {a.ndim} dimensions") from None
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    else:
+        _check_axis(axis, a.ndim)
+    if a.size == 0:
+        out = np.full_like(a.sum(axis=axis, keepdims=True), -np.inf)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _logsumexp_kernel(a, axis)
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def _check_axis(axis, ndim: int) -> None:
+    """Raise InvalidInput unless ``axis`` is an integer in [-ndim, ndim)."""
+    check_number("axis", axis, integer=True)
+    if not -ndim <= axis < ndim:
+        raise InvalidInput(f"axis {axis!r} is out of range for {ndim} dimensions")
 
 
 def _logsumexp_kernel(a: np.ndarray, axis) -> np.ndarray:
@@ -374,9 +381,8 @@ def _logsumexp_kernel(a: np.ndarray, axis) -> np.ndarray:
     log1p(s / m) + log(m) + max, where m counts the entries at the max and s
     sums exp(a - max) over the others, the max's own terms zeroed after the
     exp (SciPy's s == 0 guard is moot: m = 0 only at a NaN max, where s is
-    NaN).  The direct log(sum(exp(a))) stands in where that is not finite.
-    The caller holds np.errstate(divide="ignore", invalid="ignore"), so a
-    hot loop enters it once.
+    NaN).  The caller holds np.errstate(divide="ignore", invalid="ignore"),
+    so a hot loop enters it once.
     """
     a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     at_max = a == a_max
@@ -385,13 +391,7 @@ def _logsumexp_kernel(a: np.ndarray, axis) -> np.ndarray:
     np.exp(shifted, out=shifted)
     np.copyto(shifted, 0.0, where=at_max)
     s = np.add.reduce(shifted, axis=axis, keepdims=True)
-    out = np.log1p(s / m) + np.log(m) + a_max
-    finite = np.isfinite(out)
-    if not finite.all():
-        with np.errstate(over="ignore"):
-            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
-        out = np.where(finite, out, direct)
-    return out
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
@@ -399,10 +399,15 @@ def weighted_logsumexp(values, weights, axis: int) -> np.ndarray:
 
     Folds the weights into the exponent as v + log w (zero weight becomes
     -inf and drops out), which stays exact for subnormal weights where a
-    separate coefficient (SciPy's ``b=``) overflows internally.
+    separate coefficient (SciPy's ``b=``) overflows internally.  InvalidInput
+    unless ``axis`` is an integer axis of the values and the weights one
+    entry per value along it.
     """
     v = _floats("values", values)
     w = _floats("weights", weights)
+    _check_axis(axis, v.ndim)
+    if w.shape != (v.shape[axis],):
+        raise InvalidInput(f"weights have shape {w.shape}, expected ({v.shape[axis]},) for axis {axis}")
     if (w < 0).any():
         raise InvalidInput("weights must be nonnegative")
     with np.errstate(divide="ignore"):

@@ -12,10 +12,43 @@ problem written as (c u, c lam) gets the same verdicts.
 A report builds what its checks share once (``_shared_inputs``): the kernel
 u/lam, lz = log Z(.; nu), the stored conditionals ``cond`` and the Gibbs log
 posterior ``log_formula`` with its underflow mask ``aside``.  The public
-checks wrap the same bodies.  Four routes stay deliberately independent: the
-fresh audit solve, the plain-domain envelope that gateaux_f differences
-against the log-domain one, the gateaux_value probe solves, and the
-cumulants' differences in t.
+checks wrap the same bodies.
+
+Each check certifies one identity by one route, and no two checks share
+both.  In the cumulant rows b(t) = log sum_alpha nu exp(t u/lam), the
+state potential at t = 1.  The map, in report order (check: identity;
+route):
+
+- marginal_residual: the bridge's coupling has marginals nu and the prior;
+  fresh audit solve.
+- duality_gap: strong duality, value_primal = a.nu + b.prior + mass - 1;
+  fresh audit solve.
+- schrodinger_equations: the Schroedinger system, a = log sum_omega prior
+  exp(u/lam - b) and b = log sum_alpha nu exp(u/lam - a); fresh audit solve.
+- coupling_consistency: the coupling is nu prior exp(u/lam - a - b); stored
+  potentials against stored coupling.
+- kt_plateau: the Lagrangian conditions E_prior[exp(u(alpha,.)/lam)/Z] <= 1,
+  = 1 on the support (Caplin-Dean-Leahy); log-domain lz.
+- gibbs_plateau: the logit form u/lam - log(P(alpha|omega)/nu(alpha)) =
+  b(omega) on the support (Matejka-McKay); stored coupling against stored
+  potentials.
+- ilr: invariant likelihood ratios, posteriors prior exp(u/lam)/Z with
+  ratio sums <= 1, = 1 on the support (Caplin-Dean-Leahy); stored coupling
+  against log-domain lz.
+- cumulant_mean: b'(1) = E[u/lam | omega] under the logit policy;
+  t-differences against log-domain lz.
+- cumulant_variance: b''(1) = Var[u/lam | omega] under the logit policy;
+  t-differences against log-domain lz.
+- cumulant_gain: b'(1) - b(1) = KL(P(.|omega) || nu); t-differences against
+  stored coupling.
+- free_energy: no conditional policy beats P's average free energy,
+  F(P)/lam = -f(nu); stored coupling against log-domain lz.
+- gateaux_f: the envelope derivative, f'(nu; psi - nu) equals
+  E_prior[Z(psi)/Z(nu)] - 1; plain-domain envelope against log-domain lz.
+- gateaux_value: the inner value derivative, V'(nu; delta_alpha - nu)
+  equals a(alpha) - E_nu[a]; probe solves against fresh audit solve.
+- envelope_touch: f(nu) equals the attained objective E_P[u/lam] - I(P);
+  stored coupling against stored f_value.
 """
 
 from __future__ import annotations
@@ -30,7 +63,6 @@ from .bridge import (
     BridgeNotConverged,
     SinkhornConfig,
     _primal_values,
-    additive_separability_gap,
     coupling_from_potentials,
     schrodinger_residual,
     sinkhorn_bridge,
@@ -357,14 +389,17 @@ def cumulant_errors(problem: Problem, solution: Solution) -> tuple[float, float,
     is analytic in the dimensionless temperature t.  At t = 1 its first
     derivative is the conditional mean of u/lam, its second the conditional
     variance, and b' - b the information gain KL(P(.|omega) || nu).  Central
-    differences in t at step h = 1e-4 are compared against moments of the
-    kernel u/lam under the logit policy.  Returns (mean error, variance
-    error, information-gain error); u and lam enter only as u/lam, so
-    (c u, c lam) gives the same errors as (u, lam).
+    differences in t at step h = 1e-4 are compared against the moments of
+    the kernel u/lam under the logit policy and against the gain read off
+    the stored coupling's conditionals, so an edited coupling surfaces in
+    the gain error alone (it is inf for a coupling with an empty state).
+    Returns (mean error, variance error, information-gain error); u and lam
+    enter only as u/lam, so (c u, c lam) gives the same errors as (u, lam).
 
     ``run_diagnostics`` holds the mean error to 1e-7 (exact up to O(h^2)
     curvature), the variance error to 5e-6 (the second difference loses
-    about two orders to cancellation) and the gain error to 1e-5.
+    about two orders to cancellation) and the gain error to 1e-5 (it also
+    carries the stored coupling's distance from the logit policy).
     """
     _check_solution(problem, solution)
     return _cumulants(solution, _shared_inputs(problem, solution))
@@ -384,7 +419,7 @@ def _cumulants(solution: Solution, shared: SimpleNamespace) -> tuple[float, floa
 
     mean = (cond * kernel).sum(axis=0)
     var = (cond * kernel**2).sum(axis=0) - mean**2
-    gain = (cond * (kernel - b0[None, :])).sum(axis=0)  # direct KL(P(.|w) || nu)
+    gain = np.inf if shared.cond is None else _divergence(shared.cond, weights)
 
     mean_err = float(np.abs(fd_mean - mean).max())
     var_err = float(np.abs(fd_var - var).max())
@@ -410,11 +445,15 @@ def average_free_energy(problem: Problem, conditionals, reference) -> float:
 
 def _average_free_energy(problem: Problem, cond: np.ndarray, ref: np.ndarray) -> float:
     mean_u = (cond * problem.utility).sum(axis=0)
+    return float(problem.prior @ (-mean_u + problem.lam * _divergence(cond, ref)))
+
+
+def _divergence(cond: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """KL(Q(.|omega) || ref) for each column Q(.|omega) of ``cond``; a zero
+    entry contributes 0, an entry off the support of ref +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(cond) - np.log(ref)[:, None]
-        terms = np.where(cond > 0, cond * log_ratio, 0.0)
-    divergence = terms.sum(axis=0)
-    return float(problem.prior @ (-mean_u + problem.lam * divergence))
+        return np.where(cond > 0, cond * log_ratio, 0.0).sum(axis=0)
 
 
 def _shared_inputs(problem: Problem, solution: Solution):
@@ -560,7 +599,8 @@ def run_diagnostics(
     solution: Solution,
     seed: int = 20240817,
 ) -> DiagnosticReport:
-    """Run every certificate against a solved instance.
+    """Run the 14 certificates of the module docstring's map against a
+    solved instance, in the map's order.
 
     Assumes the solution was produced at (or re-solved to) tight tolerances;
     the fixed entry tolerances are calibrated for a first-order plateau near
@@ -594,8 +634,6 @@ def run_diagnostics(
         fresh, fresh_error = err.result, str(err)
     checks.append(_result("marginal_residual", fresh.residual, 1e-10, fresh_error))
     checks.append(_result("duality_gap", fresh.duality_gap, 1e-8))
-    separability = additive_separability_gap(fresh, nu, problem.prior)
-    checks.append(_result("additive_separability", separability, 1e-8))
     res_a, res_b = schrodinger_residual(problem, nu, fresh.potentials)
     checks.append(_result("schrodinger_equations", max(res_a, res_b), 1e-9))
 

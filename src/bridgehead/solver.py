@@ -106,8 +106,7 @@ class SolverConfig:
             raise InvalidInput(f"unknown init {self.init!r}")
         if self.seed is not None:
             check_count("seed", self.seed, 0)
-        if not isinstance(self.sinkhorn, SinkhornConfig):
-            raise InvalidInput(f"sinkhorn must be a SinkhornConfig, got {self.sinkhorn!r}")
+        check_type("sinkhorn", self.sinkhorn, SinkhornConfig)
 
 
 @dataclass(frozen=True)

@@ -228,3 +228,11 @@ def _reference_damped(p, q, pi, grad, free, step):
         step *= 0.5
         slope *= 0.5
     return None
+
+
+def separability_gap(result, nu, prior) -> float:
+    """|value_primal - (a.nu + b.prior)|: the inner value split into its two
+    potential integrals, which a converged bridge meets up to its residual.
+    It is the dual of the ``duality_gap`` check without its mass - 1 term."""
+    split = float(result.potentials.action @ nu.weights) + float(result.potentials.state @ prior)
+    return abs(result.value_primal - split)

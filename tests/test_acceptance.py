@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 import bridgehead as bh
-from bridgehead.bridge import additive_separability_gap
 from bridgehead.core import mutual_information
 from bridgehead.diagnostics import (
     cumulant_errors,
@@ -28,7 +27,7 @@ from bridgehead.solver import (
 )
 
 from conftest import TIGHT, make_state_independent, make_symmetric_2x2, random_simplex
-from reference import ba_step, envelope_raw
+from reference import ba_step, envelope_raw, separability_gap
 
 
 def _certify(num: int, ok: bool, label: str, detail: str) -> None:
@@ -150,7 +149,7 @@ def test_criterion_05_transport_certificates(solved_suite):
         worst["gap"] = max(worst["gap"], fresh.duality_gap)
         worst["separability"] = max(
             worst["separability"],
-            additive_separability_gap(fresh, solution.marginal, problem.prior),
+            separability_gap(fresh, solution.marginal, problem.prior),
         )
         res_a, res_b = bh.schrodinger_residual(problem, solution.marginal, fresh.potentials)
         worst["schrodinger"] = max(worst["schrodinger"], res_a, res_b)

@@ -85,6 +85,22 @@ def test_readme_names_every_export():
     assert missing == []
 
 
+def test_certificate_map_names_every_check_once():
+    # README's map gives each check of a report one row with an identity and
+    # a route, and the diagnostics docstring gives each the same route
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"\n## Certificate map\n(.*?)\n## ", readme, re.S).group(1)
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| ([^|]+?) \|$", section, re.M)
+    problem = bh.random_problem(5, 3, 4, lam=0.7)
+    names = [c.name for c in bh.run_diagnostics(problem, bh.solve(problem))]
+    assert [name for name, _, _ in rows] == names
+    assert all(identity.strip() and route.strip() for _, identity, route in rows)
+    assert len({identity for _, identity, _ in rows}) == len(rows)
+    docstring = bh.diagnostics.__doc__.replace("\n  ", " ")
+    mapped = dict(re.findall(r"^- (\w+): .+; ([^;]+)\.$", docstring, re.M))
+    assert mapped == {name: route for name, _, route in rows}
+
+
 def test_readme_quickstart_prints_what_its_comments_say(capsys):
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
@@ -97,7 +113,7 @@ def test_readme_quickstart_prints_what_its_comments_say(capsys):
     assert abs(float(printed[1]) - math.log((math.e + 1.0) / 2.0)) <= 1e-15
     # then one "name max_violation passed" line per check
     checks = printed[len(comments):]
-    assert len(checks) == 15 and all(line.endswith(" True") for line in checks)
+    assert len(checks) == 14 and all(line.endswith(" True") for line in checks)
 
 
 def test_submodule_exports_resolve():

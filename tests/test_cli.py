@@ -237,7 +237,7 @@ class TestDiagnoseCommand:
         assert report["all_pass"] is True
         lines = (report_dir / "report.csv").read_text().splitlines()
         assert lines[0] == "check,max_violation,tolerance,passed"
-        assert len(lines) == 16
+        assert len(lines) == 15
         for line in lines[1:]:
             _, _, tolerance, passed = line.split(",")
             assert passed in ("True", "False")

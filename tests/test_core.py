@@ -555,6 +555,12 @@ _SHORT_PAIR = Potentials(np.zeros(2), np.zeros(3))
         (lambda: belief_feasibility(_P34, 5, 0, _P34.prior), "candidate_set"),
         (lambda: weighted_logsumexp(["x"], [1.0], axis=0), "values"),
         (lambda: logsumexp(np.zeros(3), axis=5), "axis"),
+        (lambda: logsumexp(np.zeros(3), axis=1.5), "axis"),
+        (lambda: weighted_logsumexp(np.zeros((2, 3)), np.ones(3), 5), "axis"),
+        (lambda: weighted_logsumexp(np.zeros((2, 3)), np.ones(3), 1.5), "axis"),
+        (lambda: weighted_logsumexp(np.zeros((2, 3)), np.ones(3), None), "axis"),
+        (lambda: weighted_logsumexp(np.zeros((2, 3)), np.ones(2), 1), "weights"),
+        (lambda: weighted_logsumexp(np.zeros((2, 3)), np.ones((3, 3)), 1), "weights"),
         (lambda: bh.sinkhorn_bridge(_P34, [0.5, 0.5]), "nu"),
         (lambda: bh.Solution(*[[0.5, 0.5]] + [None] * 6), "marginal"),
         (lambda: ilr_check(_P34, None), "solution"),
@@ -570,14 +576,18 @@ _SHORT_PAIR = Potentials(np.zeros(2), np.zeros(3))
     ids=[
         "run_diagnostics-list", "solve-dict", "solve-None", "schrodinger_residual-short",
         "coupling_from_potentials-short", "belief_feasibility-int", "weighted_logsumexp-str",
-        "logsumexp-axis", "sinkhorn_bridge-list", "Solution-list", "ilr_check-None",
+        "logsumexp-axis", "logsumexp-axis-float", "weighted_logsumexp-axis-range",
+        "weighted_logsumexp-axis-float", "weighted_logsumexp-axis-None",
+        "weighted_logsumexp-weights-short", "weighted_logsumexp-weights-matrix",
+        "sinkhorn_bridge-list", "Solution-list", "ilr_check-None",
         "cumulant_errors-list", "free_energy_check-str", "gibbs_plateau_check-marginal",
         "ilr_check-problem-None", "gibbs_plateau_check-2x2", "grid_search_f-None",
         "average_free_energy-None", "belief_feasibility-None",
     ],
 )
 def test_typed_arguments_raise_invalid_input(call, name):
-    # each of these raised AttributeError, TypeError, AxisError or NumPy's
-    # ValueError before the entry points checked their types and lengths
+    # each of these raised AttributeError, TypeError, IndexError, AxisError
+    # or NumPy's ValueError before the entry points checked their types,
+    # axes and lengths
     with pytest.raises(bh.InvalidInput, match=re.escape(name)):
         call()

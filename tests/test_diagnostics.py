@@ -308,6 +308,29 @@ class TestCumulants:
             for name in ("cumulant_mean", "cumulant_variance", "cumulant_gain"):
                 assert report.by_name(name).passed, report.by_name(name)
 
+    @pytest.mark.parametrize("index, gain", [(4, 3.56e-4), (9, 5.44e-4)])
+    def test_edited_coupling_fails_the_gain_alone(self, solved_suite, index, gain):
+        # the gain reads the stored conditionals, the mean and variance the
+        # logit policy of nu: a 1% edit of one stored entry moves the gain
+        # error from at most 3e-9 past its 1e-5 tolerance, and no other one
+        problem, solution = solved_suite[index]
+        joint = solution.coupling.joint.copy()
+        joint[solution.consideration_set[0], 0] *= 1.01
+        joint /= joint.sum()
+        tampered = dataclasses.replace(solution, coupling=Coupling(joint))
+        report = bh.run_diagnostics(problem, tampered)
+        assert report.by_name("cumulant_mean").passed
+        assert report.by_name("cumulant_variance").passed
+        check = report.by_name("cumulant_gain")
+        assert not check.passed
+        assert check.max_violation == pytest.approx(gain, rel=0.01)
+
+    def test_empty_state_column_reads_an_infinite_gain(self, symmetric_2x2, solved_symmetric):
+        joint = np.array([[0.5, 0.0], [0.5, 0.0]])
+        emptied = dataclasses.replace(solved_symmetric, coupling=Coupling(joint))
+        mean_err, _, gain_err = cumulant_errors(symmetric_2x2, emptied)
+        assert mean_err <= 1e-7 and gain_err == np.inf
+
 
 def _mass_off_support(joint):
     joint[1] = 0.01  # action lo, outside the support of nu
@@ -536,7 +559,7 @@ class TestRunDiagnostics:
         problem, solution = solved_suite[1]
         report = bh.run_diagnostics(problem, solution)
         assert report.all_pass, [c for c in report if not c.passed]
-        assert len(list(report)) == 15
+        assert len(list(report)) == 14
 
     def test_expected_check_names_present(self, solved_suite):
         problem, solution = solved_suite[0]
@@ -545,7 +568,6 @@ class TestRunDiagnostics:
         assert {
             "marginal_residual",
             "duality_gap",
-            "additive_separability",
             "schrodinger_equations",
             "coupling_consistency",
             "kt_plateau",
@@ -655,7 +677,7 @@ class TestRunDiagnostics:
         cfg = bh.SinkhornConfig(tolerance=1e-12, max_iterations=2)
         monkeypatch.setattr(diagnostics, "_INNER", cfg)
         report = bh.run_diagnostics(problem, moved)
-        assert len(list(report)) == 15
+        assert len(list(report)) == 14
         residual = report.by_name("marginal_residual")
         assert not residual.passed and "no convergence after 2 sweeps" in residual.details
         value = report.by_name("gateaux_value")

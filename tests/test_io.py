@@ -164,7 +164,7 @@ class TestReportSerialization:
         path = save_report(report, tmp_path / "report.json")
         data = json.loads(path.read_text())
         assert data["all_pass"] is True
-        assert len(data["checks"]) == 15
+        assert len(data["checks"]) == 14
 
 
 class TestCsvAndManifest:
